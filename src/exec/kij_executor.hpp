@@ -5,11 +5,16 @@
 // speed emulated by a duty-cycle throttle (exec/throttle.hpp), after an
 // emulated communication phase whose duration follows the partition's
 // directed pair volumes on the Hockney machine (serial or parallel schedule,
-// matching SCB/PCB). The result is verified element-exact against the serial
-// reference. This is the repo's "real execution" substrate for the Fig. 14
-// analogue (bench/exec_mmm): wall-clock times of Square-Corner vs
-// Block-Rectangle under genuine threads, real floating-point work and real
-// sleep-based heterogeneity.
+// matching SCB/PCB). Each worker splits its cells into rectangles (maximal
+// row runs merged down consecutive rows with the same column bounds) and
+// computes them in 4 × 8 register tiles over ascending blocks of 256
+// pivots; full tiles read their operands packed contiguously. Every C
+// element sums its n products in ascending k starting from 0.0, as
+// multiplySerial does, so the result is bit-identical to the serial
+// reference it is verified against. This is the repo's "real execution"
+// substrate for the Fig. 14 analogue (bench/exec_mmm): wall-clock times of
+// Square-Corner vs Block-Rectangle under genuine threads, real
+// floating-point work and real sleep-based heterogeneity.
 #pragma once
 
 #include <array>
@@ -27,7 +32,10 @@ struct ExecOptions {
   Machine machine;          ///< ratio → per-thread throttle; T_send → comm pacing.
   bool verify = true;       ///< Check against multiplySerial (costs an O(N³) run).
   std::uint64_t seed = 1;   ///< Input matrix seed.
-  /// Work quantum between throttle charges, in MAC operations.
+  /// Work quantum between throttle charges, in MAC operations. Charges land
+  /// on register-tile boundaries: a worker charges after the first tile
+  /// that brings its uncharged work to at least this many MACs (a tile is
+  /// at most 4 × 8 × 256 MACs).
   int quantumMacs = 1 << 15;
   /// Pace the emulated communication phase with real sleeps (true) or only
   /// account its modeled duration (false, default — keeps tests fast).

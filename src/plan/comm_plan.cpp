@@ -1,7 +1,6 @@
 #include "plan/comm_plan.hpp"
 
-#include <set>
-#include <tuple>
+#include <cstddef>
 
 #include "support/check.hpp"
 
@@ -87,27 +86,43 @@ bool verifyElementPlanRange(const Partition& q,
   if (firstPivot < 0 || firstPivot > n) return false;
   if (static_cast<int>(plan.size()) != n - firstPivot) return false;
 
-  // (1) Validity: coordinates match the pivot, senders own what they send,
-  // receivers genuinely need it, nobody is sent their own data.
-  // (2) Uniqueness: no duplicate deliveries.
-  // Kind 0 = A-column transfer, kind 1 = B-row transfer.
-  std::set<std::tuple<int, int, int, int>> seen;  // (kind, pivot, line, to)
+  auto isProc = [](Proc p) { return procSlot(p) < kNumProcs; };
+  auto inRange = [n](int line) { return line >= 0 && line < n; };
+
+  // (1) Validity: coordinates match the pivot and lie in the grid, sender
+  // and receiver are processors, senders own what they send, receivers
+  // genuinely need it, nobody is sent their own data.
+  // (2) Uniqueness: no duplicate deliveries. A transfer of pivot k stamps
+  // its (kind, line, receiver) slot with k + 1, so a slot already holding
+  // k + 1 is a duplicate, and older stamps need no reset between pivots.
+  // Kind 0 = A-column transfer (line = row i), kind 1 = B-row transfer
+  // (line = column j).
+  std::vector<int> stamp(2 * static_cast<std::size_t>(n) * kNumProcs, 0);
+  auto firstDelivery = [&](int kind, int line, Proc to, int k) {
+    int& slot = stamp[static_cast<std::size_t>((kind * n + line) * kNumProcs) +
+                      procSlot(to)];
+    if (slot == k + 1) return false;
+    slot = k + 1;
+    return true;
+  };
   for (int k = firstPivot; k < n; ++k) {
     const PivotTransfers& step = plan[static_cast<std::size_t>(k - firstPivot)];
     if (step.pivot != k) return false;
     for (const ElementTransfer& t : step.aColumn) {
-      if (t.j != k) return false;
+      if (t.j != k || !inRange(t.i)) return false;
+      if (!isProc(t.from) || !isProc(t.to)) return false;
       if (q.at(t.i, t.j) != t.from) return false;
       if (t.to == t.from) return false;
       if (!q.rowHas(t.to, t.i)) return false;  // nobody needs it there
-      if (!seen.insert({0, k, t.i, procIndex(t.to)}).second) return false;
+      if (!firstDelivery(0, t.i, t.to, k)) return false;
     }
     for (const ElementTransfer& t : step.bRow) {
-      if (t.i != k) return false;
+      if (t.i != k || !inRange(t.j)) return false;
+      if (!isProc(t.from) || !isProc(t.to)) return false;
       if (q.at(t.i, t.j) != t.from) return false;
       if (t.to == t.from) return false;
       if (!q.colHas(t.to, t.j)) return false;
-      if (!seen.insert({1, k, t.j, procIndex(t.to)}).second) return false;
+      if (!firstDelivery(1, t.j, t.to, k)) return false;
     }
   }
 

@@ -61,8 +61,11 @@ std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> planVolumes(
 
 /// Soundness check: every remote operand of every (owned C element, pivot)
 /// pair is delivered exactly once, nothing superfluous is sent, and no
-/// processor is sent data it owns. Returns true when the plan is exact.
-/// O(N²·procs) using per-line occupancy, not O(N³).
+/// processor is sent data it owns. Returns true when the plan is exact, and
+/// false for any transfer whose coordinates leave the grid or whose sender
+/// or receiver is not R, S or P. O(N²·procs + T) time for T transfers and
+/// O(N·procs) extra memory (per-line occupancy and one delivery stamp per
+/// line and receiver), not O(N³).
 bool verifyElementPlan(const Partition& q,
                        const std::vector<PivotTransfers>& plan);
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "grid/builder.hpp"
 #include "shapes/candidates.hpp"
@@ -27,10 +30,56 @@ TEST(KijExecutorTest, ResultMatchesSerialReference) {
   const auto q = randomPartition(48, ratio, rng);
   const auto result = runParallelMMM(Algo::kSCB, q, fastOptions(ratio));
   EXPECT_TRUE(result.verified);
-  // Same input, same kij dot products — exact agreement modulo FP
-  // reassociation (none here: identical accumulation order per element).
+  // The tiled kernel adds each element's products in ascending k starting
+  // from 0.0, exactly as multiplySerial does; KijExecutorBitIdentityTest
+  // pins the agreement to 0.0.
   EXPECT_LT(result.maxAbsError, 1e-9);
 }
+
+struct BitIdentityCase {
+  std::string name;
+  Ratio ratio;
+  Partition q;
+};
+
+void PrintTo(const BitIdentityCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<BitIdentityCase> bitIdentityCases() {
+  std::vector<BitIdentityCase> cases;
+  // n = 301 is ragged against the 4 x 8 tile and spans two pivot blocks.
+  const Ratio ratio{5, 2, 1};
+  for (CandidateShape shape : kAllCandidates) {
+    std::string name = candidateName(shape);
+    std::erase(name, '-');
+    cases.push_back({name, ratio, makeCandidate(shape, 301, ratio)});
+  }
+  // Mostly single-cell row runs: every tile is an edge tile.
+  Rng rng(20);
+  cases.push_back({"Random", ratio, randomPartition(45, ratio, rng)});
+  cases.push_back({"OneCell", ratio, Partition(1)});
+  // R and S own no cells.
+  cases.push_back({"IdleOwners", Ratio{2, 1, 1}, Partition(37)});
+  return cases;
+}
+
+class KijExecutorBitIdentityTest
+    : public ::testing::TestWithParam<BitIdentityCase> {};
+
+TEST_P(KijExecutorBitIdentityTest, MatchesSerialReferenceExactly) {
+  // C starts at 0.0 and each tile adds into it, so a cell the kernel skips
+  // or computes twice cannot come out exact.
+  const BitIdentityCase& c = GetParam();
+  const auto result = runParallelMMM(Algo::kPCB, c.q, fastOptions(c.ratio));
+  ASSERT_TRUE(result.verified);
+  EXPECT_EQ(result.maxAbsError, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Partitions, KijExecutorBitIdentityTest,
+    ::testing::ValuesIn(bitIdentityCases()),
+    [](const ::testing::TestParamInfo<BitIdentityCase>& p) {
+      return p.param.name;
+    });
 
 TEST(KijExecutorTest, CandidateShapesComputeCorrectly) {
   const Ratio ratio{5, 2, 1};

@@ -139,6 +139,32 @@ TEST(CommPlanVerifyTest, CatchesWrongPivotCoordinates) {
     }
 }
 
+TEST(CommPlanVerifyTest, RejectsAColumnRowOutsideTheGrid) {
+  Partition q(4);
+  q.set(1, 2, Proc::R);
+  for (int row : {4, -1}) {
+    auto plan = buildElementPlan(q);
+    plan[2].aColumn.push_back({row, 2, Proc::P, Proc::R});
+    EXPECT_FALSE(verifyElementPlan(q, plan)) << "row " << row;
+  }
+}
+
+TEST(CommPlanVerifyTest, RejectsBRowColumnOutsideTheGrid) {
+  Partition q(4);
+  q.set(1, 2, Proc::R);
+  auto plan = buildElementPlan(q);
+  plan[1].bRow.push_back({1, 4, Proc::P, Proc::R});
+  EXPECT_FALSE(verifyElementPlan(q, plan));
+}
+
+TEST(CommPlanVerifyTest, RejectsAReceiverThatIsNoProcessor) {
+  Partition q(4);
+  q.set(1, 2, Proc::R);
+  auto plan = buildElementPlan(q);
+  plan[0].aColumn.push_back({1, 0, Proc::P, static_cast<Proc>(3)});
+  EXPECT_FALSE(verifyElementPlan(q, plan));
+}
+
 TEST(CommPlanRangeTest, SuffixPlanVerifiesAtEveryPivot) {
   Rng rng(14);
   const auto q = randomPartition(12, Ratio{3, 2, 1}, rng);
