@@ -32,9 +32,19 @@ void AtlasGridSpec::validate() const {
     bad("grid holds no cells with P_r >= R_r");
 }
 
+namespace {
+
+/// Validates before the cell vector is sized: points() of a negative step
+/// count wraps to a huge size_t.
+const AtlasGridSpec& validated(const AtlasGridSpec& spec) {
+  spec.validate();
+  return spec;
+}
+
+}  // namespace
+
 PlanAtlas::PlanAtlas(AtlasGridSpec spec, AtlasBuildInfo info)
-    : spec_(spec), info_(info), cells_(spec.points()) {
-  spec_.validate();
+    : spec_(validated(spec)), info_(info), cells_(spec_.points()) {
   if (info_.n < 4)
     throw std::invalid_argument("PlanAtlas: build granularity n too small");
 }

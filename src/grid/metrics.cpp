@@ -25,35 +25,6 @@ std::int64_t volumeOfCommunication(const Partition& q) {
   return q.volumeOfCommunication();
 }
 
-std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> pairVolumes(
-    const Partition& q) {
-  std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> v{};
-  const int n = q.n();
-  for (Proc s : kAllProcs) {
-    for (Proc r : kAllProcs) {
-      if (s == r) continue;
-      std::int64_t total = 0;
-      for (int i = 0; i < n; ++i)
-        if (q.rowHas(r, i)) total += q.rowCount(s, i);
-      for (int j = 0; j < n; ++j)
-        if (q.colHas(r, j)) total += q.colCount(s, j);
-      v[procSlot(s)][procSlot(r)] = total;
-    }
-  }
-  return v;
-}
-
-std::int64_t overlapElements(const Partition& q, Proc x) {
-  const int n = q.n();
-  std::int64_t total = 0;
-  for (int i = 0; i < n; ++i) {
-    if (q.rowCount(x, i) != n) continue;  // pivot row i not fully owned
-    for (int j = 0; j < n; ++j)
-      if (q.colCount(x, j) == n) ++total;  // (i,j) is X's and both pivots are
-  }
-  return total;
-}
-
 std::int64_t overlapFlopSteps(const Partition& q, Proc x) {
   // Σ_{i,j,k} M[i][j]·M[i][k]·M[k][j]  where M is X's ownership mask.
   // Rewritten as Σ over owned cells (i,k) of dot(row_i, row_k) using packed

@@ -2,7 +2,9 @@
 //
 // Free functions layered on Partition's O(1) counters. These are the
 // quantities the five performance models consume: the global Volume of
-// Communication and the per-processor send volumes d_X.
+// Communication and the per-processor send volumes d_X. The templated ones
+// read only the counter API that Partition, RlePartition and LineCounts
+// share, so they evaluate any of the three.
 #pragma once
 
 #include <array>
@@ -40,8 +42,25 @@ std::int64_t volumeOfCommunication(const Partition& q);
 /// B(k,j)-pivot) — both uses counted, matching Eq. 1:
 ///   Σ_{s≠r} pairVolumes[s][r] == volumeOfCommunication(q).
 /// Diagonal entries are zero. Indexed by procIndex().
+/// O(N · kNumProcs²).
+template <typename Q>
 std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> pairVolumes(
-    const Partition& q);
+    const Q& q) {
+  std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> v{};
+  const int n = q.n();
+  for (Proc s : kAllProcs) {
+    for (Proc r : kAllProcs) {
+      if (s == r) continue;
+      std::int64_t total = 0;
+      for (int i = 0; i < n; ++i)
+        if (q.rowHas(r, i)) total += q.rowCount(s, i);
+      for (int j = 0; j < n; ++j)
+        if (q.colHas(r, j)) total += q.colCount(s, j);
+      v[procSlot(s)][procSlot(r)] = total;
+    }
+  }
+  return v;
+}
 
 /// True when x's cells exactly fill its enclosing rectangle (and x owns at
 /// least one cell). Templated over the engine state (Partition or
@@ -93,8 +112,19 @@ bool isAsymptoticallyRectangular(const Q& q, Proc x) {
 /// Number of elements processor X can compute with zero communication under
 /// bulk overlap (SCO/PCO): C(i,j) owned by X such that X owns *every* element
 /// of pivot row i and pivot column j it needs — i.e. rows i and columns j
-/// fully owned by X. Counted as fully-computable C elements.
-std::int64_t overlapElements(const Partition& q, Proc x);
+/// fully owned by X. Every cell of a full row is X's, so the count is
+/// (#rows X fully owns) × (#columns X fully owns). O(N).
+template <typename Q>
+std::int64_t overlapElements(const Q& q, Proc x) {
+  const int n = q.n();
+  std::int64_t fullRows = 0;
+  std::int64_t fullCols = 0;
+  for (int k = 0; k < n; ++k) {
+    if (q.rowCount(x, k) == n) ++fullRows;
+    if (q.colCount(x, k) == n) ++fullCols;
+  }
+  return fullRows * fullCols;
+}
 
 /// Total kij flop-steps processor X can run during bulk overlap: for each
 /// C(i,j) owned by X, the number of pivots k with both A(i,k) and B(k,j)

@@ -21,12 +21,22 @@
 // Star topology: spoke↔spoke traffic relays through the hub. Serial volumes
 // count relayed elements twice; parallel per-processor volumes charge the
 // hub with the forwarded traffic.
+//
+// evalModel reads only the counter API shared by Partition and LineCounts
+// (per-owner line counts, totals, c_i and c_j), so tier A ranks the
+// candidate shapes from their O(N) line counts without painting a grid.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+
+#include "grid/metrics.hpp"
 #include "grid/partition.hpp"
 #include "model/algo.hpp"
 #include "model/machine.hpp"
 #include "model/topology.hpp"
+#include "support/check.hpp"
 
 namespace pushpart {
 
@@ -42,12 +52,133 @@ struct ModelResult {
   friend bool operator==(const ModelResult&, const ModelResult&) = default;
 };
 
-/// Evaluates the Eq. 2–9 model for `algo` on `q`. The partition's element
-/// counts drive computation time; its row/column occupancy drives
-/// communication. `machine.ratio` supplies processor speeds.
-ModelResult evalModel(Algo algo, const Partition& q, const Machine& machine,
+/// Largest n the models accept: n³, the MAC count of the whole product,
+/// must fit in int64 (2,097,152³ = 2⁶³ does not).
+inline constexpr int kMaxModelN = 2'097'151;
+
+namespace detail {
+
+/// Communication volumes after topology routing.
+struct CommVolumes {
+  std::int64_t serialTotal = 0;                   ///< Σ link crossings.
+  std::array<std::int64_t, kNumProcs> perProc{};  ///< Outbound per processor.
+};
+
+/// Routes the directed pair volumes over the topology.
+CommVolumes routedVolumes(
+    const std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>& v,
+    Topology topology, StarConfig star);
+
+/// Elements moved at PIO pivot step k: N(c_k_row − 1) + N(c_k_col − 1) (Eq.
+/// 9). Under a star, spoke-owned pivot elements relayed to the other spoke
+/// are charged a second crossing (upper bound: every spoke pivot element
+/// forwarded).
+template <typename Q>
+std::int64_t pioStepVolume(const Q& q, int k, Topology topology,
+                           StarConfig star) {
+  const auto n = static_cast<std::int64_t>(q.n());
+  std::int64_t volume =
+      n * (q.procsInRow(k) - 1) + n * (q.procsInCol(k) - 1);
+  if (topology == Topology::kStar) {
+    for (Proc x : kSlowProcs) {
+      if (x == star.hub) continue;
+      volume += q.rowCount(x, k) + q.colCount(x, k);
+    }
+  }
+  return volume;
+}
+
+}  // namespace detail
+
+/// Evaluates the Eq. 2–9 model for `algo` on `q` — a Partition, or any state
+/// with its read-only counter API, such as LineCounts. The partition's
+/// element counts drive computation time; its row/column occupancy drives
+/// communication. `machine.ratio` supplies processor speeds. O(N).
+template <typename Q>
+ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
                       Topology topology = Topology::kFullyConnected,
-                      StarConfig star = {});
+                      StarConfig star = {}) {
+  PUSHPART_CHECK_MSG(machine.ratio.valid(),
+                     "invalid machine ratio " << machine.ratio.str());
+  const int n = q.n();
+  const detail::CommVolumes vol =
+      detail::routedVolumes(pairVolumes(q), topology, star);
+  const double tsend = machine.sendElementSeconds;
+
+  // Per-processor computation loads: each owned C element takes N MACs.
+  std::array<double, kNumProcs> compFull{};   // all owned elements
+  std::array<double, kNumProcs> compOverlap{};
+  std::array<double, kNumProcs> compRemainder{};
+  std::array<double, kNumProcs> compOneStep{};  // one pivot step (PIO)
+  for (Proc x : kAllProcs) {
+    const auto xi = procSlot(x);
+    const std::int64_t owned = q.count(x);
+    compFull[xi] = machine.computeSeconds(x, owned * n);
+    const std::int64_t local = overlapElements(q, x);
+    compOverlap[xi] = machine.computeSeconds(x, local * n);
+    compRemainder[xi] = machine.computeSeconds(x, (owned - local) * n);
+    compOneStep[xi] = machine.computeSeconds(x, owned);
+  }
+  const double maxFull = *std::max_element(compFull.begin(), compFull.end());
+  const double maxOverlap =
+      *std::max_element(compOverlap.begin(), compOverlap.end());
+  const double maxRemainder =
+      *std::max_element(compRemainder.begin(), compRemainder.end());
+  const double maxStep =
+      *std::max_element(compOneStep.begin(), compOneStep.end());
+
+  const double serialComm =
+      tsend * static_cast<double>(vol.serialTotal);
+  double parallelComm = 0.0;
+  for (auto d : vol.perProc)
+    parallelComm = std::max(parallelComm, tsend * static_cast<double>(d));
+
+  ModelResult result;
+  switch (algo) {
+    case Algo::kSCB:
+      result.commSeconds = serialComm;
+      result.compSeconds = maxFull;
+      result.execSeconds = serialComm + maxFull;
+      break;
+    case Algo::kPCB:
+      result.commSeconds = parallelComm;
+      result.compSeconds = maxFull;
+      result.execSeconds = parallelComm + maxFull;
+      break;
+    case Algo::kSCO:
+      result.commSeconds = serialComm;
+      result.overlapSeconds = maxOverlap;
+      result.compSeconds = maxRemainder;
+      result.execSeconds = std::max(serialComm, maxOverlap) + maxRemainder;
+      break;
+    case Algo::kPCO:
+      result.commSeconds = parallelComm;
+      result.overlapSeconds = maxOverlap;
+      result.compSeconds = maxRemainder;
+      result.execSeconds = std::max(parallelComm, maxOverlap) + maxRemainder;
+      break;
+    case Algo::kPIO: {
+      // Per-step comm: pivot row/column k changes owner mix per k (Eq. 9).
+      double total = 0.0;
+      for (int k = 0; k < n; ++k) {
+        const double stepComm =
+            tsend *
+            static_cast<double>(detail::pioStepVolume(q, k, topology, star));
+        if (k == 0) {
+          total += stepComm;  // priming send
+        } else {
+          total += std::max(stepComm, maxStep);
+        }
+        result.commSeconds += stepComm;
+      }
+      total += maxStep;  // the drain step computes the final pivot
+      result.compSeconds = maxStep * n;
+      result.execSeconds = total;
+      break;
+    }
+  }
+  return result;
+}
 
 /// Communication seconds only (the Fig. 14 quantity) — the comm term of the
 /// chosen algorithm's model.

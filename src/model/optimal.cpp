@@ -3,19 +3,38 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "support/check.hpp"
+
 namespace pushpart {
+
+namespace {
+
+/// Models one feasible shape from its line counts: the same counters the
+/// painted grid would give, without painting it.
+RankedCandidate rankLines(CandidateShape shape, Algo algo, int n,
+                          const Machine& machine, Topology topology,
+                          StarConfig star) {
+  const LineCounts lines = candidateLines(shape, n, machine.ratio);
+  return {shape, evalModel(algo, lines, machine, topology, star),
+          lines.volumeOfCommunication()};
+}
+
+void checkModelN(int n) {
+  PUSHPART_CHECK_MSG(n <= kMaxModelN, "n=" << n << " exceeds the model bound "
+                                           << kMaxModelN);
+}
+
+}  // namespace
 
 std::vector<RankedCandidate> rankCandidates(Algo algo, int n,
                                             const Machine& machine,
                                             Topology topology,
                                             StarConfig star) {
+  checkModelN(n);
   std::vector<RankedCandidate> out;
   for (CandidateShape shape : kAllCandidates) {
     if (!candidateFeasible(shape, n, machine.ratio)) continue;
-    const Partition q = makeCandidate(shape, n, machine.ratio);
-    RankedCandidate ranked{shape, evalModel(algo, q, machine, topology, star),
-                           q.volumeOfCommunication()};
-    out.push_back(ranked);
+    out.push_back(rankLines(shape, algo, n, machine, topology, star));
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const RankedCandidate& a, const RankedCandidate& b) {
@@ -36,10 +55,9 @@ RankedCandidate selectOptimal(Algo algo, int n, const Machine& machine,
 std::optional<RankedCandidate> rankOne(CandidateShape shape, Algo algo, int n,
                                        const Machine& machine,
                                        Topology topology, StarConfig star) {
+  checkModelN(n);
   if (!candidateFeasible(shape, n, machine.ratio)) return std::nullopt;
-  const Partition q = makeCandidate(shape, n, machine.ratio);
-  return RankedCandidate{shape, evalModel(algo, q, machine, topology, star),
-                         q.volumeOfCommunication()};
+  return rankLines(shape, algo, n, machine, topology, star);
 }
 
 }  // namespace pushpart

@@ -17,12 +17,14 @@ namespace pushpart {
 struct RankedCandidate {
   CandidateShape shape;
   ModelResult model;
-  std::int64_t voc = 0;  ///< Grid-measured Volume of Communication.
+  std::int64_t voc = 0;  ///< Exact (integer-granularity) Volume of Communication.
 };
 
 /// All feasible candidates at integer granularity n, ranked by modeled
 /// execution time (ascending — best first). machine.ratio supplies the
-/// processor speeds and must match the shapes being compared.
+/// processor speeds and must match the shapes being compared. Each shape is
+/// modeled from its candidateLines — the painted grid's exact counters —
+/// in O(n). n above kMaxModelN fails a PUSHPART_CHECK.
 std::vector<RankedCandidate> rankCandidates(
     Algo algo, int n, const Machine& machine,
     Topology topology = Topology::kFullyConnected, StarConfig star = {});

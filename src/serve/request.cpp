@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "model/models.hpp"
+
 namespace pushpart {
 
 namespace {
@@ -32,6 +34,11 @@ std::uint64_t fnv1a(const std::string& text) {
 CanonicalKey canonicalize(const PlanRequest& req) {
   if (req.n <= 0)
     throw std::invalid_argument("PlanRequest: n must be positive, got " +
+                                std::to_string(req.n));
+  if (req.n > kMaxModelN)
+    throw std::invalid_argument("PlanRequest: n must be at most " +
+                                std::to_string(kMaxModelN) +
+                                " (n^3 MACs must fit in int64), got " +
                                 std::to_string(req.n));
   if (!(req.ratio.p > 0 && req.ratio.r > 0 && req.ratio.s > 0))
     throw std::invalid_argument("PlanRequest: ratio speeds must be positive (" +

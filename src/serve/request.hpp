@@ -64,8 +64,8 @@ struct CanonicalKey {
 ///   * topology: fully-connected forces the (irrelevant) hub to P.
 ///   * tier: kFast zeroes searchRuns and searchSeed (they don't affect the
 ///     answer); kSearch keeps both.
-/// Throws std::invalid_argument on malformed requests (n <= 0, invalid
-/// ratio, non-positive tier-B budget).
+/// Throws std::invalid_argument on malformed requests (n <= 0, n above
+/// kMaxModelN, invalid ratio, non-positive tier-B budget).
 CanonicalKey canonicalize(const PlanRequest& req);
 
 /// FNV-1a 64-bit hash (exposed for tests and the cache's shard choice).

@@ -26,11 +26,21 @@
 // uses): full rows/columns plus one partial edge line, i.e. asymptotically
 // rectangular regions. Continuous geometry for the closed-form cost models
 // lives in model/closed_form.hpp.
+//
+// Each shape is written once, as two disjoint edge-aligned bands, one for R
+// and one for S. A band is an owner, a lane range, a first line and a
+// direction, rows- or columns-first, whether its partial line fills from
+// the far lane end (a partial column filled bottom-up), and an element
+// count: a stack of full lines plus one partial line. makeCandidate paints
+// the bands into a Partition. candidateLines turns the same bands into
+// per-owner row and column counts in O(N) (P takes the rest of each line),
+// which is all the models read; tier A ranks from those.
 #pragma once
 
 #include <array>
 #include <string>
 
+#include "grid/line_counts.hpp"
 #include "grid/partition.hpp"
 #include "grid/ratio.hpp"
 
@@ -78,6 +88,11 @@ bool candidateFeasible(CandidateShape shape, int n, const Ratio& ratio);
 /// exact ratio element counts. Throws std::invalid_argument when infeasible
 /// (use candidateFeasible to probe).
 Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio);
+
+/// The same shape as makeCandidate, seen only through its line counts:
+/// every counter the models read equals the painted grid's, at O(N) time and
+/// memory instead of O(N²). Throws std::invalid_argument when infeasible.
+LineCounts candidateLines(CandidateShape shape, int n, const Ratio& ratio);
 
 /// The optimal corner split for the Rectangle-Corner shape: R's share of the
 /// combined corner width, x = √R_r/(√R_r + √S_r), minimizing Eq. 13 along

@@ -72,6 +72,37 @@ TEST(AtlasIoTest, GarbageIsRefused) {
   EXPECT_FALSE(report.error.empty());
 }
 
+/// Loads `text` with its grid line replaced by `grid`.
+AtlasLoadReport loadWithGridLine(std::string text, const std::string& grid) {
+  const auto begin = text.find("\ngrid ") + 1;
+  const auto end = text.find('\n', begin);
+  text.replace(begin, end - begin, grid);
+  std::istringstream is(text);
+  return tryLoadAtlas(is);
+}
+
+TEST(AtlasIoTest, NegativeStepCountsRefusedBeforeAllocating) {
+  // (-8192) x (-16384) steps is 2^27 cells once multiplied as size_t: the
+  // header must be refused by the spec check before any cell is allocated.
+  const AtlasLoadReport report = loadWithGridLine(
+      savedText(*builtAtlas()), "grid 1 20 -8192 1 10 -16384");
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.atlas, nullptr);
+  EXPECT_NE(report.error.find("needs >= 2 steps per axis"), std::string::npos)
+      << report.error;
+}
+
+TEST(AtlasIoTest, WrappedStepProductReportsTheSpecError) {
+  // (-1) x 2 steps wraps past vector::max_size(); the error must still name
+  // the step count, not the allocation.
+  const AtlasLoadReport report =
+      loadWithGridLine(savedText(*builtAtlas()), "grid 1 20 -1 1 10 2");
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.atlas, nullptr);
+  EXPECT_NE(report.error.find("needs >= 2 steps per axis"), std::string::npos)
+      << report.error;
+}
+
 TEST(AtlasIoTest, CorruptCellIsSkippedAndBoundariesRederived) {
   const auto atlas = builtAtlas();
   std::string text = savedText(*atlas);

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "support/check.hpp"
+#include "support/rng.hpp"
+
 namespace pushpart {
 namespace {
 
@@ -9,6 +17,69 @@ Machine machineWith(const Ratio& ratio) {
   Machine m;
   m.ratio = ratio;
   return m;
+}
+
+/// Ranks the painted grids the way rankCandidates ranks line counts: every
+/// feasible candidate, modeled and stably sorted by execution time.
+std::vector<RankedCandidate> rankGrids(const std::vector<Partition>& grids,
+                                       const std::vector<CandidateShape>& shapes,
+                                       Algo algo, const Machine& machine,
+                                       Topology topology, StarConfig star) {
+  std::vector<RankedCandidate> out;
+  for (std::size_t i = 0; i < grids.size(); ++i)
+    out.push_back({shapes[i],
+                   evalModel(algo, grids[i], machine, topology, star),
+                   grids[i].volumeOfCommunication()});
+  std::stable_sort(out.begin(), out.end(),
+                   [](const RankedCandidate& a, const RankedCandidate& b) {
+                     return a.model.execSeconds < b.model.execSeconds;
+                   });
+  return out;
+}
+
+/// Tier A ranks from candidateLines; the grid reference paints each
+/// candidate with makeCandidate and models the Partition. Every algorithm on
+/// every topology (star with each hub) must give the same order, the same
+/// ModelResult bit for bit and the same VoC. Returns the instances checked.
+int expectLinesRankLikeGrids(int n, const Ratio& ratio) {
+  std::vector<Partition> grids;
+  std::vector<CandidateShape> shapes;
+  for (CandidateShape shape : kAllCandidates) {
+    if (!candidateFeasible(shape, n, ratio)) continue;
+    grids.push_back(makeCandidate(shape, n, ratio));
+    shapes.push_back(shape);
+  }
+  const Machine machine = machineWith(ratio);
+  std::vector<std::pair<Topology, StarConfig>> topologies = {
+      {Topology::kFullyConnected, StarConfig{}}};
+  for (Proc hub : kAllProcs)
+    topologies.push_back({Topology::kStar, StarConfig{hub}});
+
+  int instances = 0;
+  for (Algo algo : kAllAlgos) {
+    for (const auto& [topology, star] : topologies) {
+      const auto lines = rankCandidates(algo, n, machine, topology, star);
+      const auto grid = rankGrids(grids, shapes, algo, machine, topology, star);
+      const std::string where = "n=" + std::to_string(n) + " " + ratio.str() +
+                                " " + algoName(algo) + " " +
+                                topologyName(topology) + " hub " +
+                                procName(star.hub);
+      if (lines.size() != grid.size()) {
+        ADD_FAILURE() << where << ": " << lines.size() << " vs "
+                      << grid.size() << " candidates";
+        return instances;
+      }
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(lines[i].shape, grid[i].shape) << where << " rank " << i;
+        EXPECT_TRUE(lines[i].model == grid[i].model)
+            << where << " " << candidateName(grid[i].shape);
+        EXPECT_EQ(lines[i].voc, grid[i].voc)
+            << where << " " << candidateName(grid[i].shape);
+        ++instances;
+      }
+    }
+  }
+  return instances;
 }
 
 TEST(RankCandidatesTest, ReturnsSortedFeasibleCandidates) {
@@ -117,6 +188,44 @@ TEST(SelectOptimalTest, ScaledRatiosPickTheSameShape) {
                          << candidateName(ra.shape);
     }
   }
+}
+
+TEST(RankCandidatesTest, LineCountsRankLikeThePaintedGrids) {
+  int instances = 0;
+  // Every small n, where rounding and infeasibility edges crowd together,
+  // at the paper's eleven ratios.
+  for (int n = 1; n <= 60; ++n)
+    for (const Ratio& ratio : paperRatios())
+      instances += expectLinesRankLikeGrids(n, ratio);
+  // Seeded random ratios up to n = 420, with P = R and R = S ties and the
+  // R < S labelling mixed in.
+  Rng rng(20140519);
+  for (int trial = 0; trial < 160; ++trial) {
+    const auto n = static_cast<int>(rng.range(61, 420));
+    const double p = 1.0 + 9.0 * rng.real();
+    double r = 1.0 + (p - 1.0) * rng.real();
+    double s = 1.0;
+    switch (trial % 4) {
+      case 0: r = p; break;  // P = R
+      case 1: s = r; break;  // R = S
+      case 2: s = 1.0 + (p - 1.0) * rng.real(); break;  // R < S possible
+      default: break;
+    }
+    instances += expectLinesRankLikeGrids(n, Ratio{p, r, s});
+  }
+  EXPECT_GT(instances, 90000);
+}
+
+TEST(SelectOptimalTest, NBeyondTheModelBoundIsRefused) {
+  // 2,097,152³ = 2⁶³: P's MAC count would overflow int64 inside evalModel.
+  // Tier A refuses the request before building any line counts.
+  const Machine machine = machineWith(Ratio{5, 2, 1});
+  EXPECT_EQ(kMaxModelN, 2'097'151);
+  EXPECT_THROW(selectOptimal(Algo::kSCB, 2'097'152, machine), CheckError);
+  EXPECT_THROW(rankCandidates(Algo::kPIO, 2'097'152, machine), CheckError);
+  EXPECT_THROW(rankOne(CandidateShape::kBlockRectangle, Algo::kSCB,
+                       2'097'152, machine),
+               CheckError);
 }
 
 TEST(SelectOptimalTest, StarTopologyCanChangeWinner) {

@@ -106,6 +106,17 @@ TEST(CanonicalizeTest, MalformedRequestsRejected) {
   EXPECT_THROW(canonicalize(bad), std::invalid_argument);
 }
 
+TEST(CanonicalizeTest, NBeyondTheModelBoundRejected) {
+  // Tier A costs O(n), so nothing but the model's arithmetic limits n: at
+  // 2,097,152 = 2^21 the n^3 MAC count overflows int64.
+  PlanRequest req;
+  req.ratio = Ratio{5, 2, 1};
+  req.n = 2'097'152;
+  EXPECT_THROW(canonicalize(req), std::invalid_argument);
+  req.n = 2'097'151;
+  EXPECT_EQ(canonicalize(req).request.n, 2'097'151);
+}
+
 TEST(CanonicalizeTest, DistinctQuestionsKeepDistinctKeys) {
   PlanRequest base;
   PlanRequest byN = base;

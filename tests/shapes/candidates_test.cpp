@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "grid/builder.hpp"
@@ -78,6 +79,24 @@ TEST_P(CandidateConstructionTest, ExactCountsAndArchetypeA) {
   const auto info = classifyArchetype(q);
   EXPECT_EQ(info.archetype, Archetype::A) << info.str() << "\n" << toAscii(q);
   q.validateCounters();
+
+  // The line counts tier A ranks from are the painted grid's counters.
+  const LineCounts lines = candidateLines(shape, n, ratio);
+  ASSERT_EQ(lines.n(), n);
+  for (Proc x : kAllProcs) {
+    EXPECT_EQ(lines.count(x), q.count(x)) << procName(x);
+    for (int k = 0; k < n; ++k) {
+      EXPECT_EQ(lines.rowCount(x, k), q.rowCount(x, k))
+          << procName(x) << " row " << k;
+      EXPECT_EQ(lines.colCount(x, k), q.colCount(x, k))
+          << procName(x) << " column " << k;
+    }
+  }
+  for (int k = 0; k < n; ++k) {
+    EXPECT_EQ(lines.procsInRow(k), q.procsInRow(k)) << "row " << k;
+    EXPECT_EQ(lines.procsInCol(k), q.procsInCol(k)) << "column " << k;
+  }
+  EXPECT_EQ(lines.volumeOfCommunication(), q.volumeOfCommunication());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,6 +183,31 @@ TEST(CandidateTest, InfeasibleConstructionThrows) {
   EXPECT_THROW(
       makeCandidate(CandidateShape::kSquareCorner, 100, Ratio{1.1, 1, 1}),
       std::invalid_argument);
+  EXPECT_THROW(
+      candidateLines(CandidateShape::kSquareCorner, 100, Ratio{1.1, 1, 1}),
+      std::invalid_argument);
+}
+
+TEST(CandidateTest, GridsArePinned) {
+  // Served answers name these exact grids: a change to any shape's bands
+  // must show up here, not only as a moved VoC somewhere downstream. One
+  // FNV-1a over the grid hashes of every feasible shape at n = 1..60 and the
+  // paper's eleven ratios.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  int grids = 0;
+  for (int n = 1; n <= 60; ++n)
+    for (const Ratio& ratio : paperRatios())
+      for (CandidateShape shape : kAllCandidates) {
+        if (!candidateFeasible(shape, n, ratio)) continue;
+        const std::uint64_t g = makeCandidate(shape, n, ratio).hash();
+        for (int b = 0; b < 64; b += 8) {
+          h ^= (g >> b) & 0xffu;
+          h *= 0x100000001b3ull;
+        }
+        ++grids;
+      }
+  EXPECT_EQ(grids, 3706);
+  EXPECT_EQ(h, 0x770f7c4c2cc0f8fdull);
 }
 
 TEST(CandidateTest, SquareCornerBeatsBlockRectangleAtHighHeterogeneity) {
