@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "grid/builder.hpp"
-#include "rle/engine.hpp"
 #include "support/check.hpp"
 
 namespace pushpart {
@@ -64,7 +63,7 @@ BatchSummary runBatch(const BatchOptions& options,
         Rng rng = master.split(static_cast<std::uint64_t>(run));
 
         // The RNG draw order is engine-independent (schedule, then the grid
-        // q0 builders), so kRle and kGrid batches walk the same start states
+        // q0 builders), so kBits and kGrid batches walk the same start states
         // under the same schedules and — the engines being lockstep-equal —
         // produce bit-identical results.
         Schedule schedule = Schedule::random(rng);
@@ -73,13 +72,13 @@ BatchSummary runBatch(const BatchOptions& options,
                 ? randomClusteredPartition(options.n, options.ratio, rng)
                 : randomPartition(options.n, options.ratio, rng);
         DfaResult res =
-            options.engine == BatchEngine::kRle
+            options.engine == BatchEngine::kBits
                 ? [&] {
-                    DfaResultT<RlePartition> fast = runDfaT(
-                        RlePartition(q0), schedule, dfaOptions);
-                    // Convert back to the element grid so every downstream
+                    DfaResultT<BitPartition> fast = runDfaT(
+                        BitPartition(std::move(q0)), schedule, dfaOptions);
+                    // Hand back the element grid so every downstream
                     // consumer (serve, atlas, benches) stays engine-agnostic.
-                    DfaResult out(fast.final.toPartition());
+                    DfaResult out(fast.final.grid());
                     out.stop = fast.stop;
                     out.pushesApplied = fast.pushesApplied;
                     out.sweeps = fast.sweeps;

@@ -19,16 +19,16 @@
 namespace pushpart {
 
 /// Which engine state runs the walks. Both make identical decisions (the
-/// differential suite in src/verify enforces it); kRle is the default
-/// because its run-granular legality scans are an order of magnitude faster
-/// on the condensed states walks spend most of their time in
-/// (bench/micro_push). kGrid remains for differential testing and as the
-/// element-exact fallback.
-enum class BatchEngine { kRle, kGrid };
+/// differential suite in src/verify enforces it); kBits is the default
+/// because its word-granular legality scans test 64 destination cells at a
+/// time, on scattered and condensed states alike, while every write stays
+/// O(1) (bench/micro_push). kGrid remains for differential testing and as
+/// the element-exact reference.
+enum class BatchEngine { kBits, kGrid };
 
 constexpr const char* batchEngineName(BatchEngine e) {
   switch (e) {
-    case BatchEngine::kRle: return "rle";
+    case BatchEngine::kBits: return "bits";
     case BatchEngine::kGrid: return "grid";
   }
   return "?";
@@ -54,7 +54,7 @@ struct BatchOptions {
   /// Engine state for the walks. Results are converted back to the element
   /// grid either way, so consumers are engine-agnostic; with a fixed seed
   /// the two engines produce bit-identical batches.
-  BatchEngine engine = BatchEngine::kRle;
+  BatchEngine engine = BatchEngine::kBits;
   DfaOptions dfa;
 };
 

@@ -1,6 +1,5 @@
 // Partition instantiation of the state-generic DFA walk (runDfaT in
-// dfa.hpp); the run-length engine instantiates the same template through
-// src/rle.
+// dfa.hpp); dfa/batch instantiates the same template on BitPartition.
 #include "dfa/dfa.hpp"
 
 namespace pushpart {

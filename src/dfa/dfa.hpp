@@ -18,12 +18,12 @@
 //     interlocks into Archetype A.
 //
 // The walk is a template over the engine state (runDfaT): the element-exact
-// Partition and the run-length RlePartition (src/rle) both drive it through
-// the shared push engine, and a lockstep walk makes identical decisions on
-// either state. Cycle detection uses the state's own hash(); the two hashes
-// differ as functions but agree on what matters — a state repeats on one
-// engine iff it repeats on the other (modulo hash collisions, which only
-// ever cause a premature plateau verdict).
+// Partition and the bitboard BitPartition both drive it through the shared
+// push engine, and a lockstep walk makes identical decisions on either
+// state. Cycle detection uses the state's hash(), and BitPartition's is the
+// grid's own, so the two engines reach the same cycle verdicts — hash
+// collisions included, which can only ever cause a premature plateau
+// verdict, and then on both engines alike.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "dfa/schedule.hpp"
+#include "grid/bit_partition.hpp"
 #include "grid/partition.hpp"
 #include "grid/render.hpp"
 #include "push/beautify.hpp"
@@ -107,11 +108,13 @@ struct DfaResultT {
 
 using DfaResult = DfaResultT<Partition>;
 
-/// Trace-rendering hook, resolved by argument-dependent lookup so run-length
-/// states can render without the DFA knowing about them (src/rle provides
-/// the RlePartition overload).
+/// Trace-rendering hook, one overload per engine state. Rendering is off the
+/// hot path (traces are explicitly requested).
 inline std::string dfaTraceArt(const Partition& q, int cells) {
   return renderAscii(q, cells);
+}
+inline std::string dfaTraceArt(const BitPartition& q, int cells) {
+  return renderAscii(q.grid(), cells);
 }
 
 /// Runs the DFA from `q0` under `schedule` on any engine state. The returned

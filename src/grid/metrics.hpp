@@ -3,8 +3,9 @@
 // Free functions layered on Partition's O(1) counters. These are the
 // quantities the five performance models consume: the global Volume of
 // Communication and the per-processor send volumes d_X. The templated ones
-// read only the counter API that Partition, RlePartition and LineCounts
-// share, so they evaluate any of the three.
+// read only the counter API that Partition, BitPartition (which forwards to
+// its grid's counters) and LineCounts share, so they evaluate any of the
+// three.
 #pragma once
 
 #include <array>
@@ -64,7 +65,7 @@ std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> pairVolumes(
 
 /// True when x's cells exactly fill its enclosing rectangle (and x owns at
 /// least one cell). Templated over the engine state (Partition or
-/// RlePartition): only the O(1) counter API is consumed.
+/// BitPartition): only the O(1) counter API is consumed.
 template <typename Q>
 bool isRectangle(const Q& q, Proc x) {
   const Rect r = q.enclosingRect(x);

@@ -1,5 +1,5 @@
-// Partition instantiation of the state-generic beautify pass
-// (push/engine.hpp); shared with the run-length engine in src/rle.
+// Partition and BitPartition instantiations of the state-generic beautify
+// pass (push/engine.hpp).
 #include "push/beautify.hpp"
 
 #include "push/engine.hpp"
@@ -11,5 +11,11 @@ bool compactRegion(Partition& q, Proc x) { return compactRegionState(q, x); }
 BeautifyResult beautify(Partition& q) { return beautifyState(q); }
 
 bool fullyCondensed(const Partition& q) { return fullyCondensedState(q); }
+
+bool compactRegion(BitPartition& q, Proc x) { return compactRegionState(q, x); }
+
+BeautifyResult beautify(BitPartition& q) { return beautifyState(q); }
+
+bool fullyCondensed(const BitPartition& q) { return fullyCondensedState(q); }
 
 }  // namespace pushpart

@@ -14,6 +14,7 @@
 // potential.
 #pragma once
 
+#include "grid/bit_partition.hpp"
 #include "grid/partition.hpp"
 #include "push/push.hpp"
 
@@ -30,6 +31,7 @@ struct BeautifyResult {
 /// compactRegion). Never increases VoC; always terminates (rect-area
 /// potential plus compaction idempotence).
 BeautifyResult beautify(Partition& q);
+BeautifyResult beautify(BitPartition& q);
 
 /// Re-lays processor x's cells inside its current enclosing rectangle as a
 /// solid bottom-up block (full rows plus one contiguous partial top row),
@@ -42,10 +44,12 @@ BeautifyResult beautify(Partition& q);
 /// increase and no processor's enclosing rectangle grows; otherwise rolls
 /// back. Returns whether the partition changed.
 bool compactRegion(Partition& q, Proc x);
+bool compactRegion(BitPartition& q, Proc x);
 
 /// True when no push (of any type, including VoC-preserving Types Five/Six)
 /// applies to either slow processor in any direction — the paper's "fully
 /// condensed" end condition over the unrestricted direction set.
 bool fullyCondensed(const Partition& q);
+bool fullyCondensed(const BitPartition& q);
 
 }  // namespace pushpart

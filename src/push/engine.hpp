@@ -4,26 +4,27 @@
 // beautify/compaction passes are written once as templates over the state
 // type Q. Two states instantiate them:
 //
-//   * Partition (src/grid)  — the element-exact reference,
-//   * RlePartition (src/rle) — owner runs with incremental VoC.
+//   * Partition (src/grid)    — the element-exact reference,
+//   * BitPartition (src/grid) — the same grid plus per-owner line bitsets.
 //
 // Both expose the same occupancy/counter API, so the engine's *decisions*
 // (which destination each edge element takes, which type fires, the exact
 // cell exchanges) are identical by construction; the differential suite in
 // src/verify locksteps the two instantiations to enforce that. For states
-// that expose owner runs (HasOwnerRuns), the destination scan walks runs
-// instead of cells: per run the owner-side predicates are constant, so a
-// whole run is accepted or skipped with O(1) work, and only the
-// active-column requirement (which varies along the run) is scanned — and
-// that scan is exactly the cell walk the reference performs, so the chosen
-// destination cell is provably the same.
+// that expose owner bits (HasOwnerBits), the destination scan reads 64 cells
+// per word instead of one per step: the owner-side predicates cannot change
+// while one edge element searches, so the owners they admit are ORed into a
+// candidate word once per row, the active processor's column presence is
+// ANDed in where the type's activeDest needs it, and std::countr_zero finds
+// the first qualifying column — exactly the cell the reference's walk stops
+// at, so the chosen destination is provably the same.
 //
-// The non-template entry points in push.hpp / beautify.hpp remain the public
-// API for grid callers; this header is for engine instantiation on other
-// state types.
+// The non-template entry points in push.hpp / beautify.hpp are the public
+// API for both states; this header is for engine instantiation.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -81,6 +82,39 @@ inline bool meets(Req req, bool inRow, bool inCol) {
   return false;
 }
 
+/// Visits the words of a line that overlap [from, to), in increasing order,
+/// as visit(w, bits) with bits = word(w) cleared outside the range (below
+/// `from` in the first word, from `to` on in the last). Stops early, and
+/// returns true, once visit does.
+template <typename WordFn, typename Visit>
+bool scanWords(int from, int to, WordFn word, Visit visit) {
+  if (from >= to) return false;
+  const int first = from >> 6;
+  const int last = (to - 1) >> 6;
+  const std::uint64_t head = ~std::uint64_t{0} << (from & 63);
+  const std::uint64_t tail =
+      (to & 63) != 0 ? (std::uint64_t{1} << (to & 63)) - 1 : ~std::uint64_t{0};
+  for (int w = first; w <= last; ++w) {
+    std::uint64_t bits = word(static_cast<std::size_t>(w));
+    if (w == first) bits &= head;
+    if (w == last) bits &= tail;
+    if (visit(w, bits)) return true;
+  }
+  return false;
+}
+
+/// Index of the first set bit in [from, to) of the line, or -1.
+template <typename WordFn>
+int firstBitIn(int from, int to, WordFn word) {
+  int hit = -1;
+  scanWords(from, to, word, [&](int w, std::uint64_t bits) {
+    if (bits == 0) return false;
+    hit = w * 64 + std::countr_zero(bits);
+    return true;
+  });
+  return hit;
+}
+
 /// Attempts the edge-clean under one type's predicates, appending all
 /// mutations to `log`. Returns the number of elements moved, or std::nullopt
 /// when some edge element found no legal destination (caller must roll back
@@ -99,15 +133,15 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
   // Columns of the active processor's elements on the edge row, gathered
   // before any mutation. k is the rectangle edge, so this is non-empty.
   std::vector<int> sources;
-  if constexpr (HasOwnerRuns<Q>) {
-    int c = r.colBegin;
-    while (c < r.colEnd) {
-      const OwnerRun run = view.rowRun(k, c);
-      const int end = run.end < r.colEnd ? run.end : r.colEnd;
-      if (run.owner == active)
-        for (int x = c; x < end; ++x) sources.push_back(x);
-      c = end;
-    }
+  if constexpr (HasOwnerBits<Q>) {
+    const auto edge = view.lineBits(active, k);
+    sources.reserve(static_cast<std::size_t>(r.width()));
+    scanWords(r.colBegin, r.colEnd, [&](std::size_t w) { return edge[w]; },
+              [&](int w, std::uint64_t bits) {
+                for (; bits != 0; bits &= bits - 1)
+                  sources.push_back(w * 64 + std::countr_zero(bits));
+                return false;
+              });
   } else {
     for (int c = r.colBegin; c < r.colEnd; ++c)
       if (view.at(k, c) == active) sources.push_back(c);
@@ -127,48 +161,54 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
 
   for (int c : sources) {
     bool found = false;
+    // Bitboard states decide the owner-side predicates once per source.
+    // Nothing mutates between here and the accept, so the displaced owner's
+    // presence in row k / column c and rectangle containment of (k, c) are
+    // fixed for this source and depend only on the owner — as in the
+    // reference's cell walk, where they are re-evaluated per cell but cannot
+    // change. The predicates are pure, so the reordering is outcome-neutral.
+    [[maybe_unused]] std::array<Proc, kNumProcs - 1> admitted{};
+    [[maybe_unused]] std::size_t numAdmitted = 0;
+    if constexpr (HasOwnerBits<Q>) {
+      for (Proc owner : kAllProcs)
+        if (owner != active &&
+            meets(rule.ownerPresence, view.rowHas(owner, k),
+                  view.colHas(owner, c)) &&
+            (owner == Proc::P || rectBefore[procSlot(owner)].contains(k, c)))
+          admitted[numAdmitted++] = owner;
+      if (numAdmitted == 0) return std::nullopt;  // no cell can qualify
+    }
     while (g > k && !found) {
-      if constexpr (HasOwnerRuns<Q>) {
-        // Run-granular scan. No mutation happens between loop entry and the
-        // accept below, so rowHas(active, g) is constant across this row
-        // visit — exactly as in the reference's cell walk, where it is
-        // re-evaluated per cell but cannot change.
-        const bool rowActive = view.rowHas(active, g);
-        while (h < r.colEnd) {
-          const OwnerRun run = view.rowRun(g, h);
-          const int end = run.end < r.colEnd ? run.end : r.colEnd;
-          const Proc owner = run.owner;
-          // Predicates constant over the run (pure, so evaluation order
-          // relative to the reference's per-cell conjunction is
-          // outcome-neutral): own cells are never destinations, the
-          // displaced owner's presence in row k / column c does not depend
-          // on h, and neither does rectangle containment of (k, c).
-          if (owner == active ||
-              !meets(rule.ownerPresence, view.rowHas(owner, k),
-                     view.colHas(owner, c)) ||
-              !(owner == Proc::P || rectBefore[procSlot(owner)].contains(k, c))) {
-            h = end;
-            continue;
+      if constexpr (HasOwnerBits<Q>) {
+        // Word-granular row visit. The active processor's cells never leave
+        // its rectangle, so a row it fills across the rectangle's width
+        // holds no destination — most rows of a condensed state, skipped in
+        // O(1). rowActive is fixed for the visit, and under kAnd a false one
+        // fails every h of the row. Only the activeDest requirement varies
+        // along the row (through colHas(active, h)); where it binds, the
+        // presence word is ANDed in.
+        const int rowActiveCells = view.rowCount(active, g);
+        const bool rowActive = rowActiveCells > 0;
+        if (rowActiveCells < r.width() &&
+            (rule.activeDest != Req::kAnd || rowActive)) {
+          const bool needCol = rule.activeDest == Req::kAnd ||
+                               (rule.activeDest == Req::kOr && !rowActive);
+          const auto activeCols = view.colPresenceBits(active);
+          // At most two owners qualify; with one, its line is ORed twice.
+          const auto first = view.lineBits(admitted[0], g);
+          const auto second = view.lineBits(admitted[numAdmitted - 1], g);
+          const int hit = firstBitIn(h, r.colEnd, [&](std::size_t w) {
+            const std::uint64_t owned = first[w] | second[w];
+            return needCol ? owned & activeCols[w] : owned;
+          });
+          if (hit >= 0) {
+            // Exchange: the owner inherits the vacated edge cell, the
+            // active processor moves inward.
+            view.set(k, c, view.at(g, hit), log);
+            view.set(g, hit, active, log);
+            found = true;
+            h = hit + 1;  // do not hand the same destination to the next one
           }
-          // Only the activeDest requirement varies along the run (through
-          // colHas(active, h)).
-          if (rule.activeDest == Req::kAnd && !rowActive) {
-            // rowActive false fails every h of this row under kAnd.
-            h = end;
-            continue;
-          }
-          if (rule.activeDest == Req::kAnd ||
-              (rule.activeDest == Req::kOr && !rowActive)) {
-            while (h < end && !view.colHas(active, h)) ++h;
-            if (h >= end) continue;  // no qualifying column in this run
-          }
-          // Exchange: the owner inherits the vacated edge cell, the active
-          // processor moves inward.
-          view.set(k, c, owner, log);
-          view.set(g, h, active, log);
-          found = true;
-          ++h;  // do not hand the same destination to the next element
-          break;
         }
       } else {
         while (h < r.colEnd) {

@@ -15,13 +15,16 @@
 // failed push attempt can be rolled back exactly.
 //
 // The view is a template over the state type Q so the same engine drives the
-// element-exact Partition and the run-length RlePartition; Q must provide
-// at/set/rowHas/colHas/enclosingRect/n. States that additionally expose
-// owner runs (rowRunAt/colRunAt) get a run-granular rowRun() accessor, which
-// the push engine uses to skip whole runs per legality decision.
+// element-exact Partition and the bitboard BitPartition; Q must provide
+// at/set/rowHas/colHas/enclosingRect/n. States that additionally expose owner
+// bits (rowBits/colBits/rowPresence/colPresence) get word-granular
+// lineBits()/colPresenceBits() accessors, which the push engine uses to test
+// 64 destination cells per legality decision.
 #pragma once
 
 #include <concepts>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "grid/partition.hpp"
@@ -36,23 +39,16 @@ struct CellUndo {
   Proc previous;
 };
 
-/// A maximal same-owner segment of a logical row, ending (exclusive) at
-/// logical column `end`.
-struct OwnerRun {
-  Proc owner;
-  int end;
-};
-
-/// Detects states that store owner runs per physical row and column.
-/// rowRunAt(i, j) must return the run of row i containing column j;
-/// colRunAt(j, i) the run of column j containing row i — both as
-/// {owner, exclusive physical end index}.
+/// Detects states that store owner bitsets: rowBits(p, i) / colBits(p, j)
+/// hold p's cells of physical row i / column j over increasing physical
+/// index, rowPresence(p) / colPresence(p) the lines containing p — all as
+/// spans of 64-bit words, bit b of word w covering index 64·w + b.
 template <typename Q>
-concept HasOwnerRuns = requires(const Q& q, int i, int j) {
-  { q.rowRunAt(i, j).owner } -> std::convertible_to<Proc>;
-  { q.rowRunAt(i, j).end } -> std::convertible_to<int>;
-  { q.colRunAt(j, i).owner } -> std::convertible_to<Proc>;
-  { q.colRunAt(j, i).end } -> std::convertible_to<int>;
+concept HasOwnerBits = requires(const Q& q, Proc p, int k) {
+  { q.rowBits(p, k) } -> std::convertible_to<std::span<const std::uint64_t>>;
+  { q.colBits(p, k) } -> std::convertible_to<std::span<const std::uint64_t>>;
+  { q.rowPresence(p) } -> std::convertible_to<std::span<const std::uint64_t>>;
+  { q.colPresence(p) } -> std::convertible_to<std::span<const std::uint64_t>>;
 };
 
 template <typename Q>
@@ -74,6 +70,17 @@ class OrientedView {
     if (prev == p) return;
     undo.push_back({i, j, prev});
     q_.set(i, j, p);
+  }
+
+  /// Number of p's elements in logical row r.
+  int rowCount(Proc p, int r) const {
+    switch (dir_) {
+      case Direction::Down: return q_.rowCount(p, r);
+      case Direction::Up: return q_.rowCount(p, n() - 1 - r);
+      case Direction::Right: return q_.colCount(p, r);
+      case Direction::Left: return q_.colCount(p, n() - 1 - r);
+    }
+    return 0;
   }
 
   /// Does logical row r contain any element of p?
@@ -115,33 +122,35 @@ class OrientedView {
     return r;
   }
 
-  /// The maximal same-owner run of logical row r containing logical column
-  /// c, with its exclusive logical end column. Available only on run-length
-  /// states. In all four orientations a logical row maps onto one physical
-  /// row or column traversed in *increasing* physical index, so the physical
-  /// run end is already the logical one.
-  OwnerRun rowRun(int r, int c) const
-    requires HasOwnerRuns<Q>
+  /// p's cells in logical row r, bit c covering logical column c. Available
+  /// only on bitboard states. In all four orientations a logical row maps
+  /// onto one physical row or column traversed in *increasing* physical
+  /// index, so the physical bit index is already the logical column.
+  std::span<const std::uint64_t> lineBits(Proc p, int r) const
+    requires HasOwnerBits<Q>
   {
     switch (dir_) {
-      case Direction::Down: {
-        const auto run = q_.rowRunAt(r, c);
-        return {run.owner, run.end};
-      }
-      case Direction::Up: {
-        const auto run = q_.rowRunAt(n() - 1 - r, c);
-        return {run.owner, run.end};
-      }
-      case Direction::Right: {
-        const auto run = q_.colRunAt(r, c);
-        return {run.owner, run.end};
-      }
-      case Direction::Left: {
-        const auto run = q_.colRunAt(n() - 1 - r, c);
-        return {run.owner, run.end};
-      }
+      case Direction::Down: return q_.rowBits(p, r);
+      case Direction::Up: return q_.rowBits(p, n() - 1 - r);
+      case Direction::Right: return q_.colBits(p, r);
+      case Direction::Left: return q_.colBits(p, n() - 1 - r);
     }
-    return {q_.at(r, c), c + 1};
+    return q_.rowBits(p, r);
+  }
+
+  /// Logical columns containing p: bit c set iff colHas(p, c). Logical
+  /// columns are physical columns (Down/Up) or physical rows (Right/Left),
+  /// never flipped, so this is a physical presence set as stored.
+  std::span<const std::uint64_t> colPresenceBits(Proc p) const
+    requires HasOwnerBits<Q>
+  {
+    switch (dir_) {
+      case Direction::Down:
+      case Direction::Up: return q_.colPresence(p);
+      case Direction::Right:
+      case Direction::Left: return q_.rowPresence(p);
+    }
+    return q_.colPresence(p);
   }
 
   Direction direction() const { return dir_; }

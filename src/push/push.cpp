@@ -1,7 +1,6 @@
-// Partition instantiation of the state-generic push engine (push/engine.hpp).
-// The legality ladder and the edge-clean scan live there as templates shared
-// with the run-length engine (src/rle); these wrappers keep the original
-// grid-typed API.
+// Partition and BitPartition instantiations of the state-generic push engine
+// (push/engine.hpp). The legality ladder and the edge-clean scan live there
+// as templates; these wrappers are the typed API.
 #include "push/push.hpp"
 
 #include "push/engine.hpp"
@@ -14,6 +13,17 @@ PushOutcome tryPush(Partition& q, Proc active, Direction dir,
 }
 
 bool pushAvailable(const Partition& q, Proc active,
+                   std::span<const Direction> dirs,
+                   const PushOptions& options) {
+  return pushAvailableState(q, active, dirs, options);
+}
+
+PushOutcome tryPush(BitPartition& q, Proc active, Direction dir,
+                    const PushOptions& options) {
+  return tryPushState(q, active, dir, options);
+}
+
+bool pushAvailable(const BitPartition& q, Proc active,
                    std::span<const Direction> dirs,
                    const PushOptions& options) {
   return pushAvailableState(q, active, dirs, options);

@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 
+#include "grid/bit_partition.hpp"
 #include "grid/partition.hpp"
 #include "push/direction.hpp"
 
@@ -75,10 +76,16 @@ struct PushOptions {
 /// (paper §VI-C: the largest processor is never pushed).
 PushOutcome tryPush(Partition& q, Proc active, Direction dir,
                     const PushOptions& options = {});
+/// The same push on the bitboard state: identical decisions, word scans.
+PushOutcome tryPush(BitPartition& q, Proc active, Direction dir,
+                    const PushOptions& options = {});
 
 /// True when some push in `dirs` applies to `active`. Non-mutating (attempts
 /// run on the real grid but are rolled back).
 bool pushAvailable(const Partition& q, Proc active,
+                   std::span<const Direction> dirs,
+                   const PushOptions& options = {});
+bool pushAvailable(const BitPartition& q, Proc active,
                    std::span<const Direction> dirs,
                    const PushOptions& options = {});
 

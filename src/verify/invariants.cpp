@@ -8,8 +8,7 @@
 #include <stdexcept>
 
 #include "grid/serialize.hpp"
-#include "rle/engine.hpp"
-#include "rle/serialize.hpp"
+#include "push/beautify.hpp"
 #include "shapes/archetype.hpp"
 #include "shapes/transform.hpp"
 #include "support/check.hpp"
@@ -386,69 +385,32 @@ CheckReport checkAtlasConsistency(Oracle& oracle, const PlanRequest& request,
   return report;
 }
 
-CheckReport checkRleGridAgreement(const Partition& q, const RlePartition& r) {
+CheckReport checkBitsGridAgreement(const Partition& q, const BitPartition& b) {
   CheckReport report;
-  if (q.n() != r.n()) {
-    report.add("rle.agreement", "sizes differ: grid " + std::to_string(q.n()) +
-                                    " vs rle " + std::to_string(r.n()));
+  if (q.n() != b.n()) {
+    report.add("bits.agreement", "sizes differ: grid " + std::to_string(q.n()) +
+                                     " vs bits " + std::to_string(b.n()));
     return report;
   }
   try {
-    r.validateCounters();
+    b.validateCounters();
   } catch (const CheckError& e) {
-    report.add("rle.counters", e.what());
+    report.add("bits.counters", e.what());
   }
-  if (!r.sameOwners(q)) {
-    // Find the first divergent cell for the shrinker; the aggregate
-    // observables below would all differ too, so stop here.
+  // The bitboard's counters, rectangles and hash are its grid's own, so
+  // equal cells (plus the recount above) mean every observable agrees.
+  // Report the first divergent cell for the shrinker.
+  if (!(b.grid() == q)) {
     for (int i = 0; i < q.n(); ++i)
       for (int j = 0; j < q.n(); ++j)
-        if (q.at(i, j) != r.at(i, j)) {
-          report.add("rle.agreement",
+        if (q.at(i, j) != b.at(i, j)) {
+          report.add("bits.agreement",
                      "owners diverge first at (" + std::to_string(i) + "," +
                          std::to_string(j) + "): grid " +
-                         std::string(1, procName(q.at(i, j))) + " vs rle " +
-                         std::string(1, procName(r.at(i, j))));
+                         std::string(1, procName(q.at(i, j))) + " vs bits " +
+                         std::string(1, procName(b.at(i, j))));
           return report;
         }
-    report.add("rle.agreement", "sameOwners false but no divergent cell");
-    return report;
-  }
-  for (Proc x : kAllProcs) {
-    if (q.count(x) != r.count(x))
-      report.add("rle.agreement",
-                 std::string(1, procName(x)) + " count: grid " +
-                     std::to_string(q.count(x)) + " vs rle " +
-                     std::to_string(r.count(x)));
-    if (q.rowsUsed(x) != r.rowsUsed(x) || q.colsUsed(x) != r.colsUsed(x))
-      report.add("rle.agreement",
-                 std::string(1, procName(x)) + " used lines: grid " +
-                     std::to_string(q.rowsUsed(x)) + "x" +
-                     std::to_string(q.colsUsed(x)) + " vs rle " +
-                     std::to_string(r.rowsUsed(x)) + "x" +
-                     std::to_string(r.colsUsed(x)));
-    if (q.enclosingRect(x) != r.enclosingRect(x)) {
-      std::ostringstream os;
-      os << procName(x) << " rect: grid " << q.enclosingRect(x) << " vs rle "
-         << r.enclosingRect(x);
-      report.add("rle.agreement", os.str());
-    }
-  }
-  if (q.volumeOfCommunication() != r.volumeOfCommunication())
-    report.add("rle.agreement",
-               "VoC: grid " + std::to_string(q.volumeOfCommunication()) +
-                   " vs rle " + std::to_string(r.volumeOfCommunication()));
-  for (int i = 0; i < q.n(); ++i) {
-    bool lineDiffers =
-        q.procsInRow(i) != r.procsInRow(i) || q.procsInCol(i) != r.procsInCol(i);
-    for (Proc x : kAllProcs)
-      lineDiffers = lineDiffers || q.rowCount(x, i) != r.rowCount(x, i) ||
-                    q.colCount(x, i) != r.colCount(x, i);
-    if (lineDiffers) {
-      report.add("rle.agreement",
-                 "per-line counters diverge at line " + std::to_string(i));
-      break;  // one line of evidence is enough; owners already matched
-    }
   }
   return report;
 }
@@ -458,33 +420,33 @@ namespace {
 // Compares one attempt's outcome on both engines; returns false (and
 // records) on the first divergence so lockstep loops can stop with the
 // smallest trajectory prefix as evidence.
-bool outcomesAgree(const PushOutcome& g, const PushOutcome& r,
+bool outcomesAgree(const PushOutcome& g, const PushOutcome& b,
                    const std::string& where, CheckReport& report) {
   std::ostringstream os;
-  if (g.applied != r.applied)
-    os << "applied " << g.applied << " vs " << r.applied;
-  else if (g.applied && g.type != r.type)
-    os << "type " << pushTypeName(g.type) << " vs " << pushTypeName(r.type);
-  else if (g.vocBefore != r.vocBefore || g.vocAfter != r.vocAfter)
-    os << "voc " << g.vocBefore << "->" << g.vocAfter << " vs " << r.vocBefore
-       << "->" << r.vocAfter;
-  else if (g.elementsMoved != r.elementsMoved)
-    os << "elementsMoved " << g.elementsMoved << " vs " << r.elementsMoved;
+  if (g.applied != b.applied)
+    os << "applied " << g.applied << " vs " << b.applied;
+  else if (g.applied && g.type != b.type)
+    os << "type " << pushTypeName(g.type) << " vs " << pushTypeName(b.type);
+  else if (g.vocBefore != b.vocBefore || g.vocAfter != b.vocAfter)
+    os << "voc " << g.vocBefore << "->" << g.vocAfter << " vs " << b.vocBefore
+       << "->" << b.vocAfter;
+  else if (g.elementsMoved != b.elementsMoved)
+    os << "elementsMoved " << g.elementsMoved << " vs " << b.elementsMoved;
   else
     return true;
-  report.add("rle.push-lockstep", where + ": grid/rle outcomes differ (" +
-                                      os.str() + ")");
+  report.add("bits.push-lockstep", where + ": grid/bits outcomes differ (" +
+                                       os.str() + ")");
   return false;
 }
 
 }  // namespace
 
-CheckReport checkRlePushLockstep(const Partition& q0, const Schedule& schedule,
-                                 int maxSweeps) {
+CheckReport checkBitsPushLockstep(const Partition& q0, const Schedule& schedule,
+                                  int maxSweeps) {
   CheckReport report;
   Partition grid = q0;
-  RlePartition rle(q0);
-  report.merge(checkRleGridAgreement(grid, rle));
+  BitPartition bits(q0);
+  report.merge(checkBitsGridAgreement(grid, bits));
   if (!report.ok()) return report;
 
   int attempt = 0;
@@ -496,12 +458,12 @@ CheckReport checkRlePushLockstep(const Partition& q0, const Schedule& schedule,
                                 directionName(slot.dir) + " (attempt " +
                                 std::to_string(attempt++) + ")";
       const PushOutcome g = tryPush(grid, slot.active, slot.dir);
-      const PushOutcome r = tryPush(rle, slot.active, slot.dir);
-      if (!outcomesAgree(g, r, where, report)) return report;
+      const PushOutcome b = tryPush(bits, slot.active, slot.dir);
+      if (!outcomesAgree(g, b, where, report)) return report;
       any = any || g.applied;
-      CheckReport state = checkRleGridAgreement(grid, rle);
+      CheckReport state = checkBitsGridAgreement(grid, bits);
       if (!state.ok()) {
-        report.add("rle.push-lockstep", where + ": states diverged");
+        report.add("bits.push-lockstep", where + ": states diverged");
         report.merge(state);
         return report;
       }
@@ -509,8 +471,8 @@ CheckReport checkRlePushLockstep(const Partition& q0, const Schedule& schedule,
       // here means the DFA would stop at different times on the two engines.
       for (Proc x : kSlowProcs) {
         const std::array<Direction, 1> one{slot.dir};
-        if (pushAvailable(grid, x, one) != pushAvailable(rle, x, one)) {
-          report.add("rle.push-lockstep",
+        if (pushAvailable(grid, x, one) != pushAvailable(bits, x, one)) {
+          report.add("bits.push-lockstep",
                      where + ": pushAvailable verdicts differ for " +
                          std::string(1, procName(x)));
           return report;
@@ -522,72 +484,36 @@ CheckReport checkRlePushLockstep(const Partition& q0, const Schedule& schedule,
   return report;
 }
 
-CheckReport checkRleDfaLockstep(const Partition& q0, const Schedule& schedule,
-                                const DfaOptions& options) {
+CheckReport checkBitsDfaLockstep(const Partition& q0, const Schedule& schedule,
+                                 const DfaOptions& options) {
   CheckReport report;
   const DfaResult g = runDfa(q0, schedule, options);
-  DfaResultT<RlePartition> r = runDfaT(RlePartition(q0), schedule, options);
+  DfaResultT<BitPartition> b = runDfaT(BitPartition(q0), schedule, options);
 
-  if (g.stop != r.stop)
-    report.add("rle.dfa-lockstep", std::string("stop reason: grid ") +
-                                       dfaStopName(g.stop) + " vs rle " +
-                                       dfaStopName(r.stop));
-  if (g.pushesApplied != r.pushesApplied || g.sweeps != r.sweeps)
-    report.add("rle.dfa-lockstep",
+  if (g.stop != b.stop)
+    report.add("bits.dfa-lockstep", std::string("stop reason: grid ") +
+                                        dfaStopName(g.stop) + " vs bits " +
+                                        dfaStopName(b.stop));
+  if (g.pushesApplied != b.pushesApplied || g.sweeps != b.sweeps)
+    report.add("bits.dfa-lockstep",
                "walk length: grid " + std::to_string(g.pushesApplied) +
-                   " pushes/" + std::to_string(g.sweeps) + " sweeps vs rle " +
-                   std::to_string(r.pushesApplied) + "/" +
-                   std::to_string(r.sweeps));
-  if (g.vocStart != r.vocStart || g.vocEnd != r.vocEnd)
-    report.add("rle.dfa-lockstep",
+                   " pushes/" + std::to_string(g.sweeps) + " sweeps vs bits " +
+                   std::to_string(b.pushesApplied) + "/" +
+                   std::to_string(b.sweeps));
+  if (g.vocStart != b.vocStart || g.vocEnd != b.vocEnd)
+    report.add("bits.dfa-lockstep",
                "VoC bookkeeping: grid " + std::to_string(g.vocStart) + "->" +
-                   std::to_string(g.vocEnd) + " vs rle " +
-                   std::to_string(r.vocStart) + "->" +
-                   std::to_string(r.vocEnd));
-  if (g.beautify.pushesApplied != r.beautify.pushesApplied ||
-      g.beautify.vocBefore != r.beautify.vocBefore ||
-      g.beautify.vocAfter != r.beautify.vocAfter)
-    report.add("rle.dfa-lockstep", "beautify summaries differ");
-  CheckReport finals = checkRleGridAgreement(g.final, r.final);
+                   std::to_string(g.vocEnd) + " vs bits " +
+                   std::to_string(b.vocStart) + "->" +
+                   std::to_string(b.vocEnd));
+  if (g.beautify.pushesApplied != b.beautify.pushesApplied ||
+      g.beautify.vocBefore != b.beautify.vocBefore ||
+      g.beautify.vocAfter != b.beautify.vocAfter)
+    report.add("bits.dfa-lockstep", "beautify summaries differ");
+  CheckReport finals = checkBitsGridAgreement(g.final, b.final);
   if (!finals.ok()) {
-    report.add("rle.dfa-lockstep", "final states diverged");
+    report.add("bits.dfa-lockstep", "final states diverged");
     report.merge(finals);
-  }
-  return report;
-}
-
-CheckReport checkRleSerializeRoundTrip(const RlePartition& q) {
-  CheckReport report;
-  std::ostringstream first;
-  saveRlePartition(q, first);
-
-  // Cross-engine byte identity: the RLE saver emits straight from runs but
-  // must reproduce the grid serializer's v1 format bit for bit.
-  std::ostringstream viaGrid;
-  savePartition(q.toPartition(), viaGrid);
-  if (first.str() != viaGrid.str()) {
-    report.add("rle.serialize-roundtrip",
-               "RLE saver's bytes differ from the grid serializer's");
-    return report;
-  }
-
-  std::istringstream in(first.str());
-  try {
-    const RlePartition back = loadRlePartition(in);
-    if (!(back == q)) {
-      report.add("rle.serialize-roundtrip",
-                 "loaded state differs from original");
-      return report;
-    }
-    std::ostringstream second;
-    saveRlePartition(back, second);
-    if (second.str() != first.str())
-      report.add("rle.serialize-roundtrip",
-                 "save -> load -> save is not byte-identical");
-  } catch (const std::exception& e) {
-    report.add("rle.serialize-roundtrip",
-               std::string("loadRlePartition rejected its own output: ") +
-                   e.what());
   }
   return report;
 }
@@ -603,19 +529,18 @@ CheckReport replayCorpusFile(const std::string& path) {
     report.add("corpus.ratio", e.what());
   }
 
-  // Run-length engine parity on the same counterexample: identical state
-  // observables, identical serialized bytes, and identical push-availability
-  // verdicts — a corpus file that locked the grid must lock the RLE too.
-  const RlePartition r(q);
-  report.merge(checkRleGridAgreement(q, r));
-  report.merge(checkRleSerializeRoundTrip(r));
-  if (fullyCondensed(q) != fullyCondensed(r))
-    report.add("rle.corpus", "fullyCondensed verdicts differ on " + path);
+  // Bitboard engine parity on the same counterexample: identical state
+  // observables and identical push-availability verdicts — a corpus file
+  // that locked the grid must lock the bitboard too.
+  const BitPartition b(q);
+  report.merge(checkBitsGridAgreement(q, b));
+  if (fullyCondensed(q) != fullyCondensed(b))
+    report.add("bits.corpus", "fullyCondensed verdicts differ on " + path);
   for (Proc x : kSlowProcs)
     for (Direction d : kAllDirections) {
       const std::array<Direction, 1> one{d};
-      if (pushAvailable(q, x, one) != pushAvailable(r, x, one))
-        report.add("rle.corpus",
+      if (pushAvailable(q, x, one) != pushAvailable(b, x, one))
+        report.add("bits.corpus",
                    std::string("pushAvailable(") + procName(x) + ", " +
                        directionName(d) + ") verdicts differ on " + path);
     }

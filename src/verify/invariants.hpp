@@ -22,8 +22,8 @@
 #include "dfa/schedule.hpp"
 #include "grid/partition.hpp"
 #include "grid/ratio.hpp"
+#include "grid/bit_partition.hpp"
 #include "push/push.hpp"
-#include "rle/rle_partition.hpp"
 #include "serve/oracle.hpp"
 
 namespace pushpart {
@@ -145,42 +145,36 @@ CheckReport checkServeDegradation(Oracle& oracle, const PlanRequest& request);
 CheckReport checkAtlasConsistency(Oracle& oracle, const PlanRequest& request,
                                   double gapPct);
 
-// --- Grid vs run-length engine equivalence (DESIGN.md §15) ----------------
+// --- Grid vs bitboard engine equivalence (DESIGN.md §15) -----------------
 //
-// The run-length engine (src/rle) re-implements the partition state and its
-// counter maintenance; these checkers are the differential safety net that
-// keeps it pinned to the element-exact grid.
+// The bitboard engine (grid/bit_partition) adds owner and presence bitsets to
+// the grid and scans them a word at a time; these checkers are the
+// differential safety net that keeps it pinned to the element-exact grid.
 
-/// Every observable of the run-length state agrees with the grid on the same
-/// owners: cells, per-line counts, used lines, distinct-owner counts, VoC,
-/// enclosing rectangles — plus the RLE's own structural invariants
-/// ("rle.agreement", "rle.counters").
-CheckReport checkRleGridAgreement(const Partition& q, const RlePartition& r);
+/// The bitboard state agrees with the grid on the same owners: same size,
+/// same cells, and a full recount of its own counters, owner bits and
+/// presence bits against those cells ("bits.agreement", "bits.counters").
+CheckReport checkBitsGridAgreement(const Partition& q, const BitPartition& b);
 
 /// Lockstep push trajectory: sweeps `schedule` round-robin on both engines
 /// from the same start, requiring the identical PushOutcome (applied, type,
 /// VoC bookkeeping, elements moved) and full state agreement after every
 /// attempt, until the common accept state or `maxSweeps`
-/// ("rle.push-lockstep").
-CheckReport checkRlePushLockstep(const Partition& q0, const Schedule& schedule,
-                                 int maxSweeps = 64);
+/// ("bits.push-lockstep").
+CheckReport checkBitsPushLockstep(const Partition& q0, const Schedule& schedule,
+                                  int maxSweeps = 64);
 
-/// Lockstep DFA walk: runDfa on the grid vs runDfaT on the run-length state,
+/// Lockstep DFA walk: runDfa on the grid vs runDfaT on the bitboard state,
 /// same start/schedule/options, must stop for the same reason after the same
 /// number of pushes and sweeps with identical VoC bookkeeping, beautify
-/// summary and final owners ("rle.dfa-lockstep").
-CheckReport checkRleDfaLockstep(const Partition& q0, const Schedule& schedule,
-                                const DfaOptions& options = {});
-
-/// RLE save→load→save is byte-identical, equals the grid serializer's bytes
-/// for the same owners, and reloads to an equal state
-/// ("rle.serialize-roundtrip").
-CheckReport checkRleSerializeRoundTrip(const RlePartition& q);
+/// summary and final owners ("bits.dfa-lockstep").
+CheckReport checkBitsDfaLockstep(const Partition& q0, const Schedule& schedule,
+                                 const DfaOptions& options = {});
 
 /// Full replay of one checked-in counterexample file: load, counters,
 /// serialize round-trip, condensed-state dominance (ratio inferred from the
-/// grid), and run-length engine parity — state agreement, serializer
-/// agreement, and identical push-availability verdicts per (slow processor,
+/// grid), and bitboard engine parity — state agreement and identical
+/// fullyCondensed and push-availability verdicts per (slow processor,
 /// direction). The regression gate for tests/corpus.
 CheckReport replayCorpusFile(const std::string& path);
 

@@ -85,18 +85,17 @@ PropertyRun serializeRoundTripProperty(const FailingCase& c) {
   return {CheckReport{}, std::nullopt};
 }
 
-/// The run-length engine is lockstep-equal to the element-exact grid
-/// (DESIGN.md §15): same push outcomes after every attempt, same DFA walks,
-/// same serialized bytes. Shrinks like any other property — the evidence is
-/// the start partition whose trajectory first diverged.
-PropertyRun rleGridEquivalenceProperty(const FailingCase& c) {
+/// The bitboard engine is lockstep-equal to the element-exact grid
+/// (DESIGN.md §15): same push outcomes and states after every attempt, same
+/// DFA walks. Shrinks like any other property — the evidence is the start
+/// partition whose trajectory first diverged.
+PropertyRun bitsGridEquivalenceProperty(const FailingCase& c) {
   Rng rng(c.seed);
   const Partition q0 =
       genPartition(static_cast<GenStyle>(c.style), c.n, c.ratio, rng);
   const Schedule schedule = genSchedule(rng);
-  CheckReport report = checkRlePushLockstep(q0, schedule);
-  if (report.ok()) report.merge(checkRleDfaLockstep(q0, schedule));
-  if (report.ok()) report.merge(checkRleSerializeRoundTrip(RlePartition(q0)));
+  CheckReport report = checkBitsPushLockstep(q0, schedule);
+  if (report.ok()) report.merge(checkBitsDfaLockstep(q0, schedule));
   if (!report.ok()) return {report, q0};
   return {CheckReport{}, std::nullopt};
 }
@@ -203,12 +202,12 @@ VerifySuiteReport runVerifySuite(const VerifySuiteOptions& options) {
   report.properties.push_back(
       runProperty("dfa-condensation", prop, dfaCondensationProperty));
 
-  // Differential gate for the run-length engine: every case replays a full
+  // Differential gate for the bitboard engine: every case replays a full
   // push trajectory and a full DFA walk on both engines in lockstep.
   prop.iterations = 20 * scale;
   prop.maxN = options.deep ? 32 : 20;
   report.properties.push_back(
-      runProperty("rle-grid-equivalence", prop, rleGridEquivalenceProperty));
+      runProperty("bits-grid-equivalence", prop, bitsGridEquivalenceProperty));
 
   // Candidate-family soundness on exhaustively checkable grids: bound <=
   // optimum <= union best <= canonical best, for every generated ratio.

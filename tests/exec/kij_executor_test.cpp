@@ -140,9 +140,11 @@ TEST(KijExecutorTest, ThrottlingSlowsWallClock) {
 TEST(KijExecutorTest, RatioSizedPartitionBalancesThrottledWorkers) {
   // When the partition matches the speed ratio, per-worker busy times divide
   // by speed and all throttled wall times roughly agree — heterogeneity
-  // works as designed.
+  // works as designed. n = 480 makes the run last ~0.1 s, so one scheduler
+  // slice on a loaded machine cannot flip the comparison (at n = 160 the
+  // whole run took ~2 ms).
   const Ratio ratio{4, 2, 1};
-  const auto q = makeCandidate(CandidateShape::kBlockRectangle, 160, ratio);
+  const auto q = makeCandidate(CandidateShape::kBlockRectangle, 480, ratio);
   auto opts = fastOptions(ratio);
   opts.verify = false;
   const auto result = runParallelMMM(Algo::kPCB, q, opts);
