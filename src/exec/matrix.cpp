@@ -1,6 +1,9 @@
 #include "exec/matrix.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -13,16 +16,48 @@ Matrix randomMatrix(int n, Rng& rng) {
   return m;
 }
 
-Matrix multiplySerial(const Matrix& a, const Matrix& b) {
-  PUSHPART_CHECK(a.n() == b.n());
+namespace {
+
+/// Rows [rowBegin, rowEnd) of C += A·B.
+void multiplyRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
+                  int rowEnd) {
   const int n = a.n();
-  Matrix c(n, 0.0);
   // kij order: pivot k outermost, exactly the paper's Fig. 1 schedule.
   for (int k = 0; k < n; ++k)
-    for (int i = 0; i < n; ++i) {
+    for (int i = rowBegin; i < rowEnd; ++i) {
       const double aik = a.at(i, k);
       for (int j = 0; j < n; ++j) c.at(i, j) += aik * b.at(k, j);
     }
+}
+
+}  // namespace
+
+Matrix multiplySerial(const Matrix& a, const Matrix& b) {
+  PUSHPART_CHECK(a.n() == b.n());
+  Matrix c(a.n(), 0.0);
+  multiplyRows(a, b, c, 0, a.n());
+  return c;
+}
+
+Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands) {
+  PUSHPART_CHECK(a.n() == b.n());
+  PUSHPART_CHECK(bands >= 1);
+  const int n = a.n();
+  Matrix c(n, 0.0);
+  const auto bandBegin = [n, bands](int band) {
+    return static_cast<int>(static_cast<std::int64_t>(n) * band / bands);
+  };
+  {
+    // jthreads join on every exit from this block, exceptions included,
+    // so no band still writes c once it is returned.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(bands - 1));
+    for (int band = 1; band < bands; ++band)
+      threads.emplace_back([&, band] {
+        multiplyRows(a, b, c, bandBegin(band), bandBegin(band + 1));
+      });
+    multiplyRows(a, b, c, 0, bandBegin(1));
+  }
   return c;
 }
 

@@ -2,7 +2,8 @@
 //
 // The executor (exec/kij_executor.hpp) validates its parallel result
 // element-for-element against multiplySerial — the ground truth the paper's
-// testbed got from ATLAS.
+// testbed got from ATLAS — computed in row bands on several threads
+// (multiplySerialBanded), which changes no bit of it.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +43,12 @@ Matrix randomMatrix(int n, Rng& rng);
 
 /// Serial kij reference: C = A·B. Matrices must agree in size.
 Matrix multiplySerial(const Matrix& a, const Matrix& b);
+
+/// multiplySerial split into `bands` row bands, one thread each (the caller
+/// computes the first). Every band runs the same naive kij loop over its
+/// rows, so each element still sums its products in ascending k from 0.0
+/// and the result is bit-identical to multiplySerial.
+Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands);
 
 /// Largest absolute elementwise difference.
 double maxAbsDiff(const Matrix& x, const Matrix& y);

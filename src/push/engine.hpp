@@ -9,15 +9,19 @@
 //
 // Both expose the same occupancy/counter API, so the engine's *decisions*
 // (which destination each edge element takes, which type fires, the exact
-// cell exchanges) are identical by construction; the differential suite in
-// src/verify locksteps the two instantiations to enforce that. For states
-// that expose owner bits (HasOwnerBits), the destination scan reads 64 cells
-// per word instead of one per step: the owner-side predicates cannot change
-// while one edge element searches, so the owners they admit are ORed into a
-// candidate word once per row, the active processor's column presence is
-// ANDed in where the type's activeDest needs it, and std::countr_zero finds
-// the first qualifying column — exactly the cell the reference's walk stops
-// at, so the chosen destination is provably the same.
+// cell exchanges) are identical by construction; the differential suites in
+// src/verify and tests/bits enforce that. The grid walks the reference cell
+// scan (attemptType), writing each attempt through an undo log and rolling
+// back what fails or the VoC guard rejects. States that expose owner bits
+// (HasOwnerBits) instead plan each attempt without writing (planType): the
+// destination scan reads 64 cells per word — the owners the owner-side
+// predicates admit are ORed into a candidate word once per row, the active
+// processor's column presence is ANDed in where the type's activeDest needs
+// it, and std::countr_zero finds the first qualifying column, exactly the
+// cell the reference's walk stops at. An overlay stands in for the few line
+// facts the attempt's earlier exchanges would have written, the plan's VoC
+// is priced from line counts, and only the accepted plan is written
+// (DESIGN.md §15, "Plan, then commit").
 //
 // The non-template entry points in push.hpp / beautify.hpp are the public
 // API for both states; this header is for engine instantiation.
@@ -118,7 +122,8 @@ int firstBitIn(int from, int to, WordFn word) {
 /// Attempts the edge-clean under one type's predicates, appending all
 /// mutations to `log`. Returns the number of elements moved, or std::nullopt
 /// when some edge element found no legal destination (caller must roll back
-/// `log`).
+/// `log`). This is the element-exact reference walk; bitboard states plan
+/// the same walk read-only (planType below).
 template <typename Q>
 std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
                                const TypeRule& rule,
@@ -133,19 +138,8 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
   // Columns of the active processor's elements on the edge row, gathered
   // before any mutation. k is the rectangle edge, so this is non-empty.
   std::vector<int> sources;
-  if constexpr (HasOwnerBits<Q>) {
-    const auto edge = view.lineBits(active, k);
-    sources.reserve(static_cast<std::size_t>(r.width()));
-    scanWords(r.colBegin, r.colEnd, [&](std::size_t w) { return edge[w]; },
-              [&](int w, std::uint64_t bits) {
-                for (; bits != 0; bits &= bits - 1)
-                  sources.push_back(w * 64 + std::countr_zero(bits));
-                return false;
-              });
-  } else {
-    for (int c = r.colBegin; c < r.colEnd; ++c)
-      if (view.at(k, c) == active) sources.push_back(c);
-  }
+  for (int c = r.colBegin; c < r.colEnd; ++c)
+    if (view.at(k, c) == active) sources.push_back(c);
   if (sources.empty()) return std::nullopt;
 
   // Monotone destination cursor over the rectangle interior, as in the
@@ -161,84 +155,34 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
 
   for (int c : sources) {
     bool found = false;
-    // Bitboard states decide the owner-side predicates once per source.
-    // Nothing mutates between here and the accept, so the displaced owner's
-    // presence in row k / column c and rectangle containment of (k, c) are
-    // fixed for this source and depend only on the owner — as in the
-    // reference's cell walk, where they are re-evaluated per cell but cannot
-    // change. The predicates are pure, so the reordering is outcome-neutral.
-    [[maybe_unused]] std::array<Proc, kNumProcs - 1> admitted{};
-    [[maybe_unused]] std::size_t numAdmitted = 0;
-    if constexpr (HasOwnerBits<Q>) {
-      for (Proc owner : kAllProcs)
+    while (g > k && !found) {
+      while (h < r.colEnd) {
+        const Proc owner = view.at(g, h);
         if (owner != active &&
+            meets(rule.activeDest, view.rowHas(active, g),
+                  view.colHas(active, h)) &&
             meets(rule.ownerPresence, view.rowHas(owner, k),
                   view.colHas(owner, c)) &&
-            (owner == Proc::P || rectBefore[procSlot(owner)].contains(k, c)))
-          admitted[numAdmitted++] = owner;
-      if (numAdmitted == 0) return std::nullopt;  // no cell can qualify
-    }
-    while (g > k && !found) {
-      if constexpr (HasOwnerBits<Q>) {
-        // Word-granular row visit. The active processor's cells never leave
-        // its rectangle, so a row it fills across the rectangle's width
-        // holds no destination — most rows of a condensed state, skipped in
-        // O(1). rowActive is fixed for the visit, and under kAnd a false one
-        // fails every h of the row. Only the activeDest requirement varies
-        // along the row (through colHas(active, h)); where it binds, the
-        // presence word is ANDed in.
-        const int rowActiveCells = view.rowCount(active, g);
-        const bool rowActive = rowActiveCells > 0;
-        if (rowActiveCells < r.width() &&
-            (rule.activeDest != Req::kAnd || rowActive)) {
-          const bool needCol = rule.activeDest == Req::kAnd ||
-                               (rule.activeDest == Req::kOr && !rowActive);
-          const auto activeCols = view.colPresenceBits(active);
-          // At most two owners qualify; with one, its line is ORed twice.
-          const auto first = view.lineBits(admitted[0], g);
-          const auto second = view.lineBits(admitted[numAdmitted - 1], g);
-          const int hit = firstBitIn(h, r.colEnd, [&](std::size_t w) {
-            const std::uint64_t owned = first[w] | second[w];
-            return needCol ? owned & activeCols[w] : owned;
-          });
-          if (hit >= 0) {
-            // Exchange: the owner inherits the vacated edge cell, the
-            // active processor moves inward.
-            view.set(k, c, view.at(g, hit), log);
-            view.set(g, hit, active, log);
-            found = true;
-            h = hit + 1;  // do not hand the same destination to the next one
-          }
-        }
-      } else {
-        while (h < r.colEnd) {
-          const Proc owner = view.at(g, h);
-          if (owner != active &&
-              meets(rule.activeDest, view.rowHas(active, g),
-                    view.colHas(active, h)) &&
-              meets(rule.ownerPresence, view.rowHas(owner, k),
-                    view.colHas(owner, c)) &&
-              // The owner takes over (k, c); keeping that inside its pre-push
-              // enclosing rectangle guarantees no rectangle grows (§IV-A
-              // precondition). Presence in row k and column c already implies
-              // containment, so this only bites for the laxer owner rules.
-              // The fastest processor P is exempt: its rectangle plays no role
-              // in VoC or in future pushes, and holding it to the letter of
-              // §IV-A creates artificial fixed points (a solid band with
-              // ragged edges whose improving push would hand P a cell below
-              // P's current box — see DESIGN.md deviation 6). The
-              // transactional VoC guard in tryPushState subsumes the rule's
-              // purpose.
-              (owner == Proc::P ||
-               rectBefore[procSlot(owner)].contains(k, c))) {
-            view.set(k, c, owner, log);
-            view.set(g, h, active, log);
-            found = true;
-            ++h;
-            break;
-          }
+            // The owner takes over (k, c); keeping that inside its pre-push
+            // enclosing rectangle guarantees no rectangle grows (§IV-A
+            // precondition). Presence in row k and column c already implies
+            // containment, so this only bites for the laxer owner rules.
+            // The fastest processor P is exempt: its rectangle plays no role
+            // in VoC or in future pushes, and holding it to the letter of
+            // §IV-A creates artificial fixed points (a solid band with
+            // ragged edges whose improving push would hand P a cell below
+            // P's current box — see DESIGN.md deviation 6). The
+            // transactional VoC guard in tryPushState subsumes the rule's
+            // purpose.
+            (owner == Proc::P ||
+             rectBefore[procSlot(owner)].contains(k, c))) {
+          view.set(k, c, owner, log);
+          view.set(g, h, active, log);
+          found = true;
           ++h;
+          break;
         }
+        ++h;
       }
       if (!found) {
         h = r.colBegin;
@@ -250,9 +194,264 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
   return static_cast<int>(sources.size());
 }
 
+/// One exchange of a planned edge-clean, in logical coordinates: the edge
+/// cell (edge, col) passes from the active processor to `owner`, and the
+/// destination (destRow, destCol), `owner`'s until then, becomes the active
+/// processor's.
+struct PlannedMove {
+  int col;
+  int destRow;
+  int destCol;
+  Proc owner;
+};
+
+/// A push attempt planned on a bitboard state without writing it: the moves
+/// in the reference walk's order and the VoC they lead to. The vectors below
+/// the moves are the planner's working buffers, kept between attempts so
+/// that an attempt allocates nothing once they have grown.
+struct PushPlan {
+  int edge = 0;  ///< Logical row being cleaned.
+  std::vector<PlannedMove> moves;
+  std::int64_t vocAfter = 0;
+
+  std::vector<int> sources;
+  /// The active processor's logical column presence, as the moves so far
+  /// leave it.
+  std::vector<std::uint64_t> activeCols;
+  /// Per logical column, each owner's count change from the moves so far.
+  /// All zero between attempts: whoever writes an entry clears it.
+  std::vector<std::array<int, kNumProcs>> colDelta;
+};
+
+/// The calling thread's plan and planner buffers.
+inline PushPlan& threadPlan() {
+  thread_local PushPlan plan;
+  return plan;
+}
+
+/// VoC once every move of `plan` is applied, from the line counts of the
+/// rows and columns the moves touch: a line's owner count changes only where
+/// an owner's count in it drops to zero or rises from zero. Clears the
+/// column deltas it reads.
+template <typename Q>
+std::int64_t planVoC(const OrientedView<Q>& view, Proc active,
+                     PushPlan& plan, std::int64_t vocBefore) {
+  int lineOwners = 0;  // change in Σc_i + Σc_j
+
+  // The edge row: every source leaves it, each owner gains its cells.
+  std::array<bool, kNumProcs> gained{};
+  for (const PlannedMove& m : plan.moves) gained[procSlot(m.owner)] = true;
+  if (view.rowCount(active, plan.edge) ==
+      static_cast<int>(plan.moves.size()))
+    --lineOwners;
+  for (Proc x : kAllProcs)
+    if (gained[procSlot(x)] && !view.rowHas(x, plan.edge)) ++lineOwners;
+
+  // Destination rows: the moves visit them in runs of one row each.
+  std::array<int, kNumProcs> lost{};
+  for (std::size_t m = 0; m < plan.moves.size(); ++m) {
+    const PlannedMove& move = plan.moves[m];
+    ++lost[procSlot(move.owner)];
+    if (m + 1 < plan.moves.size() &&
+        plan.moves[m + 1].destRow == move.destRow)
+      continue;  // the run goes on
+    const int g = move.destRow;
+    if (!view.rowHas(active, g)) ++lineOwners;
+    for (Proc x : kAllProcs)
+      if (lost[procSlot(x)] > 0 && view.rowCount(x, g) == lost[procSlot(x)])
+        --lineOwners;
+    lost = {};
+  }
+
+  // Source and destination columns. A column both kinds touch is priced on
+  // its first visit; clearing its deltas makes later visits price nothing.
+  const auto priceColumn = [&](int c) {
+    auto& delta = plan.colDelta[static_cast<std::size_t>(c)];
+    for (Proc x : kAllProcs) {
+      int& d = delta[procSlot(x)];
+      if (d == 0) continue;
+      const int before = view.colCount(x, c);
+      lineOwners += (before + d > 0 ? 1 : 0) - (before > 0 ? 1 : 0);
+      d = 0;
+    }
+  };
+  for (const PlannedMove& m : plan.moves) {
+    priceColumn(m.col);
+    priceColumn(m.destCol);
+  }
+  return vocBefore + static_cast<std::int64_t>(view.n()) * lineOwners;
+}
+
+/// Plans the edge-clean under one type's predicates without writing: the
+/// reference walk (attemptType) over the same sources with the same
+/// monotone cursor, with the word-granular destination scan. Returns false
+/// at the first source with no destination. On success `plan` holds the
+/// moves and their VoC.
+///
+/// The walk reads the state plus an overlay of what the earlier moves of the
+/// same attempt would have written. Cells at or past the cursor are never
+/// written, so owner line words are read straight from the state; the only
+/// facts an earlier move can change are (DESIGN.md §15, "Plan, then
+/// commit"): whether a displaced owner is in the edge row, an owner's count
+/// in a later source's column, the active processor's column presence, and
+/// its count in the current destination row.
+template <typename Q>
+  requires HasOwnerBits<Q>
+bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
+              const std::array<Rect, kNumProcs>& rectBefore,
+              std::int64_t vocBefore, PushPlan& plan) {
+  plan.moves.clear();
+  const Rect r = rectBefore[procSlot(active)];
+  if (r.isEmpty() || r.height() < 2) return false;
+  const int k = r.rowBegin;
+  plan.edge = k;
+
+  plan.sources.clear();
+  const auto edge = view.lineBits(active, k);
+  scanWords(r.colBegin, r.colEnd, [&](std::size_t w) { return edge[w]; },
+            [&](int w, std::uint64_t bits) {
+              for (; bits != 0; bits &= bits - 1)
+                plan.sources.push_back(w * 64 + std::countr_zero(bits));
+              return false;
+            });
+  if (plan.sources.empty()) return false;
+  plan.moves.reserve(plan.sources.size());
+
+  // The overlay. colDelta rows are all zero here.
+  if (plan.colDelta.size() < static_cast<std::size_t>(view.n()))
+    plan.colDelta.resize(static_cast<std::size_t>(view.n()));
+  const auto presence = view.colPresenceBits(active);
+  plan.activeCols.assign(presence.begin(), presence.end());
+  std::array<bool, kNumProcs> inEdgeRow{};
+  for (Proc x : kAllProcs) inEdgeRow[procSlot(x)] = view.rowHas(x, k);
+  int addedRow = -1;  // the active processor's cells added to this row
+  int added = 0;
+
+  int g = r.rowEnd - 1;
+  int h = r.colBegin;
+  bool complete = true;
+  for (int c : plan.sources) {
+    auto& sourceDelta = plan.colDelta[static_cast<std::size_t>(c)];
+    // The owner-side predicates read only row k and column c, and nothing
+    // changes while one source searches, so they are decided once per owner.
+    std::array<Proc, kNumProcs - 1> admitted{};
+    std::size_t numAdmitted = 0;
+    for (Proc owner : kAllProcs)
+      if (owner != active &&
+          meets(rule.ownerPresence, inEdgeRow[procSlot(owner)],
+                view.colCount(owner, c) + sourceDelta[procSlot(owner)] > 0) &&
+          (owner == Proc::P || rectBefore[procSlot(owner)].contains(k, c)))
+        admitted[numAdmitted++] = owner;
+    if (numAdmitted == 0) {  // no cell can qualify
+      complete = false;
+      break;
+    }
+
+    int hit = -1;
+    while (g > k) {
+      // Word-granular row visit. The active processor's cells never leave
+      // its rectangle, so a row it fills across the rectangle's width holds
+      // no destination — most rows of a condensed state, skipped in O(1).
+      // rowActive is fixed for the visit, and under kAnd a false one fails
+      // every h of the row. Only the activeDest requirement varies along the
+      // row (through colHas(active, h)); where it binds, the presence word
+      // is ANDed in.
+      const int rowActiveCells =
+          view.rowCount(active, g) + (g == addedRow ? added : 0);
+      const bool rowActive = rowActiveCells > 0;
+      if (rowActiveCells < r.width() &&
+          (rule.activeDest != Req::kAnd || rowActive)) {
+        const bool needCol = rule.activeDest == Req::kAnd ||
+                             (rule.activeDest == Req::kOr && !rowActive);
+        const std::uint64_t* activeCols = plan.activeCols.data();
+        // At most two owners qualify; with one, its line is ORed twice.
+        const auto first = view.lineBits(admitted[0], g);
+        const auto second = view.lineBits(admitted[numAdmitted - 1], g);
+        hit = firstBitIn(h, r.colEnd, [&](std::size_t w) {
+          const std::uint64_t owned = first[w] | second[w];
+          return needCol ? owned & activeCols[w] : owned;
+        });
+        if (hit >= 0) break;
+      }
+      h = r.colBegin;
+      --g;
+    }
+    if (hit < 0) {
+      complete = false;
+      break;
+    }
+
+    // Record the exchange and what it would write into the overlay.
+    const Proc owner = view.at(g, hit);
+    plan.moves.push_back({c, g, hit, owner});
+    inEdgeRow[procSlot(owner)] = true;
+    ++sourceDelta[procSlot(owner)];
+    if (view.colCount(active, c) + --sourceDelta[procSlot(active)] == 0)
+      plan.activeCols[static_cast<std::size_t>(c >> 6)] &=
+          ~(std::uint64_t{1} << (c & 63));
+    auto& destDelta = plan.colDelta[static_cast<std::size_t>(hit)];
+    --destDelta[procSlot(owner)];
+    ++destDelta[procSlot(active)];
+    plan.activeCols[static_cast<std::size_t>(hit >> 6)] |= std::uint64_t{1}
+                                                           << (hit & 63);
+    if (g != addedRow) {
+      addedRow = g;
+      added = 0;
+    }
+    ++added;
+    h = hit + 1;  // do not hand the same destination to the next one
+  }
+
+  if (!complete) {
+    for (const PlannedMove& m : plan.moves) {
+      plan.colDelta[static_cast<std::size_t>(m.col)] = {};
+      plan.colDelta[static_cast<std::size_t>(m.destCol)] = {};
+    }
+    return false;
+  }
+  plan.vocAfter = planVoC(view, active, plan, vocBefore);
+  return true;
+}
+
+/// The transactional VoC guard: Types One–Four must strictly lower VoC,
+/// Five–Six may keep it.
+inline bool vocAccepted(const TypeRule& rule, std::int64_t vocBefore,
+                        std::int64_t vocAfter) {
+  return rule.strictImprovement ? vocAfter < vocBefore : vocAfter <= vocBefore;
+}
+
+/// Every processor's enclosing rectangle in the view's logical coordinates.
+template <typename Q>
+std::array<Rect, kNumProcs> logicalRects(const OrientedView<Q>& view) {
+  std::array<Rect, kNumProcs> rects;
+  for (Proc x : kAllProcs) rects[procSlot(x)] = view.rect(x);
+  return rects;
+}
+
+/// The first push type, most restrictive first, whose plan passes the VoC
+/// guard; `plan` then holds its moves. Writes nothing to the state.
+template <typename Q>
+  requires HasOwnerBits<Q>
+std::optional<PushType> planPush(const OrientedView<Q>& view, Proc active,
+                                 const std::array<Rect, kNumProcs>& rectBefore,
+                                 std::int64_t vocBefore,
+                                 const PushOptions& options, PushPlan& plan) {
+  for (PushType type : kAllPushTypes) {
+    const TypeRule rule = ruleFor(type);
+    if (!options.allowEqualVoC && !rule.strictImprovement) break;
+    if (planType(view, active, rule, rectBefore, vocBefore, plan) &&
+        vocAccepted(rule, vocBefore, plan.vocAfter))
+      return type;
+  }
+  return std::nullopt;
+}
+
 }  // namespace engine_detail
 
-/// tryPush over any engine state (see push.hpp for the contract).
+/// tryPush over any engine state (see push.hpp for the contract). The grid
+/// applies each attempt through an undo log and rolls it back when it fails
+/// or the VoC guard rejects it; a bitboard state plans each attempt and
+/// writes only the accepted one.
 template <typename Q>
 PushOutcome tryPushState(Q& q, Proc active, Direction dir,
                          const PushOptions& options = {}) {
@@ -268,65 +467,95 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
 
   // Snapshot logical enclosing rectangles and counts for the transactional
   // guards.
-  std::array<Rect, kNumProcs> rectBefore;
+  const std::array<Rect, kNumProcs> rectBefore =
+      engine_detail::logicalRects(view);
   std::array<std::int64_t, kNumProcs> countBefore{};
+  for (Proc x : kAllProcs) countBefore[procSlot(x)] = q.count(x);
+
+  if constexpr (HasOwnerBits<Q>) {
+    engine_detail::PushPlan& plan = engine_detail::threadPlan();
+    const auto type = engine_detail::planPush(view, active, rectBefore,
+                                              out.vocBefore, options, plan);
+    if (!type) return out;
+    for (const engine_detail::PlannedMove& m : plan.moves) {
+      view.set(plan.edge, m.col, m.owner);
+      view.set(m.destRow, m.destCol, active);
+    }
+    PUSHPART_CHECK_MSG(q.volumeOfCommunication() == plan.vocAfter,
+                       "committed VoC " << q.volumeOfCommunication()
+                                        << " differs from the planned "
+                                        << plan.vocAfter);
+    out.type = *type;
+    out.vocAfter = plan.vocAfter;
+    out.elementsMoved = static_cast<int>(plan.moves.size());
+  } else {
+    bool accepted = false;
+    for (PushType type : kAllPushTypes) {
+      const engine_detail::TypeRule rule = engine_detail::ruleFor(type);
+      if (!options.allowEqualVoC && !rule.strictImprovement) break;
+
+      std::vector<CellUndo> log;
+      const auto moved =
+          engine_detail::attemptType(view, active, rule, rectBefore, log);
+      if (!moved) {
+        rollback(q, log);
+        continue;
+      }
+
+      // Transactional guards: the paper's guarantees, enforced exactly.
+      const std::int64_t vocAfter = q.volumeOfCommunication();
+      if (!engine_detail::vocAccepted(rule, out.vocBefore, vocAfter)) {
+        rollback(q, log);
+        continue;
+      }
+      out.type = type;
+      out.vocAfter = vocAfter;
+      out.elementsMoved = *moved;
+      accepted = true;
+      break;
+    }
+    if (!accepted) return out;
+  }
+
   for (Proc x : kAllProcs) {
-    rectBefore[procSlot(x)] = view.rect(x);
-    countBefore[procSlot(x)] = q.count(x);
+    // P's rectangle is unconstrained (see the finder comment above).
+    PUSHPART_CHECK_MSG(
+        x == Proc::P || rectBefore[procSlot(x)].contains(view.rect(x)),
+        "push enlarged the enclosing rectangle of " << procName(x));
+    PUSHPART_CHECK_MSG(q.count(x) == countBefore[procSlot(x)],
+                       "push changed the element count of " << procName(x));
   }
-
-  for (PushType type :
-       {PushType::kType1, PushType::kType2, PushType::kType3, PushType::kType4,
-        PushType::kType5, PushType::kType6}) {
-    const engine_detail::TypeRule rule = engine_detail::ruleFor(type);
-    if (!options.allowEqualVoC && !rule.strictImprovement) break;
-
-    std::vector<CellUndo> log;
-    const auto moved =
-        engine_detail::attemptType(view, active, rule, rectBefore, log);
-    if (!moved) {
-      rollback(q, log);
-      continue;
-    }
-
-    // Transactional guards: the paper's guarantees, enforced exactly.
-    const std::int64_t vocAfter = q.volumeOfCommunication();
-    const bool vocOk = rule.strictImprovement ? (vocAfter < out.vocBefore)
-                                              : (vocAfter <= out.vocBefore);
-    if (!vocOk) {
-      rollback(q, log);
-      continue;
-    }
-    for (Proc x : kAllProcs) {
-      // P's rectangle is unconstrained (see the finder comment above).
-      PUSHPART_CHECK_MSG(
-          x == Proc::P || rectBefore[procSlot(x)].contains(view.rect(x)),
-          "push enlarged the enclosing rectangle of " << procName(x));
-      PUSHPART_CHECK_MSG(q.count(x) == countBefore[procSlot(x)],
-                         "push changed the element count of " << procName(x));
-    }
-
-    out.applied = true;
-    out.type = type;
-    out.vocAfter = vocAfter;
-    out.elementsMoved = *moved;
-    return out;
-  }
-
+  out.applied = true;
   return out;
 }
 
-/// pushAvailable over any engine state (copies a scratch state and rolls
-/// attempts on the copy).
+/// pushAvailable over any engine state (see push.hpp for the contract). A
+/// bitboard state answers from plans alone; the grid tries each push on a
+/// copy of the state.
 template <typename Q>
 bool pushAvailableState(const Q& q, Proc active,
                         std::span<const Direction> dirs,
                         const PushOptions& options = {}) {
-  Q scratch = q;
-  for (Direction d : dirs) {
-    if (tryPushState(scratch, active, d, options).applied) return true;
+  if constexpr (HasOwnerBits<Q>) {
+    PUSHPART_CHECK_MSG(active != Proc::P,
+                       "the fastest processor P is never the active processor");
+    engine_detail::PushPlan& plan = engine_detail::threadPlan();
+    const std::int64_t voc = q.volumeOfCommunication();
+    for (Direction d : dirs) {
+      const OrientedView<const Q> view(q, d);
+      if (engine_detail::planPush(view, active,
+                                  engine_detail::logicalRects(view), voc,
+                                  options, plan))
+        return true;
+    }
+    return false;
+  } else {
+    Q copy = q;
+    for (Direction d : dirs) {
+      if (tryPushState(copy, active, d, options).applied) return true;
+    }
+    return false;
   }
-  return false;
 }
 
 namespace engine_detail {

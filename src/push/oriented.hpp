@@ -11,15 +11,19 @@
 //   Right: (r, c) -> (c, r)            logical rows are physical columns
 //   Left : (r, c) -> (c, n-1-r)        columns flipped and transposed
 //
-// Mutations are funnelled through set(), which appends to an undo log so a
-// failed push attempt can be rolled back exactly.
+// Mutations are funnelled through set(). The grid's cell walk passes an undo
+// log, so a failed push attempt can be rolled back exactly; the bitboard
+// engine plans an attempt read-only and writes only an accepted one, so it
+// uses the log-free overload.
 //
 // The view is a template over the state type Q so the same engine drives the
 // element-exact Partition and the bitboard BitPartition; Q must provide
-// at/set/rowHas/colHas/enclosingRect/n. States that additionally expose owner
-// bits (rowBits/colBits/rowPresence/colPresence) get word-granular
-// lineBits()/colPresenceBits() accessors, which the push engine uses to test
-// 64 destination cells per legality decision.
+// at/set/rowHas/colHas/rowCount/colCount/enclosingRect/n. A view over a
+// const Q is a read-only view (the planner and pushAvailable use one). States
+// that additionally expose owner bits (rowBits/colBits/rowPresence/
+// colPresence) get word-granular lineBits()/colPresenceBits() accessors,
+// which the push engine uses to test 64 destination cells per legality
+// decision.
 #pragma once
 
 #include <concepts>
@@ -72,6 +76,12 @@ class OrientedView {
     q_.set(i, j, p);
   }
 
+  /// Reassigns a cell with no undo record (an accepted plan's commit).
+  void set(int r, int c, Proc p) {
+    const auto [i, j] = toPhysical(r, c);
+    q_.set(i, j, p);
+  }
+
   /// Number of p's elements in logical row r.
   int rowCount(Proc p, int r) const {
     switch (dir_) {
@@ -79,6 +89,17 @@ class OrientedView {
       case Direction::Up: return q_.rowCount(p, n() - 1 - r);
       case Direction::Right: return q_.colCount(p, r);
       case Direction::Left: return q_.colCount(p, n() - 1 - r);
+    }
+    return 0;
+  }
+
+  /// Number of p's elements in logical column c.
+  int colCount(Proc p, int c) const {
+    switch (dir_) {
+      case Direction::Down:
+      case Direction::Up: return q_.colCount(p, c);
+      case Direction::Right:
+      case Direction::Left: return q_.rowCount(p, c);
     }
     return 0;
   }

@@ -11,12 +11,17 @@
 // This engine mirrors the paper's program (§VI-B): per-type destination
 // finders with a monotone scan cursor, tried from the most restrictive type
 // to the least. On top of the type predicates it enforces the paper's
-// guarantees *transactionally*: the whole edge-clean is applied through an
-// undo log, then VoC / enclosing-rectangle / conservation invariants are
-// checked exactly; any violation rolls the attempt back. The invariants are
+// guarantees *transactionally*: an edge-clean is kept only if VoC does not
+// rise (strictly falls for Types One–Four), and the enclosing-rectangle and
+// conservation invariants are then checked exactly. On the element grid an
+// attempt is applied through an undo log and rolled back when it fails or
+// the VoC guard rejects it; on the bitboard state it is planned without
+// writing, its VoC priced from line counts, and only the accepted attempt is
+// written (then checked against the planned VoC). The invariants are
 // therefore properties of the implementation, not merely of the proofs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -38,6 +43,11 @@ enum class PushType {
   kType5 = 5,
   kType6 = 6,
 };
+
+/// The types in the order tryPush tries them, most restrictive first.
+inline constexpr std::array<PushType, 6> kAllPushTypes = {
+    PushType::kType1, PushType::kType2, PushType::kType3,
+    PushType::kType4, PushType::kType5, PushType::kType6};
 
 constexpr const char* pushTypeName(PushType t) {
   switch (t) {
@@ -80,8 +90,9 @@ PushOutcome tryPush(Partition& q, Proc active, Direction dir,
 PushOutcome tryPush(BitPartition& q, Proc active, Direction dir,
                     const PushOptions& options = {});
 
-/// True when some push in `dirs` applies to `active`. Non-mutating (attempts
-/// run on the real grid but are rolled back).
+/// True when some push in `dirs` would apply to `active`. Non-mutating: the
+/// grid tries each push on a copy of the state; the bitboard state
+/// answers from read-only plans and copies nothing.
 bool pushAvailable(const Partition& q, Proc active,
                    std::span<const Direction> dirs,
                    const PushOptions& options = {});

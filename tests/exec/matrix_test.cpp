@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "support/check.hpp"
 
 namespace pushpart {
@@ -58,6 +60,25 @@ TEST(MultiplySerialTest, KnownSmallProduct) {
 TEST(MultiplySerialTest, SizeMismatchRejected) {
   Matrix a(3), b(4);
   EXPECT_THROW(multiplySerial(a, b), CheckError);
+}
+
+TEST(MultiplySerialTest, BandedReferenceIsBitIdentical) {
+  // Three bands as the executor's check uses, plus more bands than rows;
+  // n = 1 and 2 leave some bands empty. Equality is exact, not a tolerance.
+  for (int n : {1, 2, 3, 7, 64, 129}) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    const Matrix a = randomMatrix(n, rng);
+    const Matrix b = randomMatrix(n, rng);
+    const Matrix serial = multiplySerial(a, b);
+    for (int bands : {3, 5}) {
+      const Matrix banded = multiplySerialBanded(a, b, bands);
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+          ASSERT_EQ(banded.at(i, j), serial.at(i, j))
+              << "n " << n << " bands " << bands << " (" << i << "," << j
+              << ")";
+    }
+  }
 }
 
 TEST(MaxAbsDiffTest, FindsWorstEntry) {
