@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/fnv.hpp"
+
 namespace pushpart {
 
 namespace {
@@ -15,16 +17,10 @@ namespace {
 // v1 files are refused rather than silently defaulting the gap to zero.
 constexpr const char* kMagic = "pushpart-atlas v2";
 
-// Same FNV-1a as the plan-cache snapshot checksums (serve/request.cpp);
-// duplicated locally so the atlas layer does not link against serve.
-std::uint64_t atlasFnv1a(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// The v2 checksums are FNV-1a started from 1469598103934665603, the offset
+// basis's decimal short of its last digit. Kept: changing it would fail
+// every atlas file already written.
+constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
 
 std::string formatDouble(double v) {
   char buf[40];
@@ -34,8 +30,9 @@ std::string formatDouble(double v) {
 
 std::string checksumHex(const std::string& payload) {
   char buf[20];
+  const std::uint64_t sum = fnv1a(payload, kChecksumBasis);
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(atlasFnv1a(payload)));
+                static_cast<unsigned long long>(sum));
   return buf;
 }
 

@@ -6,6 +6,7 @@
 
 #include "serve/snapshot.hpp"
 #include "support/check.hpp"
+#include "support/fnv.hpp"
 #include "support/stopwatch.hpp"
 
 namespace pushpart {

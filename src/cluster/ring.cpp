@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "serve/request.hpp"
+#include "support/fnv.hpp"
 
 namespace pushpart {
 

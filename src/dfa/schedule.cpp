@@ -1,13 +1,29 @@
 #include "dfa/schedule.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "support/check.hpp"
 
 namespace pushpart {
 
-Schedule Schedule::random(Rng& rng) {
+namespace {
+
+std::vector<Proc> slowOwners(int owners) {
+  PUSHPART_CHECK_MSG(owners >= 2 && owners <= kMaxOwners,
+                     "a schedule needs 2.." << kMaxOwners << " owners, got "
+                                            << owners);
+  std::vector<Proc> slow;
+  for (int x = 0; x + 1 < owners; ++x) slow.push_back(procFromIndex(x));
+  return slow;
+}
+
+}  // namespace
+
+Schedule Schedule::random(Rng& rng, int owners) {
   Schedule out;
   // Randomly choose which slow processor is considered first (paper §VI-A).
-  std::vector<Proc> procs(kSlowProcs.begin(), kSlowProcs.end());
+  std::vector<Proc> procs = slowOwners(owners);
   rng.shuffle(procs);
 
   for (Proc p : procs) {
@@ -24,9 +40,9 @@ Schedule Schedule::random(Rng& rng) {
   return out;
 }
 
-Schedule Schedule::full() {
+Schedule Schedule::full(int owners) {
   Schedule out;
-  for (Proc p : kSlowProcs)
+  for (Proc p : slowOwners(owners))
     for (Direction d : kAllDirections) out.slots.push_back({p, d});
   return out;
 }
@@ -45,7 +61,10 @@ std::string Schedule::str() const {
   std::string out;
   for (const auto& slot : slots) {
     if (!out.empty()) out += ' ';
-    out += procName(slot.active);
+    if (slot.active == Proc::R || slot.active == Proc::S)
+      out += procName(slot.active);
+    else
+      out += std::to_string(procIndex(slot.active));
     out += ':';
     out += directionName(slot.dir);
   }

@@ -4,7 +4,8 @@
 // be pushed in and the interleaving order of (processor, direction) slots.
 // The paper randomizes all three choices per run so no preconceived notion of
 // the final shape biases the search: one run may push R only Down; another
-// interleaves R:{Down,Left} with S:{Up,Right}; and so on.
+// interleaves R:{Down,Left} with S:{Up,Right}; and so on. A partition over
+// k owners draws the same way over its k − 1 slow owners.
 #pragma once
 
 #include <string>
@@ -28,19 +29,21 @@ struct ScheduleSlot {
 struct Schedule {
   std::vector<ScheduleSlot> slots;
 
-  /// Paper §VI-A1: for each of R and S independently draw how many
-  /// directions (1–4), which directions, then shuffle the combined slot
-  /// order (covering single-direction, alternating and interleaved cases).
-  static Schedule random(Rng& rng);
+  /// Paper §VI-A1: shuffle the slow owners (R and S at three owners), for
+  /// each independently draw how many directions (1–4) and which, then
+  /// shuffle the combined slot order (covering single-direction, alternating
+  /// and interleaved cases).
+  static Schedule random(Rng& rng, int owners = kNumProcs);
 
-  /// Every (slow processor, direction) combination, fixed order. Used by
+  /// Every (slow owner, direction) combination, fixed order. Used by
   /// beautify-style full sweeps and tests.
-  static Schedule full();
+  static Schedule full(int owners = kNumProcs);
 
   /// The directions slot list mentions for `p` (deduplicated, stable order).
   std::vector<Direction> directionsFor(Proc p) const;
 
-  /// Human-readable, e.g. "R:Down R:Left S:Up".
+  /// Human-readable, e.g. "R:Down R:Left S:Up" (owner ids in place of the
+  /// letters past S).
   std::string str() const;
 };
 

@@ -233,6 +233,7 @@ CommEmulation commPhaseFaulty(Algo algo, const Partition& q,
 
 ExecResult runParallelMMM(Algo algo, const Partition& q,
                           const ExecOptions& options) {
+  requireThreeOwners(q);
   if (algo != Algo::kSCB && algo != Algo::kPCB)
     throw std::invalid_argument(
         "runParallelMMM: executor implements the barrier algorithms (SCB, "

@@ -6,7 +6,7 @@
 
 #include "family/hierarchical.hpp"
 #include "family/layered.hpp"
-#include "nproc/nshapes.hpp"
+#include "shapes/kowner.hpp"
 
 namespace pushpart {
 
@@ -55,9 +55,9 @@ std::string FamilySet::str() const {
 
 namespace {
 
-/// Member (1): the paper's six §IX shapes, plus the 2-processor prior-work
-/// shapes and the k=4 generalizations for enumerateN — so q-processor sweeps
-/// and 3-processor serving draw from the same registry.
+/// Member (1): the paper's six §IX shapes, plus the two-owner prior-work
+/// shapes and the four-owner generalizations for enumerateN — so k-owner
+/// sweeps and three-owner serving draw from the same registry.
 class CanonicalFamily final : public CandidateFamily {
  public:
   FamilyId id() const override { return FamilyId::kCanonical; }
@@ -81,50 +81,41 @@ class CanonicalFamily final : public CandidateFamily {
 
   void enumerateN(
       int n, const NSpeeds& speeds,
-      const std::function<void(NFamilyCandidate&&)>& emit) const override {
-    const int procs = static_cast<int>(speeds.speeds.size());
-    if (procs == 2) {
-      const double p = speeds.speeds[0] / speeds.speeds[1];
-      for (const TwoProcShape shape :
-           {TwoProcShape::kStraightLine, TwoProcShape::kSquareCorner,
-            TwoProcShape::kRectangleCorner}) {
-        NFamilyCandidate c;
-        c.family = FamilyId::kCanonical;
-        c.name = twoProcShapeName(shape);
-        c.partition = makeTwoProcCandidate(shape, n, p);
-        emit(std::move(c));
+      const std::function<void(FamilyCandidate&&)>& emit) const override {
+    const auto emitNamed = [&](const char* name, Partition q) {
+      emit({FamilyId::kCanonical, name, std::nullopt, std::move(q)});
+    };
+    switch (speeds.owners()) {
+      case 2: {
+        const double p = speeds.speeds[0] / speeds.speeds[1];
+        for (const TwoProcShape shape :
+             {TwoProcShape::kStraightLine, TwoProcShape::kSquareCorner,
+              TwoProcShape::kRectangleCorner})
+          emitNamed(twoProcShapeName(shape), makeTwoProcCandidate(shape, n, p));
+        break;
       }
-    } else if (procs == 3) {
-      const Ratio ratio{speeds.speeds[0], speeds.speeds[1], speeds.speeds[2]};
-      if (!ratio.valid()) return;
-      for (const CandidateShape shape : kAllCandidates) {
-        if (!candidateFeasible(shape, n, ratio)) continue;
-        const Partition q3 = makeCandidate(shape, n, ratio);
-        NPartition q(n, 3);
-        for (int r = 0; r < n; ++r)
-          for (int c = 0; c < n; ++c) {
-            // Index by speed rank: P -> 0, R -> 1, S -> 2.
-            const Proc owner = q3.at(r, c);
-            if (owner != Proc::P)
-              q.set(r, c, owner == Proc::R ? 1 : 2);
-          }
-        NFamilyCandidate c;
-        c.family = FamilyId::kCanonical;
-        c.name = candidateName(shape);
-        c.partition = std::move(q);
-        emit(std::move(c));
+      case 3: {
+        // Three owners are the paper's R, S and P: the six shapes as built,
+        // emitted like every k-owner member, without a shape.
+        const Ratio ratio{speeds.speeds[0], speeds.speeds[1],
+                          speeds.speeds[2]};
+        if (!ratio.valid()) break;
+        enumerate(n, ratio, [&](FamilyCandidate&& c) {
+          c.shape.reset();
+          emit(std::move(c));
+        });
+        break;
       }
-    } else if (procs == 4) {
-      for (const FourProcShape shape :
-           {FourProcShape::kCornerSquares, FourProcShape::kBlockColumns,
-            FourProcShape::kColumnStrips}) {
-        if (!fourProcFeasible(shape, n, speeds)) continue;
-        NFamilyCandidate c;
-        c.family = FamilyId::kCanonical;
-        c.name = fourProcShapeName(shape);
-        c.partition = makeFourProcCandidate(shape, n, speeds);
-        emit(std::move(c));
-      }
+      case 4:
+        for (const FourProcShape shape :
+             {FourProcShape::kCornerSquares, FourProcShape::kBlockColumns,
+              FourProcShape::kColumnStrips})
+          if (fourProcFeasible(shape, n, speeds))
+            emitNamed(fourProcShapeName(shape),
+                      makeFourProcCandidate(shape, n, speeds));
+        break;
+      default:
+        break;
     }
   }
 };
@@ -156,11 +147,11 @@ void FamilyRegistry::forEach(
 
 void FamilyRegistry::forEachN(
     int n, const NSpeeds& speeds, FamilySet selection,
-    const std::function<void(const NFamilyCandidate&)>& fn) const {
+    const std::function<void(const FamilyCandidate&)>& fn) const {
   std::unordered_set<std::uint64_t> seen;
   for (const auto& f : families_) {
     if (!selection.contains(f->id())) continue;
-    f->enumerateN(n, speeds, [&](NFamilyCandidate&& c) {
+    f->enumerateN(n, speeds, [&](FamilyCandidate&& c) {
       if (!seen.insert(c.partition.hash()).second) return;
       fn(c);
     });
@@ -175,11 +166,11 @@ std::vector<FamilyCandidate> FamilyRegistry::enumerate(
   return out;
 }
 
-std::vector<NFamilyCandidate> FamilyRegistry::enumerateN(
+std::vector<FamilyCandidate> FamilyRegistry::enumerateN(
     int n, const NSpeeds& speeds, FamilySet selection) const {
-  std::vector<NFamilyCandidate> out;
+  std::vector<FamilyCandidate> out;
   forEachN(n, speeds, selection,
-           [&](const NFamilyCandidate& c) { out.push_back(c); });
+           [&](const FamilyCandidate& c) { out.push_back(c); });
   return out;
 }
 

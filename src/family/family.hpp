@@ -25,8 +25,6 @@
 
 #include "grid/partition.hpp"
 #include "grid/ratio.hpp"
-#include "nproc/npartition.hpp"
-#include "nproc/nsearch.hpp"  // NSpeeds
 #include "shapes/candidates.hpp"
 
 namespace pushpart {
@@ -77,23 +75,18 @@ struct FamilySet {
   friend bool operator==(const FamilySet&, const FamilySet&) = default;
 };
 
-/// One concrete 3-processor candidate: an exact-count partition plus the
-/// space-free token naming it ("Square-Corner", "layers:P/R-S:r", ...).
-/// Tokens contain no whitespace — they travel inside plan-cache snapshots.
+/// One concrete candidate: an exact-count partition plus the space-free
+/// token naming it ("Square-Corner", "layers:P/R-S:r", ...). Tokens contain
+/// no whitespace — they travel inside plan-cache snapshots. The partition
+/// has three owners from enumerate and speeds.owners() from enumerateN.
 struct FamilyCandidate {
   FamilyId family = FamilyId::kCanonical;
   std::string name;
-  /// Set for canonical members only: the CandidateShape this partition is
-  /// the constructor output of (atlas certificates re-cost by shape).
+  /// Set for the canonical members `enumerate` emits, and only for them:
+  /// the CandidateShape this partition is the constructor output of (atlas
+  /// certificates re-cost by shape). enumerateN leaves it empty.
   std::optional<CandidateShape> shape;
   Partition partition{1, Proc::P};
-};
-
-/// One concrete q-processor candidate (index 0 fastest, as NPartition).
-struct NFamilyCandidate {
-  FamilyId family = FamilyId::kCanonical;
-  std::string name;
-  NPartition partition{1, 2};
 };
 
 /// A family of structured candidate partitions. Implementations construct
@@ -107,11 +100,11 @@ class CandidateFamily {
   virtual void enumerate(
       int n, const Ratio& ratio,
       const std::function<void(FamilyCandidate&&)>& emit) const = 0;
-  /// q-processor members; emits nothing when the family has no construction
-  /// for this processor count.
+  /// speeds.owners()-owner members; emits nothing when the family has no
+  /// construction for this owner count.
   virtual void enumerateN(
       int n, const NSpeeds& speeds,
-      const std::function<void(NFamilyCandidate&&)>& emit) const = 0;
+      const std::function<void(FamilyCandidate&&)>& emit) const = 0;
 };
 
 /// Ordered collection of families. Enumeration visits families in
@@ -132,13 +125,13 @@ class FamilyRegistry {
   void forEach(int n, const Ratio& ratio, FamilySet selection,
                const std::function<void(const FamilyCandidate&)>& fn) const;
   void forEachN(int n, const NSpeeds& speeds, FamilySet selection,
-                const std::function<void(const NFamilyCandidate&)>& fn) const;
+                const std::function<void(const FamilyCandidate&)>& fn) const;
 
   /// Materialized convenience forms (small n only — verify and tests).
   std::vector<FamilyCandidate> enumerate(int n, const Ratio& ratio,
                                          FamilySet selection) const;
-  std::vector<NFamilyCandidate> enumerateN(int n, const NSpeeds& speeds,
-                                           FamilySet selection) const;
+  std::vector<FamilyCandidate> enumerateN(int n, const NSpeeds& speeds,
+                                          FamilySet selection) const;
 
  private:
   std::vector<std::unique_ptr<CandidateFamily>> families_;

@@ -165,9 +165,9 @@ std::string hierSpecName(const NHierSpec& spec) {
          ":" + candidateName(spec.top);
 }
 
-std::optional<NPartition> makeHierNPartition(int n, const NSpeeds& speeds,
-                                             const NHierSpec& spec) {
-  const int procs = static_cast<int>(speeds.speeds.size());
+std::optional<Partition> makeHierPartition(int n, const NSpeeds& speeds,
+                                            const NHierSpec& spec) {
+  const int procs = speeds.owners();
   if (n <= 0 || !speeds.valid()) return std::nullopt;
   if (spec.a < 1 || spec.b <= spec.a || spec.b >= procs) return std::nullopt;
   const auto sum = [&](int lo, int hi) {
@@ -185,23 +185,25 @@ std::optional<NPartition> makeHierNPartition(int n, const NSpeeds& speeds,
   const Partition top = makeCandidate(spec.top, n, super);
 
   const auto counts = speeds.elementCounts(n);
-  NPartition out(n, procs);
+  Partition out(n, procs);
   const std::array<std::pair<Proc, std::pair<int, int>>, 3> groups = {
       {{Proc::P, {0, spec.a}},
        {Proc::R, {spec.a, spec.b}},
        {Proc::S, {spec.b, procs}}}};
   for (const auto& [super_proc, range] : groups) {
-    // Explode the super-region into its members: consecutive row-major
-    // segments with exact counts; processor 0 absorbs every leftover.
+    // Explode the super-region into its members (by speed rank):
+    // consecutive row-major segments with exact counts; the fastest owner
+    // absorbs every leftover.
     std::vector<std::pair<int, int>> cells;
     for (int r = 0; r < n; ++r)
       for (int c = 0; c < n; ++c)
         if (top.at(r, c) == super_proc) cells.emplace_back(r, c);
     std::size_t cursor = 0;
-    for (int p = range.first; p < range.second; ++p) {
-      if (p == 0) continue;
-      if (!fd::carveCells(out, NProcId{0}, NProcId{p}, cells, cursor,
-                      counts[static_cast<std::size_t>(p)]))
+    for (int rank = range.first; rank < range.second; ++rank) {
+      if (rank == 0) continue;
+      const Proc owner = ownerOfRank(rank, procs);
+      if (!fd::carveCells(out, out.fastest(), owner, cells, cursor,
+                          counts[procSlot(owner)]))
         return std::nullopt;
     }
   }
@@ -224,16 +226,16 @@ void HierarchicalFamily::enumerate(
 
 void HierarchicalFamily::enumerateN(
     int n, const NSpeeds& speeds,
-    const std::function<void(NFamilyCandidate&&)>& emit) const {
-  const int procs = static_cast<int>(speeds.speeds.size());
+    const std::function<void(FamilyCandidate&&)>& emit) const {
+  const int procs = speeds.owners();
   if (procs < 4) return;  // q=3 is the canonical solver itself.
   for (int a = 1; a + 1 < procs; ++a) {
     for (int b = a + 1; b < procs; ++b) {
       for (const CandidateShape top : kAllCandidates) {
         NHierSpec spec{a, b, top};
-        std::optional<NPartition> q = makeHierNPartition(n, speeds, spec);
+        std::optional<Partition> q = makeHierPartition(n, speeds, spec);
         if (!q) continue;
-        NFamilyCandidate c;
+        FamilyCandidate c;
         c.family = FamilyId::kHierarchical;
         c.name = hierSpecName(spec);
         c.partition = *std::move(q);

@@ -74,8 +74,10 @@ struct NHierSpec {
 
 std::string hierSpecName(const NHierSpec& spec);
 
-std::optional<NPartition> makeHierNPartition(int n, const NSpeeds& speeds,
-                                             const NHierSpec& spec);
+/// Builds the spec over speeds.owners() owners with exact element counts;
+/// nullopt when infeasible.
+std::optional<Partition> makeHierPartition(int n, const NSpeeds& speeds,
+                                            const NHierSpec& spec);
 
 class HierarchicalFamily final : public CandidateFamily {
  public:
@@ -89,7 +91,7 @@ class HierarchicalFamily final : public CandidateFamily {
       const std::function<void(FamilyCandidate&&)>& emit) const override;
   void enumerateN(
       int n, const NSpeeds& speeds,
-      const std::function<void(NFamilyCandidate&&)>& emit) const override;
+      const std::function<void(FamilyCandidate&&)>& emit) const override;
 };
 
 }  // namespace pushpart

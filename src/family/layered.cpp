@@ -31,14 +31,14 @@ std::string layeredSpecName(const LayeredSpec& spec) {
 }
 
 std::string layeredSpecName(const NLayeredSpec& spec) {
-  return specToken(spec, [](NProcId p) { return std::to_string(p); });
+  return specToken(spec, [](int rank) { return std::to_string(rank); });
 }
 
 std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
                                               const LayeredSpec& spec) {
   if (n <= 0 || !ratio.valid()) return std::nullopt;
   const auto counts = ratio.elementCounts(n);
-  std::vector<std::vector<fd::LayerMember<Proc>>> layers;
+  std::vector<std::vector<fd::LayerMember>> layers;
   for (const auto& band : spec.layers) {
     auto& out = layers.emplace_back();
     for (const Proc p : band) out.push_back({p, counts[procSlot(p)]});
@@ -49,18 +49,21 @@ std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
   return q;
 }
 
-std::optional<NPartition> makeLayeredNPartition(int n, const NSpeeds& speeds,
-                                                const NLayeredSpec& spec) {
+std::optional<Partition> makeLayeredPartition(int n, const NSpeeds& speeds,
+                                               const NLayeredSpec& spec) {
   if (n <= 0 || !speeds.valid()) return std::nullopt;
+  const int k = speeds.owners();
   const auto counts = speeds.elementCounts(n);
-  std::vector<std::vector<fd::LayerMember<NProcId>>> layers;
+  std::vector<std::vector<fd::LayerMember>> layers;
   for (const auto& band : spec.layers) {
     auto& out = layers.emplace_back();
-    for (const NProcId p : band)
-      out.push_back({p, counts[static_cast<std::size_t>(p)]});
+    for (const int rank : band) {
+      const Proc owner = ownerOfRank(rank, k);
+      out.push_back({owner, counts[procSlot(owner)]});
+    }
   }
-  NPartition q(n, static_cast<int>(speeds.speeds.size()));
-  if (!fd::buildLayeredOnto(q, NProcId{0}, layers, spec.rowBands))
+  Partition q(n, k);
+  if (!fd::buildLayeredOnto(q, q.fastest(), layers, spec.rowBands))
     return std::nullopt;
   return q;
 }
@@ -129,13 +132,13 @@ void LayeredFamily::enumerate(
 
 void LayeredFamily::enumerateN(
     int n, const NSpeeds& speeds,
-    const std::function<void(NFamilyCandidate&&)>& emit) const {
-  const int procs = static_cast<int>(speeds.speeds.size());
+    const std::function<void(FamilyCandidate&&)>& emit) const {
+  const int procs = speeds.owners();
   if (procs < 3) return;  // q=2 strips belong to the canonical family.
   for (const NLayeredSpec& spec : allNLayeredSpecs(procs)) {
-    std::optional<NPartition> q = makeLayeredNPartition(n, speeds, spec);
+    std::optional<Partition> q = makeLayeredPartition(n, speeds, spec);
     if (!q) continue;
-    NFamilyCandidate c;
+    FamilyCandidate c;
     c.family = FamilyId::kLayered;
     c.name = layeredSpecName(spec);
     c.partition = *std::move(q);

@@ -41,16 +41,19 @@ std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
 /// hash dedup).
 const std::vector<LayeredSpec>& allLayeredSpecs();
 
-/// One q-processor layering of the speed-sorted processors 0..q-1.
+/// One q-processor layering of the speed-sorted processors, by fastest-first
+/// speed rank 0..q-1 (rank 0 the fastest; ownerOfRank gives owner ids).
 struct NLayeredSpec {
-  std::vector<std::vector<NProcId>> layers;
+  std::vector<std::vector<int>> layers;
   bool rowBands = true;
 };
 
 std::string layeredSpecName(const NLayeredSpec& spec);
 
-std::optional<NPartition> makeLayeredNPartition(int n, const NSpeeds& speeds,
-                                                const NLayeredSpec& spec);
+/// Builds the spec over speeds.owners() owners with exact element counts;
+/// nullopt when the integer allotment cannot fit.
+std::optional<Partition> makeLayeredPartition(int n, const NSpeeds& speeds,
+                                               const NLayeredSpec& spec);
 
 /// All contiguous compositions of [0, procs) into layers, both orientations.
 std::vector<NLayeredSpec> allNLayeredSpecs(int procs);
@@ -67,7 +70,7 @@ class LayeredFamily final : public CandidateFamily {
       const std::function<void(FamilyCandidate&&)>& emit) const override;
   void enumerateN(
       int n, const NSpeeds& speeds,
-      const std::function<void(NFamilyCandidate&&)>& emit) const override;
+      const std::function<void(FamilyCandidate&&)>& emit) const override;
 };
 
 }  // namespace pushpart

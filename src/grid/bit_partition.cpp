@@ -20,6 +20,7 @@ BitPartition::BitPartition(int n, Proc fill)
 
 BitPartition::BitPartition(Partition q)
     : grid_(std::move(q)), words_((grid_.n() + 63) / 64) {
+  requireThreeOwners(grid_);
   const int n = grid_.n();
   const auto w = static_cast<std::size_t>(words_);
   const std::size_t lines = static_cast<std::size_t>(n) * w;

@@ -36,13 +36,20 @@ class BitPartition {
   explicit BitPartition(int n, Proc fill = Proc::P);
 
   /// Adopts the element grid and derives every bitset from its cells
-  /// (O(N²), used at engine boundaries and in the differential tests).
+  /// (O(N²), used at engine boundaries and in the differential tests). The
+  /// bitboard holds the paper's three owners: a grid with any other owner
+  /// count throws CheckError.
   explicit BitPartition(Partition q);
 
   /// The element grid this state wraps.
   const Partition& grid() const { return grid_; }
 
   int n() const { return grid_.n(); }
+
+  /// Always the paper's three owners, fastest P: compile-time constants, so
+  /// the engine's per-owner loops on this state unroll as before.
+  static constexpr int owners() { return kNumProcs; }
+  static constexpr Proc fastest() { return Proc::P; }
 
   Proc at(int i, int j) const { return grid_.at(i, j); }
 

@@ -1,6 +1,7 @@
 #include "grid/builder.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,35 +9,52 @@
 
 namespace pushpart {
 
-Partition randomPartition(int n, const Ratio& ratio, Rng& rng) {
-  Partition q(n, Proc::P);
-  const auto counts = ratio.elementCounts(n);
-  for (Proc x : kSlowProcs) {
-    std::int64_t remaining = counts[static_cast<std::size_t>(procIndex(x))];
+namespace {
+
+/// Hands each slow owner of `q` (all cells still the fastest's) its count,
+/// in owner-id order.
+Partition scatter(Partition q, std::span<const std::int64_t> counts,
+                  Rng& rng) {
+  const int n = q.n();
+  const Proc fastest = q.fastest();
+  for (int x = 0; x + 1 < q.owners(); ++x) {
+    const Proc owner = procFromIndex(x);
+    std::int64_t remaining = counts[procSlot(owner)];
     // Paper §VI-A2: draw random (row, col) pairs; claim the cell if it still
-    // belongs to P. P always holds the plurality of cells (ratio assumption),
-    // so rejection stays cheap; still, fall back to a sweep when the tail of
-    // free cells gets sparse enough that rejection would thrash.
+    // belongs to the fastest owner. It always holds the plurality of cells
+    // (ratio assumption), so rejection stays cheap; still, fall back to a
+    // sweep when the tail of free cells gets sparse enough that rejection
+    // would thrash.
     std::int64_t attempts = 0;
     const std::int64_t attemptBudget = 20 * q.cellCount();
     while (remaining > 0 && attempts < attemptBudget) {
       ++attempts;
       const int i = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
       const int j = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-      if (q.at(i, j) == Proc::P) {
-        q.set(i, j, x);
+      if (q.at(i, j) == fastest) {
+        q.set(i, j, owner);
         --remaining;
       }
     }
     for (int i = 0; i < n && remaining > 0; ++i)
       for (int j = 0; j < n && remaining > 0; ++j)
-        if (q.at(i, j) == Proc::P) {
-          q.set(i, j, x);
+        if (q.at(i, j) == fastest) {
+          q.set(i, j, owner);
           --remaining;
         }
     PUSHPART_CHECK(remaining == 0);
   }
   return q;
+}
+
+}  // namespace
+
+Partition randomPartition(int n, const Ratio& ratio, Rng& rng) {
+  return scatter(Partition(n, Proc::P), ratio.elementCounts(n), rng);
+}
+
+Partition randomPartition(int n, const NSpeeds& speeds, Rng& rng) {
+  return scatter(Partition(n, speeds.owners()), speeds.elementCounts(n), rng);
 }
 
 Partition randomClusteredPartition(int n, const Ratio& ratio, Rng& rng) {

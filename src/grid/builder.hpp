@@ -15,6 +15,11 @@ namespace pushpart {
 /// its ratio share of elements.
 Partition randomPartition(int n, const Ratio& ratio, Rng& rng);
 
+/// The same scatter over speeds.owners() owners: the slow owners claim their
+/// counts in id order from the fastest owner's cells. At three owners it
+/// draws exactly what the Ratio overload draws.
+Partition randomPartition(int n, const NSpeeds& speeds, Rng& rng);
+
 /// Random start state where the slower processors receive *contiguous random
 /// rectangles-of-cells runs* instead of isolated cells. Covers a different
 /// corner of the start-state space (clustered rather than scattered q0);

@@ -55,6 +55,8 @@ class LineCounts {
   }
 
   int n() const { return n_; }
+  /// Always the paper's three owners.
+  static constexpr int owners() { return kNumProcs; }
 
   // --- The read-only counter API of Partition ----------------------------
 
@@ -82,9 +84,9 @@ class LineCounts {
 
   /// Volume of Communication, Eq. 1. O(N).
   std::int64_t volumeOfCommunication() const {
-    std::int64_t owners = 0;
-    for (int k = 0; k < n_; ++k) owners += procsInRow(k) + procsInCol(k);
-    return static_cast<std::int64_t>(n_) * (owners - 2 * n_);
+    std::int64_t lineOwners = 0;
+    for (int k = 0; k < n_; ++k) lineOwners += procsInRow(k) + procsInCol(k);
+    return static_cast<std::int64_t>(n_) * (lineOwners - 2 * n_);
   }
 
  private:

@@ -1,72 +1,82 @@
 #include "grid/partition.hpp"
 
-#include "support/check.hpp"
+#include "support/fnv.hpp"
 #include "support/scan.hpp"
 
 namespace pushpart {
 
-Partition::Partition(int n, Proc fill) : n_(n) {
+Partition::Partition(int n, Proc fill) : Partition(n, kNumProcs, fill) {}
+
+Partition::Partition(int n, int owners)
+    : Partition(n, owners, procFromIndex(owners - 1)) {}
+
+Partition::Partition(int n, int owners, Proc fill) : n_(n), owners_(owners) {
   PUSHPART_CHECK_MSG(n > 0, "Partition size must be positive, got " << n);
+  PUSHPART_CHECK_MSG(owners >= 2 && owners <= kMaxOwners,
+                     "a partition has 2.." << kMaxOwners << " owners, got "
+                                           << owners);
+  PUSHPART_CHECK(procIndex(fill) < owners);
   const auto nz = static_cast<std::size_t>(n);
+  const auto kz = static_cast<std::size_t>(owners);
   cells_.assign(nz * nz, fill);
-  for (int x = 0; x < kNumProcs; ++x) {
-    rowCnt_[static_cast<std::size_t>(x)].assign(nz, 0);
-    colCnt_[static_cast<std::size_t>(x)].assign(nz, 0);
+  for (std::size_t x = 0; x < kz; ++x) {
+    const std::int32_t fillCount = x == procSlot(fill) ? n : 0;
+    rowCnt_[x].assign(nz, fillCount);
+    colCnt_[x].assign(nz, fillCount);
   }
-  const auto fi = static_cast<std::size_t>(procIndex(fill));
-  rowCnt_[fi].assign(nz, n);
-  colCnt_[fi].assign(nz, n);
-  total_[fi] = static_cast<std::int64_t>(n) * n;
-  rowsUsed_[fi] = n;
-  colsUsed_[fi] = n;
+  owner_[procSlot(fill)] = {static_cast<std::int64_t>(n) * n, n, n};
   ci_.assign(nz, 1);
   cj_.assign(nz, 1);
   ciSum_ = n;
   cjSum_ = n;
-  rectDirty_.fill(true);
 }
 
 void Partition::set(int i, int j, Proc p) {
   PUSHPART_CHECK_MSG(i >= 0 && i < n_ && j >= 0 && j < n_,
                      "cell (" << i << "," << j << ") out of range for n=" << n_);
+  PUSHPART_CHECK_MSG(procIndex(p) < owners_, "owner " << procIndex(p)
+                                                      << " out of range for "
+                                                      << owners_ << " owners");
   const std::size_t idx = index(i, j);
   const Proc old = cells_[idx];
   if (old == p) return;
   cells_[idx] = p;
 
-  const auto oi = static_cast<std::size_t>(procIndex(old));
-  const auto pi = static_cast<std::size_t>(procIndex(p));
+  const std::size_t oi = procSlot(old);
+  const std::size_t pi = procSlot(p);
+  OwnerTotals& from = owner_[oi];
+  OwnerTotals& to = owner_[pi];
   const auto iz = static_cast<std::size_t>(i);
   const auto jz = static_cast<std::size_t>(j);
 
   // Row counters for the departing processor.
   if (--rowCnt_[oi][iz] == 0) {
-    --rowsUsed_[oi];
+    --from.rowsUsed;
     --ci_[iz];
     --ciSum_;
   }
   if (--colCnt_[oi][jz] == 0) {
-    --colsUsed_[oi];
+    --from.colsUsed;
     --cj_[jz];
     --cjSum_;
   }
-  --total_[oi];
+  --from.total;
 
   // Row counters for the arriving processor.
   if (rowCnt_[pi][iz]++ == 0) {
-    ++rowsUsed_[pi];
+    ++to.rowsUsed;
     ++ci_[iz];
     ++ciSum_;
   }
   if (colCnt_[pi][jz]++ == 0) {
-    ++colsUsed_[pi];
+    ++to.colsUsed;
     ++cj_[jz];
     ++cjSum_;
   }
-  ++total_[pi];
+  ++to.total;
 
-  rectDirty_[oi] = true;
-  rectDirty_[pi] = true;
+  rect_[oi].dirty = true;
+  rect_[pi].dirty = true;
 }
 
 void Partition::swapCells(int i1, int j1, int i2, int j2) {
@@ -85,84 +95,82 @@ std::int64_t Partition::volumeOfCommunication() const {
 }
 
 const Rect& Partition::enclosingRect(Proc p) const {
-  const auto pi = static_cast<std::size_t>(procIndex(p));
-  if (rectDirty_[pi]) recomputeRect(p);
-  return rect_[pi];
+  RectCache& cache = rect_[procSlot(p)];
+  if (cache.dirty) recomputeRect(p);
+  return cache.rect;
 }
 
 void Partition::recomputeRect(Proc p) const {
-  const auto pi = static_cast<std::size_t>(procIndex(p));
-  rectDirty_[pi] = false;
-  if (total_[pi] == 0) {
-    rect_[pi] = Rect::empty();
+  RectCache& cache = rect_[procSlot(p)];
+  cache.dirty = false;
+  if (count(p) == 0) {
+    cache.rect = Rect::empty();
     return;
   }
-  // total_ > 0 here, so the scans cannot come back empty.
-  const auto& rows = rowCnt_[pi];
-  const auto& cols = colCnt_[pi];
+  // count(p) > 0 here, so the scans cannot come back empty.
+  const auto& rows = rowCnt_[procSlot(p)];
+  const auto& cols = colCnt_[procSlot(p)];
   const int top = static_cast<int>(firstNonZero(rows));
   const int bottom = static_cast<int>(lastNonZero(rows));
   const int left = static_cast<int>(firstNonZero(cols));
   const int right = static_cast<int>(lastNonZero(cols));
-  rect_[pi] = Rect{top, bottom + 1, left, right + 1};
+  cache.rect = Rect{top, bottom + 1, left, right + 1};
 }
 
 std::uint64_t Partition::hash() const {
-  // FNV-1a over the raw cell bytes; collisions only risk a premature cycle
-  // verdict in the DFA, never a correctness violation.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (Proc c : cells_) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  // Collisions only risk a premature cycle verdict in the DFA, never a
+  // correctness violation.
+  return fnv1a(std::as_bytes(std::span(cells_)));
 }
 
 void Partition::validateCounters() const {
-  std::array<std::vector<std::int32_t>, kNumProcs> rowCnt, colCnt;
   const auto nz = static_cast<std::size_t>(n_);
-  for (auto& v : rowCnt) v.assign(nz, 0);
-  for (auto& v : colCnt) v.assign(nz, 0);
-  std::array<std::int64_t, kNumProcs> total{};
+  const auto kz = static_cast<std::size_t>(owners_);
+  const std::vector<std::int32_t> zeros(nz, 0);
+  std::vector<std::vector<std::int32_t>> rowCnt(kz, zeros), colCnt(kz, zeros);
+  std::vector<std::int64_t> total(kz, 0);
   for (int i = 0; i < n_; ++i)
     for (int j = 0; j < n_; ++j) {
-      const auto x = static_cast<std::size_t>(procIndex(at(i, j)));
-      ++rowCnt[x][static_cast<std::size_t>(i)];
-      ++colCnt[x][static_cast<std::size_t>(j)];
-      ++total[x];
+      const Proc x = at(i, j);
+      PUSHPART_CHECK_MSG(procIndex(x) < owners_,
+                         "cell (" << i << "," << j << ") has owner "
+                                  << procIndex(x));
+      ++rowCnt[procSlot(x)][static_cast<std::size_t>(i)];
+      ++colCnt[procSlot(x)][static_cast<std::size_t>(j)];
+      ++total[procSlot(x)];
     }
 
   std::int64_t ciSum = 0, cjSum = 0;
-  for (int i = 0; i < n_; ++i) {
+  for (std::size_t i = 0; i < nz; ++i) {
     int ci = 0, cj = 0;
-    for (int x = 0; x < kNumProcs; ++x) {
-      const auto xz = static_cast<std::size_t>(x);
-      const auto iz = static_cast<std::size_t>(i);
-      PUSHPART_CHECK_MSG(rowCnt[xz][iz] == rowCnt_[xz][iz],
+    for (std::size_t x = 0; x < kz; ++x) {
+      PUSHPART_CHECK_MSG(rowCnt[x][i] == rowCnt_[x][i],
                          "rowCnt mismatch proc=" << x << " row=" << i);
-      PUSHPART_CHECK_MSG(colCnt[xz][iz] == colCnt_[xz][iz],
+      PUSHPART_CHECK_MSG(colCnt[x][i] == colCnt_[x][i],
                          "colCnt mismatch proc=" << x << " col=" << i);
-      if (rowCnt[xz][iz] > 0) ++ci;
-      if (colCnt[xz][iz] > 0) ++cj;
+      if (rowCnt[x][i] > 0) ++ci;
+      if (colCnt[x][i] > 0) ++cj;
     }
-    PUSHPART_CHECK_MSG(ci == procsInRow(i), "c_i mismatch at row " << i);
-    PUSHPART_CHECK_MSG(cj == procsInCol(i), "c_j mismatch at col " << i);
+    PUSHPART_CHECK_MSG(ci == ci_[i], "c_i mismatch at row " << i);
+    PUSHPART_CHECK_MSG(cj == cj_[i], "c_j mismatch at col " << i);
     ciSum += ci;
     cjSum += cj;
   }
   PUSHPART_CHECK(ciSum == ciSum_);
   PUSHPART_CHECK(cjSum == cjSum_);
 
-  for (int x = 0; x < kNumProcs; ++x) {
-    const auto xz = static_cast<std::size_t>(x);
-    PUSHPART_CHECK_MSG(total[xz] == total_[xz], "total mismatch proc=" << x);
+  for (std::size_t x = 0; x < kz; ++x) {
+    PUSHPART_CHECK_MSG(total[x] == owner_[x].total,
+                       "total mismatch proc=" << x);
     int rowsUsed = 0, colsUsed = 0;
     for (std::size_t i = 0; i < nz; ++i) {
-      if (rowCnt[xz][i] > 0) ++rowsUsed;
-      if (colCnt[xz][i] > 0) ++colsUsed;
+      if (rowCnt[x][i] > 0) ++rowsUsed;
+      if (colCnt[x][i] > 0) ++colsUsed;
     }
-    PUSHPART_CHECK_MSG(rowsUsed == rowsUsed_[xz], "rowsUsed mismatch proc=" << x);
-    PUSHPART_CHECK_MSG(colsUsed == colsUsed_[xz], "colsUsed mismatch proc=" << x);
+    PUSHPART_CHECK_MSG(rowsUsed == owner_[x].rowsUsed,
+                       "rowsUsed mismatch proc=" << x);
+    PUSHPART_CHECK_MSG(colsUsed == owner_[x].colsUsed,
+                       "colsUsed mismatch proc=" << x);
   }
 }
 

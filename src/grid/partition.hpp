@@ -11,7 +11,14 @@
 //     the Volume of Communication (Eq. 1) is an O(1) query,
 //   * lazily-recomputed enclosing rectangles.
 //
-// Every mutation is O(1); a full VoC recompute would be O(N·kNumProcs). The
+// The grid has an owner count: the paper's three processors by default, or
+// any k ∈ [2, kMaxOwners] for the paper's §XI direction, with the owner ids
+// of grid/proc.hpp (slow owners 0..k−2, the fastest k−1). The push engine
+// and the DFA walk read the owners and the fastest owner from the state;
+// the three-processor pipeline (models, plans, executors, the simulator,
+// the serializer) refuses any other count at entry (requireThreeOwners).
+//
+// Every mutation is O(1); a full VoC recompute would be O(N·owners). The
 // DFA search performs millions of cell moves per run, which is why the
 // counters are incremental (see bench/micro_push for the measured gap).
 #pragma once
@@ -22,24 +29,35 @@
 
 #include "grid/proc.hpp"
 #include "grid/rect.hpp"
+#include "support/check.hpp"
 
 namespace pushpart {
 
 class Partition {
  public:
-  /// N×N grid with every cell assigned to `fill` (default: the fastest
-  /// processor P, matching the paper's q0 initialisation, §VI-A2).
+  /// N×N grid over the paper's three processors with every cell assigned to
+  /// `fill` (default: the fastest processor P, matching the paper's q0
+  /// initialisation, §VI-A2).
   explicit Partition(int n, Proc fill = Proc::P);
+
+  /// N×N grid over `owners` owners with every cell assigned to the fastest,
+  /// owners − 1. Throws CheckError unless owners ∈ [2, kMaxOwners].
+  Partition(int n, int owners);
 
   int n() const { return n_; }
   std::int64_t cellCount() const {
     return static_cast<std::int64_t>(n_) * n_;
   }
 
+  /// Number of owners k; owner ids are 0..k−1.
+  int owners() const { return owners_; }
+  /// The fastest owner, k − 1 (P at three owners): never pushed.
+  Proc fastest() const { return procFromIndex(owners_ - 1); }
+
   /// Owner of cell (i, j).
   Proc at(int i, int j) const { return cells_[index(i, j)]; }
 
-  /// Reassigns cell (i, j) to processor `p`, updating all counters.
+  /// Reassigns cell (i, j) to owner `p`, updating all counters.
   void set(int i, int j, Proc p);
 
   /// Swaps the owners of two cells (no-op if they already match).
@@ -59,12 +77,12 @@ class Partition {
   bool colHas(Proc p, int j) const { return colCount(p, j) > 0; }
 
   /// Total elements assigned to p (∈X in the paper).
-  std::int64_t count(Proc p) const { return total_[procSlot(p)]; }
+  std::int64_t count(Proc p) const { return owner_[procSlot(p)].total; }
 
   /// i_X — number of rows containing at least one element of p (Eq. 6).
-  int rowsUsed(Proc p) const { return rowsUsed_[procSlot(p)]; }
+  int rowsUsed(Proc p) const { return owner_[procSlot(p)].rowsUsed; }
   /// j_X — number of columns containing at least one element of p (Eq. 6).
-  int colsUsed(Proc p) const { return colsUsed_[procSlot(p)]; }
+  int colsUsed(Proc p) const { return owner_[procSlot(p)].colsUsed; }
 
   /// c_i — number of distinct processors owning elements in row i (Eq. 1).
   int procsInRow(int i) const { return ci_[static_cast<std::size_t>(i)]; }
@@ -82,11 +100,11 @@ class Partition {
 
   // --- Identity ----------------------------------------------------------
 
-  /// 64-bit FNV-1a over the cell grid; used for cycle detection in the DFA.
+  /// 64-bit FNV-1a over the cell bytes; used for cycle detection in the DFA.
   std::uint64_t hash() const;
 
   bool operator==(const Partition& o) const {
-    return n_ == o.n_ && cells_ == o.cells_;
+    return n_ == o.n_ && owners_ == o.owners_ && cells_ == o.cells_;
   }
 
   /// Full O(N²) recomputation of every counter, for validation in tests.
@@ -94,30 +112,51 @@ class Partition {
   void validateCounters() const;
 
  private:
+  Partition(int n, int owners, Proc fill);
+
   std::size_t index(int i, int j) const {
     return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
            static_cast<std::size_t>(j);
   }
   void recomputeRect(Proc p) const;
 
+  struct OwnerTotals {
+    std::int64_t total = 0;
+    std::int32_t rowsUsed = 0;
+    std::int32_t colsUsed = 0;
+  };
+  struct RectCache {
+    Rect rect;
+    bool dirty = true;
+  };
+
   int n_;
+  int owners_;
   std::vector<Proc> cells_;
 
-  // Incremental counters. rowCnt_[x][i] = #elements of processor x in row i.
-  std::array<std::vector<std::int32_t>, kNumProcs> rowCnt_;
-  std::array<std::vector<std::int32_t>, kNumProcs> colCnt_;
-  std::array<std::int64_t, kNumProcs> total_{};
-  std::array<std::int32_t, kNumProcs> rowsUsed_{};
-  std::array<std::int32_t, kNumProcs> colsUsed_{};
+  // Incremental counters, one slot per owner up to kMaxOwners (the first
+  // owners_ are used, so a three-owner grid reads its counters exactly as
+  // fixed three-slot arrays would). rowCnt_[x][i] = #elements of x in row i.
+  std::array<std::vector<std::int32_t>, kMaxOwners> rowCnt_;
+  std::array<std::vector<std::int32_t>, kMaxOwners> colCnt_;
+  std::array<OwnerTotals, kMaxOwners> owner_{};
 
   // c_i / c_j per line plus running sums for O(1) VoC.
   std::vector<std::int8_t> ci_, cj_;
   std::int64_t ciSum_ = 0;
   std::int64_t cjSum_ = 0;
 
-  // Lazily maintained enclosing rectangles.
-  mutable std::array<Rect, kNumProcs> rect_{};
-  mutable std::array<bool, kNumProcs> rectDirty_{};
+  // Lazily maintained enclosing rectangles, one per owner.
+  mutable std::array<RectCache, kMaxOwners> rect_{};
 };
+
+/// Refuses a state with other than the paper's three owners: the
+/// three-processor pipeline calls this at entry. Throws CheckError.
+template <typename Q>
+void requireThreeOwners(const Q& q) {
+  PUSHPART_CHECK_MSG(q.owners() == kNumProcs,
+                     "the three-processor pipeline needs a three-owner "
+                     "partition, got " << q.owners() << " owners");
+}
 
 }  // namespace pushpart

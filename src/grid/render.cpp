@@ -9,14 +9,15 @@
 namespace pushpart {
 
 namespace {
-char glyph(Proc p) {
-  switch (p) {
-    case Proc::P: return '.';
-    case Proc::R: return 'r';
-    case Proc::S: return 'S';
-  }
-  return '?';
+
+char glyph(const Partition& q, Proc p) {
+  if (p == q.fastest()) return '.';
+  if (q.owners() == kNumProcs) return p == Proc::R ? 'r' : 'S';
+  static constexpr char kSlow[] =
+      "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz#";
+  return kSlow[procSlot(p)];
 }
+
 }  // namespace
 
 std::string renderAscii(const Partition& q, int maxCells) {
@@ -32,20 +33,19 @@ std::string renderAscii(const Partition& q, int maxCells) {
     for (int bj = 0; bj < blocks; ++bj) {
       const int j0 = bj * n / blocks;
       const int j1 = (bj + 1) * n / blocks;
-      std::array<std::int64_t, kNumProcs> tally{};
+      std::array<std::int64_t, kMaxOwners> tally{};
       for (int i = i0; i < i1; ++i)
-        for (int j = j0; j < j1; ++j)
-          ++tally[static_cast<std::size_t>(procIndex(q.at(i, j)))];
-      Proc best = Proc::P;
+        for (int j = j0; j < j1; ++j) ++tally[procSlot(q.at(i, j))];
+      Proc best = q.fastest();
       std::int64_t bestCount = -1;
-      for (Proc x : kAllProcs) {
-        const auto c = tally[static_cast<std::size_t>(procIndex(x))];
+      for (int x = 0; x < q.owners(); ++x) {
+        const auto c = tally[static_cast<std::size_t>(x)];
         if (c > bestCount) {
           bestCount = c;
-          best = x;
+          best = procFromIndex(x);
         }
       }
-      out += glyph(best);
+      out += glyph(q, best);
     }
     out += '\n';
   }
@@ -55,9 +55,15 @@ std::string renderAscii(const Partition& q, int maxCells) {
 std::string summaryLine(const Partition& q) {
   std::ostringstream os;
   os << "n=" << q.n() << " VoC=" << q.volumeOfCommunication();
-  for (Proc x : kAllProcs) {
-    os << ' ' << procName(x) << ":" << q.count(x) << " (rows " << q.rowsUsed(x)
-       << ", cols " << q.colsUsed(x) << ")";
+  for (int x = 0; x < q.owners(); ++x) {
+    const Proc p = procFromIndex(x);
+    os << ' ';
+    if (q.owners() == kNumProcs)
+      os << procName(p);
+    else
+      os << x;
+    os << ":" << q.count(p) << " (rows " << q.rowsUsed(p) << ", cols "
+       << q.colsUsed(p) << ")";
   }
   return os.str();
 }

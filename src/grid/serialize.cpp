@@ -9,6 +9,7 @@
 namespace pushpart {
 
 void savePartition(const Partition& q, std::ostream& os) {
+  requireThreeOwners(q);
   os << "pushpart-partition v1\n";
   os << "n " << q.n() << '\n';
   os << toAscii(q) << '\n';

@@ -16,7 +16,8 @@
 
 namespace pushpart {
 
-/// Writes the v1 text format.
+/// Writes the v1 text format, which holds the paper's three owners only:
+/// throws CheckError for any other owner count.
 void savePartition(const Partition& q, std::ostream& os);
 void savePartition(const Partition& q, const std::string& path);
 

@@ -54,6 +54,7 @@ double commSeconds(Algo algo, const Partition& q, const Machine& machine,
 
 ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
                            int blockSize, Topology topology, StarConfig star) {
+  requireThreeOwners(q);
   PUSHPART_CHECK_MSG(blockSize >= 1, "PIO block size must be positive");
   PUSHPART_CHECK_MSG(machine.ratio.valid(),
                      "invalid machine ratio " << machine.ratio.str());

@@ -98,6 +98,7 @@ template <typename Q>
 ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
                       Topology topology = Topology::kFullyConnected,
                       StarConfig star = {}) {
+  requireThreeOwners(q);
   PUSHPART_CHECK_MSG(machine.ratio.valid(),
                      "invalid machine ratio " << machine.ratio.str());
   const int n = q.n();

@@ -8,6 +8,7 @@ namespace pushpart {
 
 std::vector<PivotTransfers> buildElementPlanRange(const Partition& q,
                                                   int firstPivot) {
+  requireThreeOwners(q);
   const int n = q.n();
   PUSHPART_CHECK_MSG(firstPivot >= 0 && firstPivot <= n,
                      "firstPivot " << firstPivot << " outside [0, " << n
@@ -82,6 +83,7 @@ std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> rangeVolumes(
 bool verifyElementPlanRange(const Partition& q,
                             const std::vector<PivotTransfers>& plan,
                             int firstPivot) {
+  requireThreeOwners(q);
   const int n = q.n();
   if (firstPivot < 0 || firstPivot > n) return false;
   if (static_cast<int>(plan.size()) != n - firstPivot) return false;

@@ -90,6 +90,7 @@ Partition greedyCandidate(const Partition& q,
 
 RebalanceResult rebalanceOnDeath(const Partition& q, Proc dead,
                                  const Ratio& ratio, int fromPivot) {
+  requireThreeOwners(q);
   PUSHPART_CHECK_MSG(ratio.valid(), "invalid speed ratio " << ratio.str());
   PUSHPART_CHECK_MSG(fromPivot >= 0 && fromPivot <= q.n(),
                      "fromPivot " << fromPivot << " outside [0, " << q.n()

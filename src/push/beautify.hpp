@@ -26,10 +26,10 @@ struct BeautifyResult {
   std::int64_t vocAfter = 0;
 };
 
-/// Applies pushes of every type in every direction for R and S until none
-/// applies, interleaved with VoC-guarded region compaction (see
-/// compactRegion). Never increases VoC; always terminates (rect-area
-/// potential plus compaction idempotence).
+/// Applies pushes of every type in every direction for every slow owner (R
+/// and S at three owners) until none applies, interleaved with VoC-guarded
+/// region compaction (see compactRegion). Never increases VoC; always
+/// terminates (rect-area potential plus compaction idempotence).
 BeautifyResult beautify(Partition& q);
 BeautifyResult beautify(BitPartition& q);
 
@@ -47,7 +47,7 @@ bool compactRegion(Partition& q, Proc x);
 bool compactRegion(BitPartition& q, Proc x);
 
 /// True when no push (of any type, including VoC-preserving Types Five/Six)
-/// applies to either slow processor in any direction — the paper's "fully
+/// applies to any slow owner in any direction — the paper's "fully
 /// condensed" end condition over the unrestricted direction set.
 bool fullyCondensed(const Partition& q);
 bool fullyCondensed(const BitPartition& q);

@@ -7,10 +7,13 @@
 //   * Partition (src/grid)    — the element-exact reference,
 //   * BitPartition (src/grid) — the same grid plus per-owner line bitsets.
 //
-// Both expose the same occupancy/counter API, so the engine's *decisions*
-// (which destination each edge element takes, which type fires, the exact
-// cell exchanges) are identical by construction; the differential suites in
-// src/verify and tests/bits enforce that. The grid walks the reference cell
+// Both expose the same occupancy/counter API, including the owner count and
+// the fastest owner (never pushed, never held to its rectangle): the grid
+// carries any k ∈ [2, kMaxOwners] owners, the bitboard the paper's three as
+// compile-time constants. So at three owners the engine's *decisions* (which
+// destination each edge element takes, which type fires, the exact cell
+// exchanges) are identical on both by construction; the differential suites
+// in src/verify and tests/bits enforce that. The grid walks the reference cell
 // scan (attemptType), writing each attempt through an undo log and rolling
 // back what fails or the VoC guard rejects. States that expose owner bits
 // (HasOwnerBits) instead plan each attempt without writing (planType): the
@@ -33,6 +36,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -119,15 +123,24 @@ int firstBitIn(int from, int to, WordFn word) {
   return hit;
 }
 
+/// Per-owner scratch for the transactional guards, on the stack: the
+/// bitboard's three owners, or the grid's kMaxOwners.
+template <typename Q>
+inline constexpr std::size_t kOwnerSlots =
+    HasOwnerBits<Q> ? std::size_t{kNumProcs} : std::size_t{kMaxOwners};
+
+template <typename Q>
+using OwnerRects = std::array<Rect, kOwnerSlots<std::remove_const_t<Q>>>;
+
 /// Attempts the edge-clean under one type's predicates, appending all
 /// mutations to `log`. Returns the number of elements moved, or std::nullopt
 /// when some edge element found no legal destination (caller must roll back
-/// `log`). This is the element-exact reference walk; bitboard states plan
-/// the same walk read-only (planType below).
+/// `log`). This is the element-exact reference walk, for any owner count;
+/// bitboard states plan the same walk read-only (planType below).
 template <typename Q>
 std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
                                const TypeRule& rule,
-                               const std::array<Rect, kNumProcs>& rectBefore,
+                               const OwnerRects<Q>& rectBefore,
                                std::vector<CellUndo>& log) {
   const Rect r = view.rect(active);
   // The active processor needs interior rows to move into; a single-row
@@ -167,15 +180,9 @@ std::optional<int> attemptType(OrientedView<Q>& view, Proc active,
             // enclosing rectangle guarantees no rectangle grows (§IV-A
             // precondition). Presence in row k and column c already implies
             // containment, so this only bites for the laxer owner rules.
-            // The fastest processor P is exempt: its rectangle plays no role
-            // in VoC or in future pushes, and holding it to the letter of
-            // §IV-A creates artificial fixed points (a solid band with
-            // ragged edges whose improving push would hand P a cell below
-            // P's current box — see DESIGN.md deviation 6). The
-            // transactional VoC guard in tryPushState subsumes the rule's
-            // purpose.
-            (owner == Proc::P ||
-             rectBefore[procSlot(owner)].contains(k, c))) {
+            // The fastest owner (P) is exempt: logicalRects gives it the
+            // whole grid.
+            rectBefore[procSlot(owner)].contains(k, c)) {
           view.set(k, c, owner, log);
           view.set(g, h, active, log);
           found = true;
@@ -206,9 +213,11 @@ struct PlannedMove {
 };
 
 /// A push attempt planned on a bitboard state without writing it: the moves
-/// in the reference walk's order and the VoC they lead to. The vectors below
-/// the moves are the planner's working buffers, kept between attempts so
-/// that an attempt allocates nothing once they have grown.
+/// in the reference walk's order and the VoC they lead to. The bitboard holds
+/// the paper's three owners, so the planner's per-owner arrays are fixed at
+/// three and P is its fastest owner. The vectors below the moves are the
+/// planner's working buffers, kept between attempts so that an attempt
+/// allocates nothing once they have grown.
 struct PushPlan {
   int edge = 0;  ///< Logical row being cleaned.
   std::vector<PlannedMove> moves;
@@ -298,8 +307,8 @@ std::int64_t planVoC(const OrientedView<Q>& view, Proc active,
 template <typename Q>
   requires HasOwnerBits<Q>
 bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
-              const std::array<Rect, kNumProcs>& rectBefore,
-              std::int64_t vocBefore, PushPlan& plan) {
+              const OwnerRects<Q>& rectBefore, std::int64_t vocBefore,
+              PushPlan& plan) {
   plan.moves.clear();
   const Rect r = rectBefore[procSlot(active)];
   if (r.isEmpty() || r.height() < 2) return false;
@@ -340,7 +349,7 @@ bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
       if (owner != active &&
           meets(rule.ownerPresence, inEdgeRow[procSlot(owner)],
                 view.colCount(owner, c) + sourceDelta[procSlot(owner)] > 0) &&
-          (owner == Proc::P || rectBefore[procSlot(owner)].contains(k, c)))
+          rectBefore[procSlot(owner)].contains(k, c))
         admitted[numAdmitted++] = owner;
     if (numAdmitted == 0) {  // no cell can qualify
       complete = false;
@@ -420,11 +429,20 @@ inline bool vocAccepted(const TypeRule& rule, std::int64_t vocBefore,
   return rule.strictImprovement ? vocAfter < vocBefore : vocAfter <= vocBefore;
 }
 
-/// Every processor's enclosing rectangle in the view's logical coordinates.
+/// The rectangles the guards hold each owner to, in the view's logical
+/// coordinates: every slow owner's enclosing rectangle, and the whole grid
+/// for the fastest. The fastest owner's rectangle plays no role in VoC or
+/// in future pushes, and holding it to the letter of §IV-A creates
+/// artificial fixed points (a solid band with ragged edges whose improving
+/// push would hand P a cell below P's current box — see DESIGN.md
+/// deviation 6); the transactional VoC guard subsumes the rule's purpose.
 template <typename Q>
-std::array<Rect, kNumProcs> logicalRects(const OrientedView<Q>& view) {
-  std::array<Rect, kNumProcs> rects;
-  for (Proc x : kAllProcs) rects[procSlot(x)] = view.rect(x);
+OwnerRects<Q> logicalRects(const OrientedView<Q>& view) {
+  OwnerRects<Q> rects;
+  const auto& q = view.partition();
+  for (int x = 0; x + 1 < q.owners(); ++x)
+    rects[static_cast<std::size_t>(x)] = view.rect(procFromIndex(x));
+  rects[procSlot(q.fastest())] = Rect{0, q.n(), 0, q.n()};
   return rects;
 }
 
@@ -433,7 +451,7 @@ std::array<Rect, kNumProcs> logicalRects(const OrientedView<Q>& view) {
 template <typename Q>
   requires HasOwnerBits<Q>
 std::optional<PushType> planPush(const OrientedView<Q>& view, Proc active,
-                                 const std::array<Rect, kNumProcs>& rectBefore,
+                                 const OwnerRects<Q>& rectBefore,
                                  std::int64_t vocBefore,
                                  const PushOptions& options, PushPlan& plan) {
   for (PushType type : kAllPushTypes) {
@@ -446,6 +464,18 @@ std::optional<PushType> planPush(const OrientedView<Q>& view, Proc active,
   return std::nullopt;
 }
 
+/// Refuses an active processor that is not a slow owner of q: the fastest
+/// owner is never pushed (paper §VI-C), and ids past the owner count do not
+/// exist.
+template <typename Q>
+void checkActive(const Q& q, Proc active) {
+  PUSHPART_CHECK_MSG(procIndex(active) < q.owners() - 1,
+                     "active processor " << procIndex(active)
+                                         << " is not a slow owner of "
+                                         << q.owners()
+                                         << " (the fastest is never pushed)");
+}
+
 }  // namespace engine_detail
 
 /// tryPush over any engine state (see push.hpp for the contract). The grid
@@ -455,8 +485,7 @@ std::optional<PushType> planPush(const OrientedView<Q>& view, Proc active,
 template <typename Q>
 PushOutcome tryPushState(Q& q, Proc active, Direction dir,
                          const PushOptions& options = {}) {
-  PUSHPART_CHECK_MSG(active != Proc::P,
-                     "the fastest processor P is never the active processor");
+  engine_detail::checkActive(q, active);
   PushOutcome out;
   out.direction = dir;
   out.active = active;
@@ -467,10 +496,11 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
 
   // Snapshot logical enclosing rectangles and counts for the transactional
   // guards.
-  const std::array<Rect, kNumProcs> rectBefore =
+  const engine_detail::OwnerRects<Q> rectBefore =
       engine_detail::logicalRects(view);
-  std::array<std::int64_t, kNumProcs> countBefore{};
-  for (Proc x : kAllProcs) countBefore[procSlot(x)] = q.count(x);
+  std::array<std::int64_t, engine_detail::kOwnerSlots<Q>> countBefore{};
+  for (int x = 0; x < q.owners(); ++x)
+    countBefore[static_cast<std::size_t>(x)] = q.count(procFromIndex(x));
 
   if constexpr (HasOwnerBits<Q>) {
     engine_detail::PushPlan& plan = engine_detail::threadPlan();
@@ -517,13 +547,13 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
     if (!accepted) return out;
   }
 
-  for (Proc x : kAllProcs) {
-    // P's rectangle is unconstrained (see the finder comment above).
-    PUSHPART_CHECK_MSG(
-        x == Proc::P || rectBefore[procSlot(x)].contains(view.rect(x)),
-        "push enlarged the enclosing rectangle of " << procName(x));
+  for (int i = 0; i < q.owners(); ++i) {
+    const Proc x = procFromIndex(i);
+    // The fastest owner's rectangle is unconstrained (logicalRects).
+    PUSHPART_CHECK_MSG(rectBefore[procSlot(x)].contains(view.rect(x)),
+                       "push enlarged the enclosing rectangle of owner " << i);
     PUSHPART_CHECK_MSG(q.count(x) == countBefore[procSlot(x)],
-                       "push changed the element count of " << procName(x));
+                       "push changed the element count of owner " << i);
   }
   out.applied = true;
   return out;
@@ -537,8 +567,7 @@ bool pushAvailableState(const Q& q, Proc active,
                         std::span<const Direction> dirs,
                         const PushOptions& options = {}) {
   if constexpr (HasOwnerBits<Q>) {
-    PUSHPART_CHECK_MSG(active != Proc::P,
-                       "the fastest processor P is never the active processor");
+    engine_detail::checkActive(q, active);
     engine_detail::PushPlan& plan = engine_detail::threadPlan();
     const std::int64_t voc = q.volumeOfCommunication();
     for (Direction d : dirs) {
@@ -578,12 +607,12 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
       const Proc owner = q.at(i, j);
       const bool isX = owner == x;
       if (targetIsX(i, j) && !isX) {
-        // Only holes owned by the fastest processor P may be swapped out.
-        // Claiming the other slow processor's cells would let the R and S
+        // Only holes owned by the fastest owner P may be swapped out.
+        // Claiming another slow owner's cells would let the R and S
         // compactions displace each other back and forth at equal VoC —
         // a livelock. With P-only holes, each compaction is idempotent and
-        // cannot disturb the other slow processor's region.
-        if (owner != Proc::P) return false;
+        // cannot disturb another slow owner's region.
+        if (owner != q.fastest()) return false;
         gain.push_back({i, j});
       } else if (!targetIsX(i, j) && isX) {
         release.push_back({i, j});
@@ -593,8 +622,11 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
   PUSHPART_CHECK(gain.size() == release.size());
 
   const std::int64_t vocBefore = q.volumeOfCommunication();
-  std::array<Rect, kNumProcs> rectBefore;
-  for (Proc p : kAllProcs) rectBefore[procSlot(p)] = q.enclosingRect(p);
+  const int slowOwners = q.owners() - 1;
+  std::array<Rect, kOwnerSlots<Q>> rectBefore;
+  for (int s = 0; s < slowOwners; ++s)
+    rectBefore[static_cast<std::size_t>(s)] =
+        q.enclosingRect(procFromIndex(s));
 
   std::vector<Proc> displaced;
   displaced.reserve(gain.size());
@@ -606,14 +638,14 @@ bool tryCompactLayout(Q& q, Proc x, const Rect& rect, RankFn rank) {
     q.set(release[k].first, release[k].second, displaced[k]);
 
   bool ok = q.volumeOfCommunication() <= vocBefore;
-  // Only the slow processors' rectangles are constrained: they drive future
+  // Only the slow owners' rectangles are constrained: they drive future
   // pushes and the archetype classification. P's enclosing rectangle is free
   // to change — it plays no role in VoC, and the paper's own Thm 8.2
   // transformations reshape enclosing rectangles as long as communication
   // does not increase.
-  for (Proc p : kSlowProcs) {
-    const Rect after = q.enclosingRect(p);
-    ok = ok && rectBefore[procSlot(p)].contains(after);
+  for (int s = 0; s < slowOwners; ++s) {
+    const Rect after = q.enclosingRect(procFromIndex(s));
+    ok = ok && rectBefore[static_cast<std::size_t>(s)].contains(after);
   }
   if (!ok) {
     for (std::size_t k = 0; k < release.size(); ++k)
@@ -645,13 +677,15 @@ bool compactRegionState(Q& q, Proc x) {
   const int cb = rect.colBegin, ce = rect.colEnd;
 
   // Coverage-aware lane ordering. The re-layout's partial line hands its
-  // leftover cells to P; if such a cell lands in a column (row, for the
-  // column-major fills) where P appears nowhere outside this rectangle, that
-  // line gains a third owner and VoC rises — the guard would reject a
-  // re-layout the region actually admits. Ranking lanes so that the ones P
-  // cannot otherwise cover are filled FIRST keeps the vacated cells in
-  // P-covered lanes. With full P coverage the order degenerates to the
-  // identity, so this subsumes the plain left-to-right fills.
+  // leftover cells to P (the fastest owner); if such a cell lands in a
+  // column (row, for the column-major fills) where P appears nowhere outside
+  // this rectangle, that line gains a third owner and VoC rises — the guard
+  // would reject a re-layout the region actually admits. Ranking lanes so
+  // that the ones P cannot otherwise cover are filled FIRST keeps the
+  // vacated cells in P-covered lanes. With full P coverage the order
+  // degenerates to the identity, so this subsumes the plain left-to-right
+  // fills.
+  const Proc fastest = q.fastest();
   std::vector<std::int64_t> colPos(static_cast<std::size_t>(rect.width()));
   std::vector<std::int64_t> rowPos(static_cast<std::size_t>(rect.height()));
   {
@@ -659,7 +693,7 @@ bool compactRegionState(Q& q, Proc x) {
     std::vector<int> pInRectRow(static_cast<std::size_t>(rect.height()), 0);
     for (int i = rb; i < re; ++i)
       for (int j = cb; j < ce; ++j)
-        if (q.at(i, j) == Proc::P) {
+        if (q.at(i, j) == fastest) {
           ++pInRectCol[static_cast<std::size_t>(j - cb)];
           ++pInRectRow[static_cast<std::size_t>(i - rb)];
         }
@@ -673,11 +707,11 @@ bool compactRegionState(Q& q, Proc x) {
     };
     assignPositions(colPos, [&](std::size_t lane) {
       const int j = cb + static_cast<int>(lane);
-      return q.colCount(Proc::P, j) - pInRectCol[lane] == 0;
+      return q.colCount(fastest, j) - pInRectCol[lane] == 0;
     });
     assignPositions(rowPos, [&](std::size_t lane) {
       const int i = rb + static_cast<int>(lane);
-      return q.rowCount(Proc::P, i) - pInRectRow[lane] == 0;
+      return q.rowCount(fastest, i) - pInRectRow[lane] == 0;
     });
   }
 
@@ -753,23 +787,23 @@ BeautifyResult beautifyState(Q& q) {
   // and Six: termination is guaranteed because every applied push strictly
   // shrinks the active processor's enclosing-rectangle area (its edge row is
   // cleaned and destinations lie strictly inside) while no other rectangle
-  // may grow, so Σ rectArea(R) + rectArea(S) is a strictly decreasing
+  // may grow, so the slow owners' Σ rectArea is a strictly decreasing
   // non-negative potential. Compaction keeps rectangles fixed and is
   // idempotent at a fixed state, so interleaving it cannot produce cycles.
   std::unordered_set<std::uint64_t> seen;  // belt-and-braces cycle guard
   bool any = true;
   while (any) {
     any = false;
-    for (Proc active : kSlowProcs) {
+    for (int s = 0; s + 1 < q.owners(); ++s) {
       for (Direction d : kAllDirections) {
-        while (tryPushState(q, active, d).applied) {
+        while (tryPushState(q, procFromIndex(s), d).applied) {
           ++result.pushesApplied;
           any = true;
         }
       }
     }
-    for (Proc active : kSlowProcs) {
-      if (compactRegionState(q, active)) any = true;
+    for (int s = 0; s + 1 < q.owners(); ++s) {
+      if (compactRegionState(q, procFromIndex(s))) any = true;
     }
     if (any && !seen.insert(q.hash()).second) break;
   }
@@ -780,8 +814,8 @@ BeautifyResult beautifyState(Q& q) {
 /// fullyCondensed over any engine state (see beautify.hpp for the contract).
 template <typename Q>
 bool fullyCondensedState(const Q& q) {
-  for (Proc active : kSlowProcs) {
-    if (pushAvailableState(q, active, kAllDirections, PushOptions{}))
+  for (int s = 0; s + 1 < q.owners(); ++s) {
+    if (pushAvailableState(q, procFromIndex(s), kAllDirections, PushOptions{}))
       return false;
   }
   return true;

@@ -18,8 +18,9 @@
 //
 // The view is a template over the state type Q so the same engine drives the
 // element-exact Partition and the bitboard BitPartition; Q must provide
-// at/set/rowHas/colHas/rowCount/colCount/enclosingRect/n. A view over a
-// const Q is a read-only view (the planner and pushAvailable use one). States
+// at/set/rowHas/colHas/rowCount/colCount/enclosingRect/n, and the engine
+// also reads its owners()/fastest(). A view over a const Q is a read-only
+// view (the planner and pushAvailable use one). States
 // that additionally expose owner bits (rowBits/colBits/rowPresence/
 // colPresence) get word-granular lineBits()/colPresenceBits() accessors,
 // which the push engine uses to test 64 destination cells per legality

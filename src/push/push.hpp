@@ -82,8 +82,9 @@ struct PushOptions {
 
 /// Attempts one Push of `active`'s edge in `dir`. On success the partition
 /// is mutated and outcome.applied is true; on failure the partition is
-/// untouched. `active` must be one of the slower processors R or S
-/// (paper §VI-C: the largest processor is never pushed).
+/// untouched. `active` must be a slow owner — R or S at three owners — and
+/// never q.fastest() (paper §VI-C: the largest processor is never pushed).
+/// The grid takes any owner count; the bitboard holds three.
 PushOutcome tryPush(Partition& q, Proc active, Direction dir,
                     const PushOptions& options = {});
 /// The same push on the bitboard state: identical decisions, word scans.

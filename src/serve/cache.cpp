@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "support/fnv.hpp"
+
 namespace pushpart {
 
 PlanCache::PlanCache(std::size_t capacity, std::size_t shards) {

@@ -1,11 +1,13 @@
 #include "serve/request.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "model/models.hpp"
+#include "support/fnv.hpp"
 
 namespace pushpart {
 
@@ -22,15 +24,6 @@ double roundForKey(double v) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : text) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 CanonicalKey canonicalize(const PlanRequest& req) {
   if (req.n <= 0)
     throw std::invalid_argument("PlanRequest: n must be positive, got " +
@@ -40,9 +33,11 @@ CanonicalKey canonicalize(const PlanRequest& req) {
                                 std::to_string(kMaxModelN) +
                                 " (n^3 MACs must fit in int64), got " +
                                 std::to_string(req.n));
-  if (!(req.ratio.p > 0 && req.ratio.r > 0 && req.ratio.s > 0))
-    throw std::invalid_argument("PlanRequest: ratio speeds must be positive (" +
-                                req.ratio.str() + ")");
+  for (const double speed : {req.ratio.p, req.ratio.r, req.ratio.s})
+    if (!(std::isfinite(speed) && speed > 0))
+      throw std::invalid_argument(
+          "PlanRequest: ratio speeds must be finite and positive (" +
+          req.ratio.str() + ")");
   if (!(req.ratio.p >= req.ratio.r && req.ratio.p >= req.ratio.s))
     throw std::invalid_argument(
         "PlanRequest: P must be the (equal-)fastest processor (" +

@@ -65,10 +65,8 @@ struct CanonicalKey {
 ///   * tier: kFast zeroes searchRuns and searchSeed (they don't affect the
 ///     answer); kSearch keeps both.
 /// Throws std::invalid_argument on malformed requests (n <= 0, n above
-/// kMaxModelN, invalid ratio, non-positive tier-B budget).
+/// kMaxModelN, invalid ratio — speeds not finite and positive, or P not the
+/// fastest — non-positive tier-B budget).
 CanonicalKey canonicalize(const PlanRequest& req);
-
-/// FNV-1a 64-bit hash (exposed for tests and the cache's shard choice).
-std::uint64_t fnv1a(const std::string& text);
 
 }  // namespace pushpart

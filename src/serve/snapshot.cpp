@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "shapes/candidates.hpp"
+#include "support/fnv.hpp"
 
 namespace pushpart {
 

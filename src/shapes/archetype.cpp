@@ -19,6 +19,7 @@ std::string ArchetypeInfo::str() const {
 }
 
 ArchetypeInfo classifyArchetype(const Partition& q) {
+  requireThreeOwners(q);
   ArchetypeInfo info;
   if (q.count(Proc::R) == 0 || q.count(Proc::S) == 0) return info;
 

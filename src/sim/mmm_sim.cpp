@@ -537,6 +537,7 @@ void emitRunTelemetry(const Partition& q, const SimOptions& options,
 
 SimResult simulateMMM(Algo algo, const Partition& q,
                       const SimOptions& options) {
+  requireThreeOwners(q);
   PUSHPART_CHECK(options.chunksPerPair >= 1);
   PUSHPART_CHECK_MSG(options.machine.ratio.valid(),
                      "invalid ratio " << options.machine.ratio.str());

@@ -212,6 +212,8 @@ class CountingBits {
   void resetWrites() { writes_ = 0; }
 
   int n() const { return bits_.n(); }
+  static constexpr int owners() { return BitPartition::owners(); }
+  static constexpr Proc fastest() { return BitPartition::fastest(); }
   Proc at(int i, int j) const { return bits_.at(i, j); }
   void set(int i, int j, Proc p) {
     ++writes_;

@@ -214,13 +214,16 @@ TEST(FamilyEnumerateN, ExactCountsForFourProcs) {
   int emitted = 0;
   std::set<FamilyId> seen;
   builtinFamilies().forEachN(
-      n, speeds, FamilySet::all(), [&](const NFamilyCandidate& c) {
+      n, speeds, FamilySet::all(), [&](const FamilyCandidate& c) {
         ++emitted;
         seen.insert(c.family);
+        EXPECT_EQ(c.partition.owners(), 4) << c.name;
+        EXPECT_FALSE(c.shape.has_value()) << c.name;
         EXPECT_NO_THROW(c.partition.validateCounters()) << c.name;
-        for (std::size_t p = 0; p < counts.size(); ++p) {
-          EXPECT_EQ(c.partition.count(static_cast<NProcId>(p)), counts[p])
-              << c.name << " proc " << p;
+        for (std::size_t x = 0; x < counts.size(); ++x) {
+          EXPECT_EQ(c.partition.count(procFromIndex(static_cast<int>(x))),
+                    counts[x])
+              << c.name << " owner " << x;
         }
       });
   EXPECT_GT(emitted, 0);
@@ -233,11 +236,35 @@ TEST(FamilyEnumerateN, TwoProcsServedByCanonicalOnly) {
   speeds.speeds = {3.0, 1.0};
   int emitted = 0;
   builtinFamilies().forEachN(12, speeds, FamilySet::all(),
-                             [&](const NFamilyCandidate& c) {
+                             [&](const FamilyCandidate& c) {
                                EXPECT_EQ(c.family, FamilyId::kCanonical);
+                               EXPECT_EQ(c.partition.owners(), 2);
                                ++emitted;
                              });
   EXPECT_GT(emitted, 0);
+}
+
+TEST(FamilyEnumerateN, ThreeOwnersAreTheRatioCandidates) {
+  // Three owners are the paper's R, S and P, so every registered family
+  // emits for 5:2:1 speeds what it emits for the 5:2:1 ratio, plus the
+  // layered family's speed-rank layerings (which dedup may fold away).
+  NSpeeds speeds;
+  speeds.speeds = {5.0, 2.0, 1.0};
+  const int n = 20;
+  std::set<std::uint64_t> fromRatio;
+  for (const FamilyCandidate& c :
+       builtinFamilies().enumerate(n, Ratio{5, 2, 1}, FamilySet::all()))
+    fromRatio.insert(c.partition.hash());
+  int canonical = 0;
+  for (const FamilyCandidate& c :
+       builtinFamilies().enumerateN(n, speeds, FamilySet::all())) {
+    EXPECT_EQ(c.partition.owners(), 3) << c.name;
+    EXPECT_FALSE(c.shape.has_value()) << c.name;
+    if (c.family != FamilyId::kCanonical) continue;
+    ++canonical;
+    EXPECT_TRUE(fromRatio.count(c.partition.hash())) << c.name;
+  }
+  EXPECT_GT(canonical, 0);
 }
 
 }  // namespace

@@ -105,5 +105,27 @@ TEST(RandomPartitionTest, ScatteredStartIsFragmented) {
   EXPECT_GT(q.colsUsed(Proc::R), 40);
 }
 
+TEST(RandomPartitionTest, KOwnerScatterRespectsCounts) {
+  Rng rng(5);
+  const auto speeds = NSpeeds::parse("8:4:2:1");
+  const auto q = randomPartition(30, speeds, rng);
+  EXPECT_EQ(q.owners(), 4);
+  const auto counts = speeds.elementCounts(30);
+  for (int x = 0; x < 4; ++x)
+    EXPECT_EQ(q.count(procFromIndex(x)), counts[static_cast<std::size_t>(x)]);
+  q.validateCounters();
+}
+
+TEST(RandomPartitionTest, ThreeOwnerSpeedsDrawTheRatioScatter) {
+  const Ratio ratio{5, 2, 1};
+  NSpeeds speeds;
+  speeds.speeds = {5, 2, 1};
+  for (std::uint64_t seed : {1u, 7u, 99u}) {
+    Rng a(seed), b(seed);
+    EXPECT_EQ(randomPartition(37, ratio, a), randomPartition(37, speeds, b));
+    EXPECT_EQ(a(), b());  // the same number of draws
+  }
+}
+
 }  // namespace
 }  // namespace pushpart

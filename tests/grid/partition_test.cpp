@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "exec/kij_executor.hpp"
+#include "grid/bit_partition.hpp"
 #include "grid/builder.hpp"
+#include "grid/metrics.hpp"
+#include "grid/serialize.hpp"
+#include "model/models.hpp"
+#include "plan/comm_plan.hpp"
+#include "shapes/archetype.hpp"
+#include "sim/mmm_sim.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -152,6 +162,153 @@ TEST_P(PartitionSizeTest, CheckerboardCountsAreExact) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PartitionSizeTest,
                          ::testing::Values(2, 3, 4, 7, 16, 33, 64));
+
+// --- k owners (paper §XI): ids 0..k−2 slow by speed, k−1 the fastest -------
+
+TEST(OwnerIdTest, RankMapsToOwnerId) {
+  EXPECT_EQ(ownerOfRank(0, 3), Proc::P);
+  EXPECT_EQ(ownerOfRank(1, 3), Proc::R);
+  EXPECT_EQ(ownerOfRank(2, 3), Proc::S);
+  EXPECT_EQ(ownerOfRank(0, 5), procFromIndex(4));
+  EXPECT_EQ(ownerOfRank(1, 5), procFromIndex(0));
+  EXPECT_EQ(ownerOfRank(4, 5), procFromIndex(3));
+  EXPECT_EQ(Partition(4).owners(), 3);
+  EXPECT_EQ(Partition(4).fastest(), Proc::P);
+}
+
+TEST(KOwnerPartitionTest, FreshGridAllOnFastestOwner) {
+  Partition q(5, 4);
+  EXPECT_EQ(q.owners(), 4);
+  EXPECT_EQ(q.fastest(), procFromIndex(3));
+  EXPECT_EQ(q.count(q.fastest()), 25);
+  for (int x = 0; x < 3; ++x) EXPECT_EQ(q.count(procFromIndex(x)), 0);
+  EXPECT_EQ(q.volumeOfCommunication(), 0);
+}
+
+TEST(KOwnerPartitionTest, OwnerCountAndIdsChecked) {
+  EXPECT_THROW(Partition(0, 3), CheckError);
+  EXPECT_THROW(Partition(4, 1), CheckError);
+  EXPECT_THROW(Partition(4, 65), CheckError);
+  EXPECT_NO_THROW(Partition(2, 2));
+  EXPECT_NO_THROW(Partition(2, kMaxOwners));
+  Partition q(4, 3);
+  EXPECT_THROW(q.set(4, 0, Proc::R), CheckError);
+  EXPECT_THROW(q.set(0, 0, procFromIndex(3)), CheckError);
+  Partition three(4);
+  EXPECT_THROW(three.set(0, 0, procFromIndex(3)), CheckError);
+}
+
+TEST(KOwnerPartitionTest, SetUpdatesCounters) {
+  Partition q(4, 4);
+  const Proc x = procFromIndex(2);
+  q.set(1, 2, x);
+  EXPECT_EQ(q.at(1, 2), x);
+  EXPECT_EQ(q.count(x), 1);
+  EXPECT_EQ(q.rowsUsed(x), 1);
+  EXPECT_EQ(q.procsInRow(1), 2);
+  EXPECT_EQ(q.volumeOfCommunication(), 8);
+  q.validateCounters();
+}
+
+TEST(KOwnerPartitionTest, FourOwnerQuadrantsVoC) {
+  // Four quadrants over four owners: every row and column has exactly
+  // 2 owners → VoC = N·N + N·N.
+  const int n = 8;
+  Partition q(n, 4);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      q.set(i, j, procFromIndex((i >= n / 2) * 2 + (j >= n / 2)));
+  EXPECT_EQ(q.volumeOfCommunication(), 2LL * n * n);
+  for (int x = 0; x < 4; ++x) {
+    EXPECT_EQ(q.count(procFromIndex(x)), n * n / 4);
+    EXPECT_TRUE(isAsymptoticallyRectangular(q, procFromIndex(x)));
+  }
+  q.validateCounters();
+}
+
+TEST(KOwnerPartitionTest, EnclosingRectPerOwner) {
+  Partition q(6, 5);
+  const Proc x = procFromIndex(2);
+  q.set(1, 1, x);
+  q.set(3, 4, x);
+  EXPECT_EQ(q.enclosingRect(x), (Rect{1, 4, 1, 5}));
+  EXPECT_TRUE(q.enclosingRect(procFromIndex(1)).isEmpty());
+  EXPECT_EQ(q.enclosingRect(q.fastest()), (Rect{0, 6, 0, 6}));
+}
+
+TEST(KOwnerPartitionTest, AsymptoticRectangularity) {
+  Partition q(5, 4);
+  const Proc x = procFromIndex(1);
+  for (int i = 1; i < 4; ++i)
+    for (int j = 1; j < 4; ++j) q.set(i, j, x);
+  EXPECT_TRUE(isAsymptoticallyRectangular(q, x));
+  q.set(1, 1, q.fastest());  // partial top row
+  EXPECT_TRUE(isAsymptoticallyRectangular(q, x));
+  q.set(2, 2, q.fastest());  // interior hole
+  EXPECT_FALSE(isAsymptoticallyRectangular(q, x));
+  EXPECT_FALSE(isAsymptoticallyRectangular(q, procFromIndex(2)));  // absent
+}
+
+TEST(KOwnerPartitionTest, HashAndEquality) {
+  Partition a(6, 4), b(6, 4);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.hash(), b.hash());
+  b.set(0, 0, procFromIndex(1));
+  EXPECT_FALSE(a == b);
+  EXPECT_NE(a.hash(), b.hash());
+  // The owner count is part of the identity, not only the cells.
+  Partition c(6, 3), d(6, 3);
+  c.set(0, 0, Proc::R);
+  d.set(0, 0, Proc::R);
+  EXPECT_EQ(c, d);
+  EXPECT_FALSE(Partition(2, 2) == Partition(2, 3));
+}
+
+TEST(KOwnerPartitionTest, RandomMutationKeepsCountersExact) {
+  Rng rng(42);
+  Partition q(16, 6);
+  for (int step = 0; step < 4000; ++step) {
+    q.set(static_cast<int>(rng.below(16)), static_cast<int>(rng.below(16)),
+          procFromIndex(static_cast<int>(rng.below(6))));
+  }
+  q.validateCounters();
+}
+
+TEST(KOwnerPartitionTest, ThreeOwnerPipelineRefusesOtherCounts) {
+  Partition q(6, 4);
+  q.set(0, 0, Proc::R);
+  q.set(5, 5, Proc::S);
+  q.set(3, 3, Proc::P);  // a slow owner at four owners
+  EXPECT_THROW(BitPartition{q}, CheckError);
+  std::ostringstream out;
+  EXPECT_THROW(savePartition(q, out), CheckError);
+  EXPECT_THROW(classifyArchetype(q), CheckError);
+  EXPECT_THROW(buildElementPlan(q), CheckError);
+  Machine machine;
+  machine.ratio = Ratio{4, 2, 1};
+  EXPECT_THROW(evalModel(Algo::kSCB, q, machine), CheckError);
+  SimOptions sim;
+  sim.machine = machine;
+  EXPECT_THROW(simulateMMM(Algo::kSCB, q, sim), CheckError);
+  EXPECT_THROW(runParallelMMM(Algo::kSCB, q, ExecOptions{}), CheckError);
+}
+
+class KOwnerCountTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KOwnerCountTest, StripesAcrossKOwners) {
+  const int k = GetParam();
+  const int n = 2 * k;
+  Partition q(n, k);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) q.set(i, j, procFromIndex(j / 2 % k));
+  q.validateCounters();
+  // Columns single-owner, rows carry all k.
+  EXPECT_EQ(q.volumeOfCommunication(),
+            static_cast<std::int64_t>(n) * n * (k - 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(OwnerCounts, KOwnerCountTest,
+                         ::testing::Values(2, 3, 4, 5, 8));
 
 }  // namespace
 }  // namespace pushpart

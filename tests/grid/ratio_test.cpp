@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace pushpart {
@@ -90,6 +92,94 @@ TEST(RatioTest, PaperRatiosAreTheElevenStudied) {
   EXPECT_EQ(rs[4].str(), "10:1:1");
   EXPECT_EQ(rs[10].str(), "5:4:1");
   for (const auto& r : rs) EXPECT_TRUE(r.valid());
+}
+
+// --- Shares that cannot be cast to a count are refused -------------------
+
+TEST(RatioTest, ParseRejectsNonFiniteSpeeds) {
+  EXPECT_THROW(Ratio::parse("inf:1:1"), std::invalid_argument);
+  EXPECT_THROW(Ratio::parse("5:nan:1"), std::invalid_argument);
+  EXPECT_THROW(Ratio::parse("1e999:1:1"), std::invalid_argument);
+  EXPECT_NO_THROW(Ratio::parse("1e306:1e306:1"));
+}
+
+TEST(RatioTest, ElementCountsRefuseOverflowingShares) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // inf/inf is a NaN share; 1e306·n² overflows to an infinite one. Either
+  // used to reach an undefined cast to int64.
+  EXPECT_THROW(Ratio({inf, inf, 1}).elementCounts(48), std::invalid_argument);
+  EXPECT_THROW(Ratio({1e306, 1e306, 1}).elementCounts(48),
+               std::invalid_argument);
+  NSpeeds speeds;
+  speeds.speeds = {1e306, 1e306, 1};
+  EXPECT_THROW(speeds.elementCounts(48), std::invalid_argument);
+  speeds.speeds = {inf, inf, 1, 1};
+  EXPECT_THROW(speeds.elementCounts(48), std::invalid_argument);
+}
+
+// --- NSpeeds: k owners, counts indexed by owner id ------------------------
+
+TEST(NSpeedsTest, ParseAndValidate) {
+  const auto s = NSpeeds::parse("8:4:2:1");
+  ASSERT_EQ(s.owners(), 4);
+  EXPECT_DOUBLE_EQ(s.total(), 15.0);
+  EXPECT_TRUE(s.valid());
+  EXPECT_EQ(s.str(), "8:4:2:1");
+}
+
+TEST(NSpeedsTest, ParseErrors) {
+  EXPECT_THROW(NSpeeds::parse(""), std::invalid_argument);
+  EXPECT_THROW(NSpeeds::parse("5"), std::invalid_argument);
+  EXPECT_THROW(NSpeeds::parse("5:-1"), std::invalid_argument);
+  EXPECT_THROW(NSpeeds::parse("5;2"), std::invalid_argument);
+  EXPECT_THROW(NSpeeds::parse("inf:1"), std::invalid_argument);
+}
+
+TEST(NSpeedsTest, FastestFirstRequired) {
+  NSpeeds s;
+  s.speeds = {2, 5, 1};
+  EXPECT_FALSE(s.valid());
+  s.speeds = {5, 5, 1};
+  EXPECT_TRUE(s.valid());
+}
+
+TEST(NSpeedsTest, ElementCountsSumExactly) {
+  for (const char* spec : {"4:1", "3:2:1", "8:4:2:1", "10:5:3:2:1"}) {
+    const auto s = NSpeeds::parse(spec);
+    const Proc fastest = ownerOfRank(0, s.owners());
+    for (int n : {10, 33, 100}) {
+      const auto counts = s.elementCounts(n);
+      std::int64_t sum = 0;
+      for (auto c : counts) sum += c;
+      EXPECT_EQ(sum, static_cast<std::int64_t>(n) * n) << spec << " n=" << n;
+      // The fastest owner holds the plurality.
+      for (auto c : counts) EXPECT_GE(counts[procSlot(fastest)], c);
+    }
+  }
+}
+
+TEST(NSpeedsTest, ElementCountsIndexedByOwnerId) {
+  const auto s = NSpeeds::parse("8:4:2:1");
+  const auto counts = s.elementCounts(30);
+  // Slow owners 0, 1, 2 take speeds 4, 2, 1; the fastest (3) the rest.
+  EXPECT_EQ(counts[0], 240);
+  EXPECT_EQ(counts[1], 120);
+  EXPECT_EQ(counts[2], 60);
+  EXPECT_EQ(counts[3], 480);
+}
+
+TEST(NSpeedsTest, ThreeOwnersEqualRatioCounts) {
+  for (const Ratio& ratio : paperRatios()) {
+    NSpeeds s;
+    s.speeds = {ratio.p, ratio.r, ratio.s};
+    for (int n = 1; n <= 200; n += 7) {
+      const auto counts = s.elementCounts(n);
+      const auto expected = ratio.elementCounts(n);
+      ASSERT_EQ(counts.size(), expected.size());
+      for (std::size_t x = 0; x < counts.size(); ++x)
+        EXPECT_EQ(counts[x], expected[x]) << ratio.str() << " n=" << n;
+    }
+  }
 }
 
 }  // namespace

@@ -46,5 +46,16 @@ TEST(SummaryLineTest, MentionsAllProcessors) {
   EXPECT_NE(line.find("P:35"), std::string::npos);
 }
 
+TEST(RenderTest, KOwnersShowDigitsAndFastestDot) {
+  Partition q(3, 4);
+  q.set(0, 0, procFromIndex(0));
+  q.set(1, 1, procFromIndex(1));
+  q.set(2, 2, procFromIndex(2));
+  EXPECT_EQ(renderAscii(q), "0..\n.1.\n..2\n");
+  Partition two(2, 2);
+  two.set(0, 1, Proc::R);
+  EXPECT_EQ(renderAscii(two), ".0\n..\n");
+}
+
 }  // namespace
 }  // namespace pushpart

@@ -149,6 +149,17 @@ TEST(OracleTest, DegenerateRequestThrowsAndIsNeverCached) {
   EXPECT_THROW(oracle.plan(malformed), std::invalid_argument);
 }
 
+TEST(OracleTest, OverflowingSharesAreRefusedNotCast) {
+  // Finite speeds whose element shares overflow: n²·1e306 is infinite, and
+  // casting that share to a count used to be undefined behaviour.
+  Oracle oracle;
+  PlanRequest req;
+  req.n = 48;
+  req.ratio = Ratio{1e306, 1e306, 1};
+  EXPECT_THROW(oracle.plan(req), std::invalid_argument);
+  EXPECT_EQ(oracle.stats().cache.entries, 0u);
+}
+
 TEST(OracleTest, EvictionsAccrueUnderTinyCache) {
   OracleOptions options;
   options.cacheCapacity = 2;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace pushpart {
@@ -106,6 +108,17 @@ TEST(CanonicalizeTest, MalformedRequestsRejected) {
   EXPECT_THROW(canonicalize(bad), std::invalid_argument);
 }
 
+TEST(CanonicalizeTest, NonFiniteSpeedsRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Ratio& ratio :
+       {Ratio{inf, inf, 1}, Ratio{inf, 1, 1}, Ratio{2, 1, inf},
+        Ratio{std::nan(""), 1, 1}}) {
+    PlanRequest bad;
+    bad.ratio = ratio;
+    EXPECT_THROW(canonicalize(bad), std::invalid_argument) << ratio.str();
+  }
+}
+
 TEST(CanonicalizeTest, NBeyondTheModelBoundRejected) {
   // Tier A costs O(n), so nothing but the model's arithmetic limits n: at
   // 2,097,152 = 2^21 the n^3 MAC count overflows int64.
@@ -189,13 +202,6 @@ TEST(CanonicalizeTest, CanonicalRatioIsIdempotent) {
   EXPECT_EQ(once.text, twice.text);
   EXPECT_EQ(once.request.ratio, twice.request.ratio);
   EXPECT_EQ(once.hash, twice.hash);
-}
-
-TEST(Fnv1aTest, MatchesReferenceVectors) {
-  // Published FNV-1a 64-bit test vectors.
-  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
 }
 
 }  // namespace

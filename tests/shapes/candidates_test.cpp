@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 
 #include "grid/builder.hpp"
 #include "shapes/archetype.hpp"
 #include "shapes/corners.hpp"
+#include "support/fnv.hpp"
 
 namespace pushpart {
 namespace {
@@ -193,17 +196,17 @@ TEST(CandidateTest, GridsArePinned) {
   // must show up here, not only as a moved VoC somewhere downstream. One
   // FNV-1a over the grid hashes of every feasible shape at n = 1..60 and the
   // paper's eleven ratios.
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnv1aBasis;
   int grids = 0;
   for (int n = 1; n <= 60; ++n)
     for (const Ratio& ratio : paperRatios())
       for (CandidateShape shape : kAllCandidates) {
         if (!candidateFeasible(shape, n, ratio)) continue;
         const std::uint64_t g = makeCandidate(shape, n, ratio).hash();
-        for (int b = 0; b < 64; b += 8) {
-          h ^= (g >> b) & 0xffu;
-          h *= 0x100000001b3ull;
-        }
+        std::array<std::byte, 8> bytes;  // little-endian
+        for (std::size_t b = 0; b < bytes.size(); ++b)
+          bytes[b] = static_cast<std::byte>(g >> (8 * b));
+        h = fnv1a(bytes, h);
         ++grids;
       }
   EXPECT_EQ(grids, 3706);
