@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,13 +15,11 @@ namespace pushpart {
 namespace {
 
 // v2 added the per-cell communication lower-bound gap (lowerBoundGapPct);
-// v1 files are refused rather than silently defaulting the gap to zero.
-constexpr const char* kMagic = "pushpart-atlas v2";
-
-// The v2 checksums are FNV-1a started from 1469598103934665603, the offset
-// basis's decimal short of its last digit. Kept: changing it would fail
-// every atlas file already written.
-constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
+// v3 checksums the grid and info header records and hashes from the
+// standard FNV-1a basis (v2's was one decimal digit short). Older files are
+// refused: a v1 file lacks the gap, and a v2 header could be corrupted
+// without any check noticing.
+constexpr const char* kMagic = "pushpart-atlas v3";
 
 std::string formatDouble(double v) {
   char buf[40];
@@ -30,10 +29,43 @@ std::string formatDouble(double v) {
 
 std::string checksumHex(const std::string& payload) {
   char buf[20];
-  const std::uint64_t sum = fnv1a(payload, kChecksumBasis);
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(sum));
+                static_cast<unsigned long long>(fnv1a(payload)));
   return buf;
+}
+
+/// "<tag> <fnv1a-16-hex> <payload>".
+std::string record(const char* tag, const std::string& payload) {
+  return std::string(tag) + ' ' + checksumHex(payload) + ' ' + payload;
+}
+
+/// The payload of a `tag` record whose checksum verifies, else nullopt.
+std::optional<std::string> verifiedPayload(const std::string& line,
+                                           const std::string& tag) {
+  const std::size_t at = tag.size() + 1;  // first checksum digit
+  if (line.size() < at + 16 + 1 || line.compare(0, at - 1, tag) != 0 ||
+      line[at - 1] != ' ' || line[at + 16] != ' ')
+    return std::nullopt;
+  std::string payload = line.substr(at + 17);
+  if (line.compare(at, 16, checksumHex(payload)) != 0) return std::nullopt;
+  return payload;
+}
+
+/// The N of a "cells <N>" line, else nullopt.
+std::optional<std::size_t> parseCellCount(const std::string& line) {
+  std::istringstream is(line);
+  std::string tag, trailing;
+  long long count = -1;
+  if (!(is >> tag >> count) || tag != "cells" || count < 0 || is >> trailing)
+    return std::nullopt;
+  return static_cast<std::size_t>(count);
+}
+
+/// Reads one line, dropping a trailing '\r'.
+bool readLine(std::istream& is, std::string& line) {
+  if (!std::getline(is, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
 }
 
 std::string cellPayload(int i, int j, const AtlasCell& cell) {
@@ -83,16 +115,20 @@ std::size_t saveAtlas(const PlanAtlas& atlas, std::ostream& os) {
   const AtlasGridSpec& spec = atlas.spec();
   const AtlasBuildInfo& info = atlas.info();
   os << kMagic << '\n';
-  os << "grid " << formatDouble(spec.prMin) << ' ' << formatDouble(spec.prMax)
-     << ' ' << spec.prSteps << ' ' << formatDouble(spec.rrMin) << ' '
-     << formatDouble(spec.rrMax) << ' ' << spec.rrSteps << '\n';
-  os << "info " << info.n << ' ' << static_cast<int>(info.algo) << ' '
-     << static_cast<int>(info.topology) << ' ' << (info.searchBacked ? 1 : 0)
-     << ' ' << info.searchRuns << ' ' << info.seed << ' '
-     << formatDouble(info.tieSnapPct) << ' '
-     << formatDouble(info.machine.alphaSeconds) << ' '
-     << formatDouble(info.machine.sendElementSeconds) << ' '
-     << formatDouble(info.machine.baseFlopSeconds) << '\n';
+  std::ostringstream gridText;
+  gridText << formatDouble(spec.prMin) << ' ' << formatDouble(spec.prMax)
+           << ' ' << spec.prSteps << ' ' << formatDouble(spec.rrMin) << ' '
+           << formatDouble(spec.rrMax) << ' ' << spec.rrSteps;
+  os << record("grid", gridText.str()) << '\n';
+  std::ostringstream infoText;
+  infoText << info.n << ' ' << static_cast<int>(info.algo) << ' '
+           << static_cast<int>(info.topology) << ' '
+           << (info.searchBacked ? 1 : 0) << ' ' << info.searchRuns << ' '
+           << info.seed << ' ' << formatDouble(info.tieSnapPct) << ' '
+           << formatDouble(info.machine.alphaSeconds) << ' '
+           << formatDouble(info.machine.sendElementSeconds) << ' '
+           << formatDouble(info.machine.baseFlopSeconds);
+  os << record("info", infoText.str()) << '\n';
 
   std::size_t written = 0;
   std::ostringstream body;
@@ -101,7 +137,7 @@ std::size_t saveAtlas(const PlanAtlas& atlas, std::ostream& os) {
       const std::optional<AtlasCell> cell = atlas.cell(i, j);
       if (!cell || !cell->solved) continue;
       const std::string payload = cellPayload(i, j, *cell);
-      body << "c " << checksumHex(payload) << ' ' << payload << '\n';
+      body << record("c", payload) << '\n';
       ++written;
     }
   }
@@ -132,8 +168,7 @@ std::size_t saveAtlas(const PlanAtlas& atlas, const std::string& path) {
 AtlasLoadReport tryLoadAtlas(std::istream& is) {
   AtlasLoadReport report;
   std::string magic;
-  std::getline(is, magic);
-  if (!magic.empty() && magic.back() == '\r') magic.pop_back();
+  readLine(is, magic);
   if (magic != kMagic) {
     report.versionRefused = true;
     report.error = "loadAtlas: unsupported atlas version '" + magic +
@@ -143,35 +178,34 @@ AtlasLoadReport tryLoadAtlas(std::istream& is) {
 
   AtlasGridSpec spec;
   AtlasBuildInfo info;
+  std::string line;
   {
-    std::string line, tag;
-    if (!std::getline(is, line)) {
-      report.error = "loadAtlas: missing grid line";
-      return report;
-    }
-    std::istringstream ls(line);
-    if (!(ls >> tag >> spec.prMin >> spec.prMax >> spec.prSteps >>
-          spec.rrMin >> spec.rrMax >> spec.rrSteps) ||
-        tag != "grid") {
-      report.error = "loadAtlas: malformed grid line";
+    std::optional<std::string> payload;
+    if (readLine(is, line)) payload = verifiedPayload(line, "grid");
+    std::istringstream ps(payload.value_or(""));
+    std::string trailing;
+    if (!payload ||
+        !(ps >> spec.prMin >> spec.prMax >> spec.prSteps >> spec.rrMin >>
+          spec.rrMax >> spec.rrSteps) ||
+        ps >> trailing) {
+      report.error = "loadAtlas: missing, corrupt or malformed grid record";
       return report;
     }
   }
   {
-    std::string line, tag;
+    std::optional<std::string> payload;
+    if (readLine(is, line)) payload = verifiedPayload(line, "info");
+    std::istringstream ps(payload.value_or(""));
+    std::string trailing;
     int algo = -1, topology = -1, searchBacked = -1;
-    if (!std::getline(is, line)) {
-      report.error = "loadAtlas: missing info line";
-      return report;
-    }
-    std::istringstream ls(line);
-    if (!(ls >> tag >> info.n >> algo >> topology >> searchBacked >>
+    if (!payload ||
+        !(ps >> info.n >> algo >> topology >> searchBacked >>
           info.searchRuns >> info.seed >> info.tieSnapPct >>
           info.machine.alphaSeconds >> info.machine.sendElementSeconds >>
           info.machine.baseFlopSeconds) ||
-        tag != "info" || algo < 0 || algo > 4 || topology < 0 ||
+        ps >> trailing || algo < 0 || algo > 4 || topology < 0 ||
         topology > 1 || searchBacked < 0 || searchBacked > 1) {
-      report.error = "loadAtlas: malformed info line";
+      report.error = "loadAtlas: missing, corrupt or malformed info record";
       return report;
     }
     info.algo = static_cast<Algo>(algo);
@@ -186,30 +220,27 @@ AtlasLoadReport tryLoadAtlas(std::istream& is) {
     return report;
   }
 
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.rfind("cells ", 0) == 0) continue;
-    if (line.rfind("c ", 0) != 0 || line.size() < 2 + 16 + 2 ||
-        line[18] != ' ') {
-      ++report.skipped;
-      continue;
-    }
-    const std::string checksum = line.substr(2, 16);
-    const std::string payload = line.substr(19);
-    if (checksum != checksumHex(payload)) {
-      ++report.skipped;
-      continue;
-    }
+  // The declared count exposes a file cut after a complete line: every cell
+  // it lost is counted as skipped. Without a readable count, the count line
+  // itself is the one loss the loader can see.
+  std::optional<std::size_t> declared;
+  if (readLine(is, line)) declared = parseCellCount(line);
+  if (!declared) ++report.skipped;
+  std::size_t records = 0;
+  while (readLine(is, line)) {
+    if (line.empty()) continue;
+    ++records;
+    const std::optional<std::string> payload = verifiedPayload(line, "c");
     int i = -1, j = -1;
     AtlasCell cell;
-    if (!parseCellPayload(payload, spec, i, j, cell)) {
+    if (!payload || !parseCellPayload(*payload, spec, i, j, cell)) {
       ++report.skipped;
       continue;
     }
     report.atlas->insert(i, j, cell);
     ++report.loaded;
   }
+  if (declared && *declared > records) report.skipped += *declared - records;
   // Flags are re-derived from the winners that actually loaded: a skipped
   // cell must not leave its neighbors claiming a boundary (or its absence)
   // that the surviving data cannot support.

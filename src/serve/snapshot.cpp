@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -102,6 +103,24 @@ bool parsePayload(const std::string& payload,
   return true;
 }
 
+/// The N of an "entries <N>" line, else nullopt.
+std::optional<std::size_t> parseEntryCount(const std::string& line) {
+  std::istringstream is(line);
+  std::string tag, trailing;
+  long long count = -1;
+  if (!(is >> tag >> count) || tag != "entries" || count < 0 ||
+      is >> trailing)
+    return std::nullopt;
+  return static_cast<std::size_t>(count);
+}
+
+/// Reads one line, dropping a trailing '\r'.
+bool readLine(std::istream& is, std::string& line) {
+  if (!std::getline(is, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
+}
+
 }  // namespace
 
 std::size_t savePlanCacheSegment(
@@ -149,18 +168,24 @@ SnapshotLoadReport tryLoadPlanCacheSnapshot(PlanCache& cache,
                                             std::istream& is) {
   SnapshotLoadReport report;
   std::string magic;
-  std::getline(is, magic);
-  if (!magic.empty() && magic.back() == '\r') magic.pop_back();
+  readLine(is, magic);
   if (magic != kMagic) {
     report.versionRefused = true;
     report.error = "loadPlanCacheSnapshot: unsupported snapshot version '" +
                    magic + "' (expected '" + std::string(kMagic) + "')";
     return report;
   }
+  // The declared count exposes a file cut after a complete line: every
+  // entry it lost is counted as skipped. Without a readable count, the
+  // count line itself is the one loss the loader can see.
   std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.rfind("entries ", 0) == 0) continue;
+  std::optional<std::size_t> declared;
+  if (readLine(is, line)) declared = parseEntryCount(line);
+  if (!declared) ++report.skipped;
+  std::size_t records = 0;
+  while (readLine(is, line)) {
+    if (line.empty()) continue;
+    ++records;
     if (line.rfind("e ", 0) != 0) {
       ++report.skipped;
       continue;
@@ -185,6 +210,7 @@ SnapshotLoadReport tryLoadPlanCacheSnapshot(PlanCache& cache,
     cache.insertWarm(entry.key, entry.answer);
     ++report.loaded;
   }
+  if (declared && *declared > records) report.skipped += *declared - records;
   return report;
 }
 

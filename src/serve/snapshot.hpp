@@ -13,12 +13,15 @@
 // snapshot intact. Reading is corruption-tolerant per entry: a line whose
 // checksum, field count, or field ranges don't verify is skipped (counted),
 // and every other entry still loads — a truncated tail or a flipped byte
-// costs one entry, not the snapshot. A wrong magic/version line refuses the
-// whole file: silently guessing at a future format would be worse than
-// starting cold. Every outcome — loaded, skipped, version-refused — is
-// counted in the SnapshotLoadReport so callers (the CLI's --snapshot
-// restore, the cluster's rebalance state transfer) can assert on exactly
-// what happened instead of trusting a silent partial load.
+// costs one entry, not the snapshot. Entries the `entries` line declares
+// but the file no longer holds (a cut after a complete line) count as
+// skipped too, so a shortened file never reads as clean. A wrong
+// magic/version line refuses the whole file: silently guessing at a future
+// format would be worse than starting cold. Every outcome — loaded,
+// skipped, version-refused — is counted in the SnapshotLoadReport so
+// callers (the CLI's --snapshot restore, the cluster's rebalance state
+// transfer) can assert on exactly what happened instead of trusting a
+// silent partial load.
 //
 // The same format doubles as the cluster's state-transfer wire format:
 // savePlanCacheSegment serializes an arbitrary entry subset (one rebalance
@@ -40,7 +43,9 @@ namespace pushpart {
 
 struct SnapshotLoadReport {
   std::size_t loaded = 0;   ///< Entries restored into the cache.
-  std::size_t skipped = 0;  ///< Corrupt/unparseable entries left behind.
+  /// Corrupt/unparseable entries left behind, plus declared entries
+  /// missing from the file (and a missing or malformed `entries` line).
+  std::size_t skipped = 0;
   /// The magic/version line did not match: nothing was loaded. Set by the
   /// try-variants; the throwing variants turn it into std::runtime_error.
   bool versionRefused = false;

@@ -50,8 +50,8 @@ struct ProcDeath {
 };
 
 /// Declarative fault schedule for one simulated run. Default-constructed
-/// plans are inert: enabled() is false and the simulator takes its exact
-/// fault-free code path (bit-identical results).
+/// plans are inert: enabled() is false, and a FaultInjector running one
+/// drops, slows, stalls and kills nothing — the perfect network.
 struct FaultPlan {
   /// Seed of the fault stream (message-drop draws and backoff jitter).
   std::uint64_t seed = 1;

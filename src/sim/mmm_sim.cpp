@@ -1,7 +1,8 @@
 #include "sim/mmm_sim.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -14,14 +15,16 @@ namespace pushpart {
 
 namespace {
 
-/// Splits the directed pair volumes into per-message chunks, sender-major.
-std::vector<SimMessage> bulkMessages(const Partition& q, int chunksPerPair) {
+using PairVolumes = std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>;
+
+/// Splits directed pair volumes into per-message chunks, sender-major.
+std::vector<SimMessage> chunkedMessages(const PairVolumes& volumes,
+                                        int chunksPerPair) {
   std::vector<SimMessage> out;
-  const auto v = pairVolumes(q);
   for (Proc s : kAllProcs) {
     for (Proc r : kAllProcs) {
       if (s == r) continue;
-      const std::int64_t volume = v[procSlot(s)][procSlot(r)];
+      const std::int64_t volume = volumes[procSlot(s)][procSlot(r)];
       if (volume == 0) continue;
       for (int c = 0; c < chunksPerPair; ++c) {
         const std::int64_t lo = volume * c / chunksPerPair;
@@ -33,22 +36,22 @@ std::vector<SimMessage> bulkMessages(const Partition& q, int chunksPerPair) {
   return out;
 }
 
-/// Directed volumes for one pivot step k: the pivot column of A and pivot
-/// row of B reach every other owner of the receiving row/column.
-std::vector<SimMessage> stepMessages(const Partition& q, int k) {
-  std::vector<SimMessage> out;
+/// Directed volumes of the pivot steps [begin, end): each step's pivot
+/// column of A and pivot row of B reach every other owner of the receiving
+/// row/column.
+PairVolumes pivotVolumes(const Partition& q, int begin, int end) {
+  PairVolumes out{};
   const int n = q.n();
-  for (Proc s : kAllProcs) {
-    for (Proc r : kAllProcs) {
-      if (s == r) continue;
-      std::int64_t volume = 0;
-      for (int i = 0; i < n; ++i)
-        if (q.at(i, k) == s && q.rowHas(r, i)) ++volume;  // A(i,k) pivots
-      for (int j = 0; j < n; ++j)
-        if (q.at(k, j) == s && q.colHas(r, j)) ++volume;  // B(k,j) pivots
-      if (volume > 0) out.push_back({s, r, volume});
-    }
-  }
+  for (int k = begin; k < end; ++k)
+    for (Proc s : kAllProcs)
+      for (Proc r : kAllProcs) {
+        if (s == r) continue;
+        std::int64_t& volume = out[procSlot(s)][procSlot(r)];
+        for (int i = 0; i < n; ++i)
+          if (q.at(i, k) == s && q.rowHas(r, i)) ++volume;  // A(i,k) pivots
+        for (int j = 0; j < n; ++j)
+          if (q.at(k, j) == s && q.colHas(r, j)) ++volume;  // B(k,j) pivots
+      }
   return out;
 }
 
@@ -79,33 +82,6 @@ CompLoads computeLoads(const Partition& q, const Machine& m) {
   return loads;
 }
 
-/// Delivers `messages` strictly one after another (serial wire); returns the
-/// final delivery instant.
-double runSerial(EventQueue& events, Network& net,
-                 const std::vector<SimMessage>& messages) {
-  double last = 0.0;
-  for (const SimMessage& msg : messages) {
-    double delivered = last;
-    net.send(msg, last, [&delivered](double t) { delivered = t; });
-    events.run();
-    last = delivered;
-  }
-  return last;
-}
-
-/// Issues all messages at t = 0 (NICs serialize per sender); returns the
-/// instant the last one lands.
-double runParallel(EventQueue& events, Network& net,
-                   const std::vector<SimMessage>& messages) {
-  double latest = 0.0;
-  for (const SimMessage& msg : messages)
-    net.send(msg, 0.0, [&latest](double t) { latest = std::max(latest, t); });
-  events.run();
-  return latest;
-}
-
-// --- Fault-aware phases ----------------------------------------------------
-
 /// Aggregate verdict of one reliable communication phase.
 struct PhaseOutcome {
   double done = 0.0;      ///< Last delivery or failure-detection instant.
@@ -113,8 +89,8 @@ struct PhaseOutcome {
   bool abandoned = false;  ///< Some transfer ran out of retry attempts.
 };
 
-/// Reliable counterpart of runSerial: transfers go one after another, each
-/// starting at the previous outcome (delivery or detection) instant.
+/// Serial wire: transfers go one after another, each starting at the
+/// previous outcome (delivery or detection) instant.
 PhaseOutcome runSerialReliable(EventQueue& events, Network& net,
                                const std::vector<SimMessage>& messages,
                                const RetryPolicy& policy, double startAt) {
@@ -132,7 +108,7 @@ PhaseOutcome runSerialReliable(EventQueue& events, Network& net,
   return o;
 }
 
-/// Reliable counterpart of runParallel: everything is issued at startAt.
+/// Everything is issued at startAt (NICs serialize per sender).
 PhaseOutcome runParallelReliable(EventQueue& events, Network& net,
                                  const std::vector<SimMessage>& messages,
                                  const RetryPolicy& policy, double startAt) {
@@ -164,125 +140,19 @@ Proc fastestSurvivor(Proc dead, const Ratio& ratio) {
   return best;
 }
 
-/// Delta-schedule volumes as per-pair chunked messages (bulk re-sync).
-std::vector<SimMessage> deltaMessages(
-    const std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>& vols,
-    int chunksPerPair) {
-  std::vector<SimMessage> out;
-  for (Proc s : kAllProcs) {
-    for (Proc r : kAllProcs) {
-      if (s == r) continue;
-      const std::int64_t volume = vols[procSlot(s)][procSlot(r)];
-      if (volume == 0) continue;
-      for (int c = 0; c < chunksPerPair; ++c) {
-        const std::int64_t lo = volume * c / chunksPerPair;
-        const std::int64_t hi = volume * (c + 1) / chunksPerPair;
-        if (hi > lo) out.push_back({s, r, hi - lo});
-      }
-    }
-  }
-  return out;
-}
-
-SimResult simulateIdeal(Algo algo, const Partition& q,
-                        const SimOptions& options) {
-  EventQueue events;
-  Network net(events, options.machine, options.topology, options.star);
-  const CompLoads loads = computeLoads(q, options.machine);
-
-  SimResult result;
-  switch (algo) {
-    case Algo::kSCB: {
-      const double commDone =
-          runSerial(events, net, bulkMessages(q, options.chunksPerPair));
-      result.commSeconds = commDone;
-      result.compSeconds = loads.maxFull;
-      result.execSeconds = commDone + loads.maxFull;
-      break;
-    }
-    case Algo::kPCB: {
-      const double commDone =
-          runParallel(events, net, bulkMessages(q, options.chunksPerPair));
-      result.commSeconds = commDone;
-      result.compSeconds = loads.maxFull;
-      result.execSeconds = commDone + loads.maxFull;
-      break;
-    }
-    case Algo::kSCO: {
-      const double commDone =
-          runSerial(events, net, bulkMessages(q, options.chunksPerPair));
-      result.commSeconds = commDone;
-      result.overlapSeconds = loads.maxOverlap;
-      result.compSeconds = loads.maxRemainder;
-      result.execSeconds =
-          std::max(commDone, loads.maxOverlap) + loads.maxRemainder;
-      break;
-    }
-    case Algo::kPCO: {
-      const double commDone =
-          runParallel(events, net, bulkMessages(q, options.chunksPerPair));
-      result.commSeconds = commDone;
-      result.overlapSeconds = loads.maxOverlap;
-      result.compSeconds = loads.maxRemainder;
-      result.execSeconds =
-          std::max(commDone, loads.maxOverlap) + loads.maxRemainder;
-      break;
-    }
-    case Algo::kPIO: {
-      // Block b's pivot data is exchanged while block b−1 is computed; block
-      // b begins once both finish (Eq. 9's serialization, grouped by
-      // options.pioBlockSize pivots — one message per (pair, block) so
-      // larger blocks amortize the per-message latency α).
-      PUSHPART_CHECK(options.pioBlockSize >= 1);
-      const int n = q.n();
-      double t = 0.0;
-      int prevBlockSteps = 0;
-      for (int k = 0; k < n; k += options.pioBlockSize) {
-        const int blockEnd = std::min(n, k + options.pioBlockSize);
-        // Merge the block's per-pivot volumes into one message per pair.
-        std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> vol{};
-        for (int p = k; p < blockEnd; ++p)
-          for (const SimMessage& msg : stepMessages(q, p))
-            vol[procSlot(msg.from)][procSlot(msg.to)] += msg.elements;
-        double delivered = t;
-        for (Proc s : kAllProcs)
-          for (Proc r : kAllProcs) {
-            if (s == r || vol[procSlot(s)][procSlot(r)] == 0) continue;
-            net.send({s, r, vol[procSlot(s)][procSlot(r)]}, t,
-                     [&delivered](double at) {
-                       delivered = std::max(delivered, at);
-                     });
-          }
-        events.run();
-        t = std::max(delivered, t + loads.maxStep * prevBlockSteps);
-        prevBlockSteps = blockEnd - k;
-      }
-      t += loads.maxStep * prevBlockSteps;  // drain: compute the final block
-      double nicBusy = 0.0;
-      for (double b : net.stats().nicBusySeconds) nicBusy += b;
-      result.commSeconds = nicBusy;
-      result.compSeconds = loads.maxStep * n;
-      result.execSeconds = t;
-      break;
-    }
-  }
-  result.network = net.stats();
-  return result;
-}
-
-/// Fault-injected run: reliable transfers (timeout/backoff retransmission)
-/// and, on processor death, degrade-to-survivors failover via
-/// plan/rebalance.hpp. Post-death execution is modeled barrier-style — the
-/// overlap algorithms lose their overlap once a failure is detected, a
-/// documented simplification (DESIGN.md, "Fault model & recovery").
-SimResult simulateFaulty(Algo algo, const Partition& q,
-                         const SimOptions& options) {
-  options.faults.validate();
+/// One run: reliable transfers (timeout/backoff retransmission) and, on
+/// processor death, degrade-to-survivors failover via plan/rebalance.hpp.
+/// Under an inert plan nothing is lost or delayed, every transfer lands on
+/// its first attempt, and the run is the perfect Hockney network. Post-death
+/// execution is modeled barrier-style — the overlap algorithms lose their
+/// overlap once a failure is detected, a documented simplification
+/// (DESIGN.md, "Fault model & recovery").
+SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
+  FaultInjector injector(options.faults);  // validates the plan
   options.retry.validate();
-  FaultInjector injector(options.faults);
   EventQueue events;
   Network net(events, options.machine, options.topology, options.star,
-              &injector);
+              injector);
   const Machine& m = options.machine;
   const CompLoads loads = computeLoads(q, m);
   const int n = q.n();
@@ -368,26 +238,13 @@ SimResult simulateFaulty(Algo algo, const Partition& q,
         failedOver = true;
         continue;
       }
+      // Block b's pivot data (one message per pair, so larger blocks
+      // amortize α) is exchanged while block b−1 is computed; block b
+      // begins once both finish — Eq. 9's serialization.
       const int blockEnd = std::min(n, k + options.pioBlockSize);
-      std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> vol{};
-      for (int p = k; p < blockEnd; ++p)
-        for (const SimMessage& msg : stepMessages(cur, p))
-          vol[procSlot(msg.from)][procSlot(msg.to)] += msg.elements;
-      PhaseOutcome block{t, false, false};
-      double latest = t;
-      for (Proc s : kAllProcs)
-        for (Proc r : kAllProcs) {
-          if (s == r || vol[procSlot(s)][procSlot(r)] == 0) continue;
-          net.sendReliable({s, r, vol[procSlot(s)][procSlot(r)]}, t,
-                           options.retry, [&](const TransferOutcome& out) {
-                             latest = std::max(latest, out.at);
-                             if (!out.delivered)
-                               (out.peerDead ? block.peerDead
-                                             : block.abandoned) = true;
-                           });
-        }
-      events.run();
-      block.done = latest;
+      const PhaseOutcome block = runParallelReliable(
+          events, net, chunkedMessages(pivotVolumes(cur, k, blockEnd), 1),
+          options.retry, t);
       if (block.abandoned) return failAt(block.done);
       if (block.peerDead) {
         // Death detected mid-block; re-enter the loop so the failover
@@ -434,7 +291,7 @@ SimResult simulateFaulty(Algo algo, const Partition& q,
   // --- Bulk algorithms (SCB/PCB/SCO/PCO) --------------------------------
   const bool serialFamily = algo == Algo::kSCB || algo == Algo::kSCO;
   const bool overlapFamily = algo == Algo::kSCO || algo == Algo::kPCO;
-  const auto messages = bulkMessages(q, options.chunksPerPair);
+  const auto messages = chunkedMessages(pairVolumes(q), options.chunksPerPair);
   const PhaseOutcome comm =
       serialFamily
           ? runSerialReliable(events, net, messages, options.retry, 0.0)
@@ -479,7 +336,7 @@ SimResult simulateFaulty(Algo algo, const Partition& q,
   // epoch's volumes are re-synced in full among the survivors).
   std::vector<SimMessage> recMessages = refetchMessages(*reb);
   for (SimMessage msg :
-       deltaMessages(planVolumes(reb->deltaPlan), options.chunksPerPair))
+       chunkedMessages(planVolumes(reb->deltaPlan), options.chunksPerPair))
     recMessages.push_back(msg);
   const PhaseOutcome rec =
       serialFamily
@@ -541,8 +398,7 @@ SimResult simulateMMM(Algo algo, const Partition& q,
   PUSHPART_CHECK(options.chunksPerPair >= 1);
   PUSHPART_CHECK_MSG(options.machine.ratio.valid(),
                      "invalid ratio " << options.machine.ratio.str());
-  SimResult result = options.faults.enabled() ? simulateFaulty(algo, q, options)
-                                              : simulateIdeal(algo, q, options);
+  SimResult result = simulate(algo, q, options);
   if (options.telemetry) emitRunTelemetry(q, options, result);
   return result;
 }

@@ -31,10 +31,10 @@ struct SimOptions {
   /// Pivots exchanged per PIO step (paper §II: "k rows and columns at a
   /// time"). 1 = classic PIO; n = one bulk exchange. Must be >= 1.
   int pioBlockSize = 1;
-  /// Fault injection plan. When disabled (the default) the simulation takes
-  /// the original perfect-network path and is bit-identical to it.
+  /// Fault injection plan. The default plan is inert: nothing is dropped,
+  /// slowed, stalled or killed, and the run is the perfect Hockney network.
   FaultPlan faults{};
-  /// Timeout/retransmit policy for transfers under fault injection.
+  /// Timeout/retransmit policy of every transfer; validated on every run.
   RetryPolicy retry{};
   /// On processor death, repartition to the survivors (plan/rebalance.hpp)
   /// and finish the run degraded. When false a death aborts the run

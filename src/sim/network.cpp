@@ -5,16 +5,12 @@
 namespace pushpart {
 
 double Network::bookHop(Proc sender, std::int64_t elements, double readyAt) {
-  double start = std::max(readyAt, nicFreeAt_[procSlot(sender)]);
-  double duration;
-  if (faults_ == nullptr) {
-    duration = machine_.transferSeconds(elements);
-  } else {
-    start = faults_->stallClearedAt(sender, start);
-    duration = machine_.alphaSeconds * faults_->alphaFactorAt(start) +
-               machine_.sendElementSeconds * faults_->betaFactorAt(start) *
-                   static_cast<double>(elements);
-  }
+  const double start = faults_.stallClearedAt(
+      sender, std::max(readyAt, nicFreeAt_[procSlot(sender)]));
+  const double duration =
+      machine_.alphaSeconds * faults_.alphaFactorAt(start) +
+      machine_.sendElementSeconds * faults_.betaFactorAt(start) *
+          static_cast<double>(elements);
   const double done = start + duration;
   nicFreeAt_[procSlot(sender)] = done;
   ++stats_.messagesSent;
@@ -23,40 +19,10 @@ double Network::bookHop(Proc sender, std::int64_t elements, double readyAt) {
   return done;
 }
 
-void Network::send(const SimMessage& message, double readyAt,
-                   std::function<void(double)> onDelivered) {
-  PUSHPART_CHECK(message.from != message.to);
-  PUSHPART_CHECK(message.elements >= 0);
-  if (message.elements == 0) {
-    events_.schedule(std::max(readyAt, events_.now()),
-                     [cb = std::move(onDelivered), t = readyAt] { cb(t); });
-    return;
-  }
-
-  const bool needsRelay = topology_ == Topology::kStar &&
-                          message.from != star_.hub && message.to != star_.hub;
-  const double firstHopDone = bookHop(message.from, message.elements, readyAt);
-  if (!needsRelay) {
-    events_.schedule(firstHopDone,
-                     [cb = std::move(onDelivered), firstHopDone] {
-                       cb(firstHopDone);
-                     });
-    return;
-  }
-  // Store-and-forward: the hub's NIC can only be booked once the message has
-  // arrived, so the second hop is scheduled from an event at that instant.
-  events_.schedule(firstHopDone, [this, message, firstHopDone,
-                                  cb = std::move(onDelivered)]() mutable {
-    const double done = bookHop(star_.hub, message.elements, firstHopDone);
-    events_.schedule(done, [cb = std::move(cb), done] { cb(done); });
-  });
-}
-
 void Network::attemptOnce(const SimMessage& message, double readyAt,
                           std::function<void(bool, double)> onResult) {
   PUSHPART_CHECK(message.from != message.to);
   PUSHPART_CHECK(message.elements >= 0);
-  PUSHPART_CHECK(faults_ != nullptr);
   if (message.elements == 0) {
     events_.schedule(std::max(readyAt, events_.now()),
                      [cb = std::move(onResult), t = readyAt] { cb(true, t); });
@@ -70,13 +36,13 @@ void Network::attemptOnce(const SimMessage& message, double readyAt,
                                   cb = std::move(onResult)]() mutable {
     // Loss draws happen at hop completion so they consume the fault stream
     // in deterministic event order.
-    if (faults_->dropHop()) {
+    if (faults_.dropHop()) {
       ++stats_.dropsInjected;
       cb(false, firstHopDone);
       return;
     }
     const Proc receiver = needsRelay ? star_.hub : message.to;
-    if (!faults_->aliveAt(receiver, firstHopDone)) {
+    if (!faults_.aliveAt(receiver, firstHopDone)) {
       cb(false, firstHopDone);
       return;
     }
@@ -86,12 +52,12 @@ void Network::attemptOnce(const SimMessage& message, double readyAt,
     }
     const double done = bookHop(star_.hub, message.elements, firstHopDone);
     events_.schedule(done, [this, message, done, cb = std::move(cb)] {
-      if (faults_->dropHop()) {
+      if (faults_.dropHop()) {
         ++stats_.dropsInjected;
         cb(false, done);
         return;
       }
-      cb(!faults_->aliveAt(message.to, done) ? false : true, done);
+      cb(faults_.aliveAt(message.to, done), done);
     });
   });
 }
@@ -102,8 +68,8 @@ void Network::runAttempt(SimMessage message, double readyAt,
   // Endpoint already known dead: the transfer cannot succeed; report the
   // failure without occupying the NIC (the sender's failure detector has
   // marked the peer).
-  if (!faults_->aliveAt(message.from, readyAt) ||
-      !faults_->aliveAt(message.to, readyAt)) {
+  if (!faults_.aliveAt(message.from, readyAt) ||
+      !faults_.aliveAt(message.to, readyAt)) {
     ++stats_.deadEndpointFailures;
     TransferOutcome out{false, readyAt, attempt, true};
     events_.schedule(std::max(readyAt, events_.now()),
@@ -120,8 +86,8 @@ void Network::runAttempt(SimMessage message, double readyAt,
                 // The sender learns of the loss only when the ack timeout
                 // expires, measured from the end of its transmission.
                 const double detectAt = t + policy.timeoutSeconds;
-                if (!faults_->aliveAt(message.to, detectAt) ||
-                    !faults_->aliveAt(message.from, detectAt)) {
+                if (!faults_.aliveAt(message.to, detectAt) ||
+                    !faults_.aliveAt(message.from, detectAt)) {
                   ++stats_.deadEndpointFailures;
                   events_.schedule(detectAt, [cb = std::move(cb), detectAt,
                                               attempt] {
@@ -138,7 +104,7 @@ void Network::runAttempt(SimMessage message, double readyAt,
                   return;
                 }
                 const double backoff =
-                    policy.backoffBeforeRetry(attempt, faults_->rng());
+                    policy.backoffBeforeRetry(attempt, faults_.rng());
                 ++stats_.retriesSent;
                 events_.schedule(detectAt, [this, message, policy, attempt,
                                             detectAt, backoff,
@@ -152,9 +118,6 @@ void Network::runAttempt(SimMessage message, double readyAt,
 void Network::sendReliable(const SimMessage& message, double readyAt,
                            const RetryPolicy& policy,
                            std::function<void(const TransferOutcome&)> onDone) {
-  PUSHPART_CHECK_MSG(faults_ != nullptr,
-                     "sendReliable requires a FaultInjector; use send() on a "
-                     "perfect network");
   policy.validate();
   runAttempt(message, readyAt, policy, 1, std::move(onDone));
 }

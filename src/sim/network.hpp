@@ -8,14 +8,13 @@
 // forwarding load; this is how the simulator exposes costs the closed-form
 // models only approximate.
 //
-// With a FaultInjector attached the network additionally models an
-// imperfect cluster: hops can be lost in transit, latency spikes inflate
-// α/β inside time windows, stalled NICs delay hop starts, and messages
-// touching a dead processor never arrive. sendReliable() layers
-// timeout/retransmit semantics (bounded exponential backoff with jitter)
-// on top, which is what the fault-aware simulation paths use. Without an
-// injector the arithmetic is bit-identical to the original perfect-network
-// model.
+// Every network runs a FaultInjector, which can make the cluster imperfect:
+// hops can be lost in transit, latency spikes inflate α/β inside time
+// windows, stalled NICs delay hop starts, and messages touching a dead
+// processor never arrive. sendReliable() layers timeout/retransmit
+// semantics (bounded exponential backoff with jitter) on top. Under an
+// inert FaultPlan none of that happens: every transfer is delivered on its
+// first attempt at the Hockney instant.
 #pragma once
 
 #include <array>
@@ -35,8 +34,8 @@ struct SimMessage {
   std::int64_t elements = 0;
 };
 
-/// Per-run network statistics. The fault counters stay zero when no
-/// FaultInjector is attached.
+/// Per-run network statistics. The fault counters stay zero under an inert
+/// FaultPlan.
 struct NetworkStats {
   std::int64_t messagesSent = 0;   ///< Including forwarding hops and retries.
   std::int64_t elementsMoved = 0;  ///< Element·hops.
@@ -58,28 +57,24 @@ struct TransferOutcome {
 
 class Network {
  public:
+  /// `faults` must outlive the network; an injector built from the default
+  /// FaultPlan is the perfect network.
   Network(EventQueue& events, const Machine& machine, Topology topology,
-          StarConfig star = {}, FaultInjector* faults = nullptr)
+          StarConfig star, FaultInjector& faults)
       : events_(events),
         machine_(machine),
         topology_(topology),
         star_(star),
         faults_(faults) {}
 
-  /// Queues `message` on the sender's NIC no earlier than `readyAt`;
-  /// `onDelivered(t)` fires at final delivery (after the hub hop, if any).
-  /// Zero-element messages deliver immediately without NIC cost. Fault-blind:
-  /// delivery is guaranteed even when an injector is attached (timing faults
-  /// still apply); use sendReliable for loss-aware transfers.
-  void send(const SimMessage& message, double readyAt,
-            std::function<void(double)> onDelivered);
-
-  /// Reliable transfer with retransmission: attempts the send, detects a
-  /// loss `policy.timeoutSeconds` after the hop completed, backs off
-  /// (bounded exponential with jitter from the fault stream) and retries up
-  /// to `policy.maxAttempts` total attempts. Fails fast with peerDead when
-  /// an endpoint is dead at (re)send or detection time. Requires a
-  /// FaultInjector; with a fault-free plan it degenerates to send().
+  /// Reliable transfer with retransmission: queues `message` on the
+  /// sender's NIC no earlier than `readyAt`, detects a loss
+  /// `policy.timeoutSeconds` after the hop completed, backs off (bounded
+  /// exponential with jitter from the fault stream) and retries up to
+  /// `policy.maxAttempts` total attempts. `onDone` fires at final delivery
+  /// (after the hub hop, if any) or when the sender gives up. Fails fast
+  /// with peerDead when an endpoint is dead at (re)send or detection time.
+  /// Zero-element messages deliver at `readyAt` without NIC cost.
   void sendReliable(const SimMessage& message, double readyAt,
                     const RetryPolicy& policy,
                     std::function<void(const TransferOutcome&)> onDone);
@@ -110,7 +105,7 @@ class Network {
   Machine machine_;
   Topology topology_;
   StarConfig star_;
-  FaultInjector* faults_;
+  FaultInjector& faults_;
   std::array<double, kNumProcs> nicFreeAt_{};
   NetworkStats stats_;
 };

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "atlas/builder.hpp"
+#include "support/fnv.hpp"
 
 namespace pushpart {
 namespace {
@@ -49,19 +50,33 @@ TEST(AtlasIoTest, SaveLoadSaveIsByteIdentical) {
         EXPECT_EQ(*report.atlas->cell(i, j), *atlas->cell(i, j));
 }
 
-TEST(AtlasIoTest, FutureVersionIsRefusedWhole) {
-  std::string text = savedText(*builtAtlas());
-  const std::string magic = "pushpart-atlas v2";
-  const auto pos = text.find(magic);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, magic.size(), "pushpart-atlas v3");
-
+/// Loads `text` with its magic line replaced by `magic`.
+AtlasLoadReport loadWithMagic(std::string text, const std::string& magic) {
+  const std::string current = "pushpart-atlas v3";
+  EXPECT_EQ(text.rfind(current, 0), 0u);
+  text.replace(0, current.size(), magic);
   std::istringstream is(text);
-  const AtlasLoadReport report = tryLoadAtlas(is);
+  return tryLoadAtlas(is);
+}
+
+TEST(AtlasIoTest, FutureVersionIsRefusedWhole) {
+  const AtlasLoadReport report =
+      loadWithMagic(savedText(*builtAtlas()), "pushpart-atlas v4");
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.versionRefused);
   EXPECT_EQ(report.atlas, nullptr);
   EXPECT_FALSE(report.error.empty());
+}
+
+TEST(AtlasIoTest, OlderVersionsAreRefusedWhole) {
+  // v1 lacks the lower-bound gap and v2 leaves its header unchecked.
+  for (const char* magic : {"pushpart-atlas v1", "pushpart-atlas v2"}) {
+    const AtlasLoadReport report =
+        loadWithMagic(savedText(*builtAtlas()), magic);
+    EXPECT_FALSE(report.ok()) << magic;
+    EXPECT_TRUE(report.versionRefused) << magic;
+    EXPECT_EQ(report.atlas, nullptr) << magic;
+  }
 }
 
 TEST(AtlasIoTest, GarbageIsRefused) {
@@ -70,6 +85,14 @@ TEST(AtlasIoTest, GarbageIsRefused) {
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.atlas, nullptr);
   EXPECT_FALSE(report.error.empty());
+}
+
+/// A grid record over `payload` whose checksum verifies.
+std::string gridRecord(const std::string& payload) {
+  char sum[20];
+  std::snprintf(sum, sizeof(sum), "%016llx",
+                static_cast<unsigned long long>(fnv1a(payload)));
+  return std::string("grid ") + sum + ' ' + payload;
 }
 
 /// Loads `text` with its grid line replaced by `grid`.
@@ -85,7 +108,7 @@ TEST(AtlasIoTest, NegativeStepCountsRefusedBeforeAllocating) {
   // (-8192) x (-16384) steps is 2^27 cells once multiplied as size_t: the
   // header must be refused by the spec check before any cell is allocated.
   const AtlasLoadReport report = loadWithGridLine(
-      savedText(*builtAtlas()), "grid 1 20 -8192 1 10 -16384");
+      savedText(*builtAtlas()), gridRecord("1 20 -8192 1 10 -16384"));
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.atlas, nullptr);
   EXPECT_NE(report.error.find("needs >= 2 steps per axis"), std::string::npos)
@@ -95,12 +118,55 @@ TEST(AtlasIoTest, NegativeStepCountsRefusedBeforeAllocating) {
 TEST(AtlasIoTest, WrappedStepProductReportsTheSpecError) {
   // (-1) x 2 steps wraps past vector::max_size(); the error must still name
   // the step count, not the allocation.
-  const AtlasLoadReport report =
-      loadWithGridLine(savedText(*builtAtlas()), "grid 1 20 -1 1 10 2");
+  const AtlasLoadReport report = loadWithGridLine(
+      savedText(*builtAtlas()), gridRecord("1 20 -1 1 10 2"));
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.atlas, nullptr);
   EXPECT_NE(report.error.find("needs >= 2 steps per axis"), std::string::npos)
       << report.error;
+}
+
+TEST(AtlasIoTest, AnyFlippedHeaderByteRefusesTheFile) {
+  // A grid or info line that loaded with a flipped byte would re-map every
+  // cell (another ratio span, another n) while reading clean. Each byte of
+  // both lines, its newline included, is flipped in turn.
+  const std::string text = savedText(*builtAtlas());
+  const auto begin = text.find("\ngrid ") + 1;
+  const auto infoBegin = text.find("\ninfo ") + 1;
+  const auto end = text.find('\n', infoBegin) + 1;
+  ASSERT_LT(begin, infoBegin);
+  for (std::size_t pos = begin; pos < end; ++pos) {
+    for (const char mask : {'\x01', '\x20'}) {
+      std::string flipped = text;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ mask);
+      std::istringstream is(flipped);
+      const AtlasLoadReport report = tryLoadAtlas(is);
+      EXPECT_FALSE(report.ok())
+          << "byte " << pos << " mask " << static_cast<int>(mask);
+      EXPECT_EQ(report.atlas, nullptr) << "byte " << pos;
+    }
+  }
+}
+
+TEST(AtlasIoTest, LostLinesAreCountedAsSkipped) {
+  // A file cut after a complete line holds only valid records; the declared
+  // cell count is what tells the loader the rest is gone.
+  const auto atlas = builtAtlas();
+  const std::string text = savedText(*atlas);
+  const std::size_t cells = atlas->solvedCells();
+  ASSERT_GT(cells, 2u);
+  const auto countEnd = text.find('\n', text.find("\ncells ") + 1) + 1;
+  std::size_t cut = countEnd;
+  for (std::size_t kept = 0; kept < cells; ++kept) {
+    std::istringstream is(text.substr(0, cut));
+    const AtlasLoadReport report = tryLoadAtlas(is);
+    ASSERT_TRUE(report.ok()) << report.error;
+    EXPECT_FALSE(report.clean()) << kept << " cells kept";
+    EXPECT_EQ(report.loaded, kept);
+    EXPECT_EQ(report.skipped, cells - kept) << kept << " cells kept";
+    cut = text.find('\n', cut) + 1;
+  }
+  EXPECT_EQ(cut, text.size());  // every cut short of the whole file ran
 }
 
 TEST(AtlasIoTest, CorruptCellIsSkippedAndBoundariesRederived) {

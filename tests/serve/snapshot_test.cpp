@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "serve/oracle.hpp"
+#include "support/fnv.hpp"
 
 namespace pushpart {
 namespace {
@@ -124,6 +125,46 @@ TEST(SnapshotTest, TruncatedFileKeepsThePrefixEntries) {
   const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
   EXPECT_EQ(report.loaded, 4u);
   EXPECT_EQ(report.skipped, 1u);
+}
+
+TEST(SnapshotTest, LostLinesAreCountedAsSkipped) {
+  // A file cut after a complete line holds only valid entries; the declared
+  // entry count is what tells the loader the rest is gone.
+  PlanCache cache(64, 4);
+  populate(cache, 10);
+  std::ostringstream os;
+  savePlanCacheSnapshot(cache, os);
+  const std::string text = os.str();
+  std::size_t cut = text.find('\n', text.find("\nentries ") + 1) + 1;
+  for (std::size_t kept = 0; kept < 10; ++kept) {
+    PlanCache restored(64, 4);
+    std::istringstream in(text.substr(0, cut));
+    const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+    ASSERT_TRUE(report.ok()) << report.error;
+    EXPECT_FALSE(report.clean()) << kept << " entries kept";
+    EXPECT_EQ(report.loaded, kept);
+    EXPECT_EQ(report.skipped, 10 - kept) << kept << " entries kept";
+    cut = text.find('\n', cut) + 1;
+  }
+  EXPECT_EQ(cut, text.size());  // every cut short of the whole file ran
+
+  // Losing the count line as well leaves one visible loss: the line itself.
+  PlanCache restored(64, 4);
+  std::istringstream magicOnly(text.substr(0, text.find('\n') + 1));
+  const SnapshotLoadReport report =
+      tryLoadPlanCacheSnapshot(restored, magicOnly);
+  ASSERT_TRUE(report.ok()) << report.error;
+  EXPECT_EQ(report.skipped, 1u);
+}
+
+TEST(SnapshotTest, SavedBytesArePinned) {
+  // The snapshot format is v3 on disk: a fixed cache must save the same
+  // bytes as every earlier build of v3 did.
+  PlanCache cache(64, 4);
+  populate(cache, 6);
+  std::ostringstream os;
+  savePlanCacheSnapshot(cache, os);
+  EXPECT_EQ(fnv1a(os.str()), 0x88ff896875bbbb1eull) << os.str();
 }
 
 TEST(SnapshotTest, VersionMismatchRefusesTheWholeFile) {

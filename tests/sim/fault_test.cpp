@@ -237,26 +237,18 @@ RetryPolicy unitPolicy() {
   return policy;
 }
 
-TEST(SendReliableTest, RequiresAFaultInjector) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
-  EXPECT_THROW(net.sendReliable({Proc::R, Proc::P, 5}, 0.0, unitPolicy(),
-                                [](const TransferOutcome&) {}),
-               CheckError);
-}
-
 TEST(SendReliableTest, InertPlanDeliversOnTheFirstAttempt) {
   EventQueue events;
   FaultInjector injector(FaultPlan{});
   Network net(events, flatMachine(), Topology::kFullyConnected, StarConfig{},
-              &injector);
+              injector);
   TransferOutcome out;
   net.sendReliable({Proc::R, Proc::P, 5}, 0.0, unitPolicy(),
                    [&](const TransferOutcome& o) { out = o; });
   events.run();
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.attempts, 1);
-  EXPECT_DOUBLE_EQ(out.at, 5.0);  // β·M, same as the unreliable path
+  EXPECT_DOUBLE_EQ(out.at, 5.0);  // β·M: the Hockney instant
   EXPECT_EQ(net.stats().retriesSent, 0);
   EXPECT_EQ(net.stats().dropsInjected, 0);
 }
@@ -268,7 +260,7 @@ TEST(SendReliableTest, RetriesUntilDeliveryUnderHeavyLoss) {
   plan.dropProbability = 0.9;
   FaultInjector injector(plan);
   Network net(events, flatMachine(), Topology::kFullyConnected, StarConfig{},
-              &injector);
+              injector);
   RetryPolicy policy = unitPolicy();
   policy.maxAttempts = 200;  // delivery is (statistically) certain
   TransferOutcome out;
@@ -289,7 +281,7 @@ TEST(SendReliableTest, AbandonsAfterMaxAttempts) {
   plan.dropProbability = 1.0;
   FaultInjector injector(plan);
   Network net(events, flatMachine(), Topology::kFullyConnected, StarConfig{},
-              &injector);
+              injector);
   RetryPolicy policy = unitPolicy();
   policy.maxAttempts = 3;
   TransferOutcome out;
@@ -313,7 +305,7 @@ TEST(SendReliableTest, SingleAttemptExhaustionFailsAtTheDetectionInstant) {
   plan.dropProbability = 1.0;
   FaultInjector injector(plan);
   Network net(events, flatMachine(), Topology::kFullyConnected, StarConfig{},
-              &injector);
+              injector);
   RetryPolicy policy = unitPolicy();
   policy.maxAttempts = 1;
   TransferOutcome out;
@@ -338,7 +330,7 @@ TEST(SendReliableTest, ExhaustionFollowsTheCappedBackoffSchedule) {
   plan.dropProbability = 1.0;
   FaultInjector injector(plan);
   Network net(events, flatMachine(), Topology::kFullyConnected, StarConfig{},
-              &injector);
+              injector);
   RetryPolicy policy = unitPolicy();  // backoff 0.5, factor 2, cap 2.0
   policy.maxAttempts = 5;
   TransferOutcome out;
@@ -359,7 +351,7 @@ TEST(SendReliableTest, FailsFastOnADeadPeer) {
   plan.death = ProcDeath{Proc::P, 0.0};
   FaultInjector injector(plan);
   Network net(events, flatMachine(), Topology::kFullyConnected, StarConfig{},
-              &injector);
+              injector);
   TransferOutcome out;
   net.sendReliable({Proc::R, Proc::P, 5}, 1.0, unitPolicy(),
                    [&](const TransferOutcome& o) { out = o; });
@@ -400,6 +392,19 @@ TEST(SimFaultTest, DisabledPlanKeepsTheFaultFreePathBitIdentical) {
   EXPECT_EQ(again.network.retriesSent, 0);
   EXPECT_TRUE(again.completed);
   EXPECT_FALSE(again.recovery.processorDied);
+}
+
+TEST(SimFaultTest, InvalidRetryPolicyIsRefusedUnderAnInertPlan) {
+  // Every run sends through the retransmitting transfer layer, so its
+  // policy is checked even when the plan injects nothing.
+  Rng rng(10);
+  const Ratio ratio{3, 2, 1};
+  const auto q = randomPartition(12, ratio, rng);
+  auto opts = faultyOptions(ratio);
+  ASSERT_FALSE(opts.faults.enabled());
+  opts.retry.maxAttempts = 0;
+  for (Algo algo : kAllAlgos)
+    EXPECT_THROW(simulateMMM(algo, q, opts), CheckError) << algoName(algo);
 }
 
 TEST(SimFaultTest, DropsForceRetriesAndInflateTheRun) {

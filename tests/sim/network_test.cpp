@@ -13,107 +13,121 @@ Machine flatMachine() {
   return m;
 }
 
-TEST(NetworkTest, DirectSendTakesHockneyTime) {
+/// A network under the default (inert) fault plan: the perfect network.
+struct PerfectNet {
   EventQueue events;
+  FaultInjector injector{FaultPlan{}};
+  Network net;
+
+  explicit PerfectNet(const Machine& m,
+                      Topology topology = Topology::kFullyConnected,
+                      StarConfig star = {})
+      : net(events, m, topology, star, injector) {}
+
+  /// Sends reliably and stores the delivery instant in `delivered`; with
+  /// nothing to lose, every transfer must land on its first attempt.
+  void send(const SimMessage& message, double readyAt, double& delivered) {
+    net.sendReliable(message, readyAt, RetryPolicy{},
+                     [&delivered](const TransferOutcome& out) {
+                       EXPECT_TRUE(out.delivered);
+                       EXPECT_EQ(out.attempts, 1);
+                       delivered = out.at;
+                     });
+  }
+};
+
+TEST(NetworkTest, DirectSendTakesHockneyTime) {
   Machine m = flatMachine();
   m.alphaSeconds = 2.0;
-  Network net(events, m, Topology::kFullyConnected);
+  PerfectNet p(m);
   double delivered = -1;
-  net.send({Proc::R, Proc::P, 10}, 0.0, [&](double t) { delivered = t; });
-  events.run();
+  p.send({Proc::R, Proc::P, 10}, 0.0, delivered);
+  p.events.run();
   EXPECT_DOUBLE_EQ(delivered, 12.0);  // α + β·M = 2 + 10
 }
 
 TEST(NetworkTest, NicSerializesSends) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
+  PerfectNet p(flatMachine());
   double d1 = -1, d2 = -1;
-  net.send({Proc::R, Proc::P, 5}, 0.0, [&](double t) { d1 = t; });
-  net.send({Proc::R, Proc::S, 5}, 0.0, [&](double t) { d2 = t; });
-  events.run();
+  p.send({Proc::R, Proc::P, 5}, 0.0, d1);
+  p.send({Proc::R, Proc::S, 5}, 0.0, d2);
+  p.events.run();
   EXPECT_DOUBLE_EQ(d1, 5.0);
   EXPECT_DOUBLE_EQ(d2, 10.0);  // second send waits for the NIC
 }
 
 TEST(NetworkTest, DifferentSendersProceedInParallel) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
+  PerfectNet p(flatMachine());
   double d1 = -1, d2 = -1;
-  net.send({Proc::R, Proc::P, 5}, 0.0, [&](double t) { d1 = t; });
-  net.send({Proc::S, Proc::P, 5}, 0.0, [&](double t) { d2 = t; });
-  events.run();
+  p.send({Proc::R, Proc::P, 5}, 0.0, d1);
+  p.send({Proc::S, Proc::P, 5}, 0.0, d2);
+  p.events.run();
   EXPECT_DOUBLE_EQ(d1, 5.0);
   EXPECT_DOUBLE_EQ(d2, 5.0);
 }
 
 TEST(NetworkTest, StarRelaysThroughHub) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kStar, StarConfig{Proc::P});
+  PerfectNet p(flatMachine(), Topology::kStar, StarConfig{Proc::P});
   double delivered = -1;
-  net.send({Proc::R, Proc::S, 4}, 0.0, [&](double t) { delivered = t; });
-  events.run();
+  p.send({Proc::R, Proc::S, 4}, 0.0, delivered);
+  p.events.run();
   EXPECT_DOUBLE_EQ(delivered, 8.0);  // two hops of 4 elements
-  EXPECT_EQ(net.stats().messagesSent, 2);
-  EXPECT_EQ(net.stats().elementsMoved, 8);
+  EXPECT_EQ(p.net.stats().messagesSent, 2);
+  EXPECT_EQ(p.net.stats().elementsMoved, 8);
 }
 
 TEST(NetworkTest, StarHubTrafficIsDirect) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kStar, StarConfig{Proc::P});
+  PerfectNet p(flatMachine(), Topology::kStar, StarConfig{Proc::P});
   double delivered = -1;
-  net.send({Proc::R, Proc::P, 4}, 0.0, [&](double t) { delivered = t; });
-  events.run();
+  p.send({Proc::R, Proc::P, 4}, 0.0, delivered);
+  p.events.run();
   EXPECT_DOUBLE_EQ(delivered, 4.0);
-  EXPECT_EQ(net.stats().messagesSent, 1);
+  EXPECT_EQ(p.net.stats().messagesSent, 1);
 }
 
 TEST(NetworkTest, HubForwardingContendsWithItsOwnSends) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kStar, StarConfig{Proc::P});
+  PerfectNet p(flatMachine(), Topology::kStar, StarConfig{Proc::P});
   double spokeDelivered = -1, hubDelivered = -1;
   // Spoke-to-spoke message arrives at the hub at t=4, but the hub's NIC is
   // busy with its own 10-element send until t=10.
-  net.send({Proc::P, Proc::R, 10}, 0.0, [&](double t) { hubDelivered = t; });
-  net.send({Proc::R, Proc::S, 4}, 0.0, [&](double t) { spokeDelivered = t; });
-  events.run();
+  p.send({Proc::P, Proc::R, 10}, 0.0, hubDelivered);
+  p.send({Proc::R, Proc::S, 4}, 0.0, spokeDelivered);
+  p.events.run();
   EXPECT_DOUBLE_EQ(hubDelivered, 10.0);
   EXPECT_DOUBLE_EQ(spokeDelivered, 14.0);  // forward waits for the hub NIC
 }
 
 TEST(NetworkTest, ZeroElementMessageDeliversInstantly) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
+  PerfectNet p(flatMachine());
   double delivered = -1;
-  net.send({Proc::R, Proc::P, 0}, 3.0, [&](double t) { delivered = t; });
-  events.run();
+  p.send({Proc::R, Proc::P, 0}, 3.0, delivered);
+  p.events.run();
   EXPECT_DOUBLE_EQ(delivered, 3.0);
-  EXPECT_EQ(net.stats().messagesSent, 0);
+  EXPECT_EQ(p.net.stats().messagesSent, 0);
 }
 
 TEST(NetworkTest, ReadyAtDefersBooking) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
+  PerfectNet p(flatMachine());
   double delivered = -1;
-  net.send({Proc::R, Proc::P, 5}, 7.0, [&](double t) { delivered = t; });
-  events.run();
+  p.send({Proc::R, Proc::P, 5}, 7.0, delivered);
+  p.events.run();
   EXPECT_DOUBLE_EQ(delivered, 12.0);
 }
 
 TEST(NetworkTest, SelfSendRejected) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
-  EXPECT_THROW(net.send({Proc::R, Proc::R, 5}, 0.0, [](double) {}),
-               CheckError);
+  PerfectNet p(flatMachine());
+  double delivered = -1;
+  EXPECT_THROW(p.send({Proc::R, Proc::R, 5}, 0.0, delivered), CheckError);
 }
 
 TEST(NetworkTest, BusySecondsTracked) {
-  EventQueue events;
-  Network net(events, flatMachine(), Topology::kFullyConnected);
-  net.send({Proc::R, Proc::P, 5}, 0.0, [](double) {});
-  net.send({Proc::R, Proc::S, 3}, 0.0, [](double) {});
-  events.run();
-  EXPECT_DOUBLE_EQ(net.stats().nicBusySeconds[procSlot(Proc::R)], 8.0);
-  EXPECT_DOUBLE_EQ(net.stats().nicBusySeconds[procSlot(Proc::P)], 0.0);
+  PerfectNet p(flatMachine());
+  double d1 = -1, d2 = -1;
+  p.send({Proc::R, Proc::P, 5}, 0.0, d1);
+  p.send({Proc::R, Proc::S, 3}, 0.0, d2);
+  p.events.run();
+  EXPECT_DOUBLE_EQ(p.net.stats().nicBusySeconds[procSlot(Proc::R)], 8.0);
+  EXPECT_DOUBLE_EQ(p.net.stats().nicBusySeconds[procSlot(Proc::P)], 0.0);
 }
 
 }  // namespace
