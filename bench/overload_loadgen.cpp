@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
   const std::size_t saved = warmOracle.saveSnapshot(snapshotPath);
 
   Oracle restored(OracleOptions{});
-  const SnapshotLoadReport report = restored.loadSnapshot(snapshotPath);
+  const SnapshotLoadReport report = restored.tryLoadSnapshot(snapshotPath);
   replay(restored, warmRequests);
   const double warmHitRate = hitRateOver(restored, 0, warmRequests);
   const double warmRatio =

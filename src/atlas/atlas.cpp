@@ -25,6 +25,8 @@ void AtlasGridSpec::validate() const {
     throw std::invalid_argument("AtlasGridSpec: " + what);
   };
   if (prSteps < 2 || rrSteps < 2) bad("needs >= 2 steps per axis");
+  if (points() > kMaxPoints)
+    bad("more than " + std::to_string(kMaxPoints) + " grid points");
   if (!(prMin >= 1.0) || !(rrMin >= 1.0))
     bad("ratio bounds must be >= 1 (canonical form has S_r = 1)");
   if (!(prMax > prMin) || !(rrMax > rrMin)) bad("max must exceed min");

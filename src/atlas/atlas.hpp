@@ -75,8 +75,12 @@ struct AtlasGridSpec {
            static_cast<std::size_t>(rrSteps);
   }
 
+  /// The most points validate() accepts, so a loaded header cannot size an
+  /// unbounded allocation; far above any grid a caller builds.
+  static constexpr std::size_t kMaxPoints = std::size_t{1} << 20;
+
   /// Throws std::invalid_argument on a degenerate grid (steps < 2,
-  /// min >= max, bounds below 1).
+  /// min >= max, bounds below 1) or one of more than kMaxPoints points.
   void validate() const;
 
   friend bool operator==(const AtlasGridSpec&, const AtlasGridSpec&) = default;

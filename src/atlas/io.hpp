@@ -1,5 +1,5 @@
-// Versioned, checksummed atlas persistence (the snapshot discipline of
-// serve/snapshot.hpp applied to the plan surface).
+// Atlas persistence: a support/persist.hpp document whose two header
+// records fix the grid and the build, one record per solved cell:
 //
 //   pushpart-atlas v3
 //   grid <fnv1a-16-hex> <prMin> <prMax> <prSteps> <rrMin> <rrMax> <rrSteps>
@@ -10,18 +10,12 @@
 //   c <fnv1a-16-hex> <i> <j> <boundary> <shape> <normVoc> <execSeconds>
 //        <runnerUpGapPct> <lowerBoundGapPct> <searchConfirmed> <origin>
 //
-// Every record's checksum is FNV-1a over the payload after it. Doubles
-// travel as %.17g, so build -> save -> load -> save is byte-identical and a
-// loaded cell certifies exactly like the freshly built one. Writing is
-// crash-safe (tmp + atomic rename). A wrong magic/version, or a grid/info
-// record that fails its checksum or parse, refuses the whole file — a
-// header that maps every cell to the wrong ratio, or a guessed future
-// format, would serve wrong plans silently. Per-cell corruption is
-// tolerated: a cell whose checksum or field ranges don't verify is skipped
-// and counted, as is every declared cell the file no longer holds (a file
-// cut after a complete line), and boundary flags are re-derived from the
-// cells that did load, so the atlas never claims knowledge a flipped byte
-// or a lost line destroyed.
+// A loaded cell certifies exactly like the freshly built one. The grid is
+// validated (AtlasGridSpec::validate) before any cell is allocated, and a
+// grid or info record that does not parse refuses the file. A cell whose
+// fields are out of range is skipped and counted, and boundary flags are
+// re-derived from the cells that did load, so the atlas never claims
+// knowledge a flipped byte or a lost line destroyed.
 #pragma once
 
 #include <cstddef>
@@ -30,25 +24,16 @@
 #include <string>
 
 #include "atlas/atlas.hpp"
+#include "support/persist.hpp"
 
 namespace pushpart {
 
-struct AtlasLoadReport {
+struct AtlasLoadReport : LoadReport {
   std::shared_ptr<PlanAtlas> atlas;  ///< Null when the file was refused.
-  std::size_t loaded = 0;            ///< Cells restored.
-  /// Corrupt cells left behind, plus declared cells missing from the file
-  /// (and a missing or malformed `cells` line).
-  std::size_t skipped = 0;
-  bool versionRefused = false;
-  std::string error;  ///< Non-empty on refusal/unreadable file.
-
-  bool ok() const { return atlas != nullptr && error.empty(); }
-  /// Accepted and every cell verified.
-  bool clean() const { return ok() && skipped == 0; }
 };
 
-/// Serializes the atlas (solved cells only). The path variant writes
-/// <path>.tmp then renames atomically; both return cells written and throw
+/// Serializes the atlas (solved cells only). The path variant publishes
+/// durably (support/persist.hpp); both return cells written and throw
 /// std::runtime_error on I/O failure.
 std::size_t saveAtlas(const PlanAtlas& atlas, std::ostream& os);
 std::size_t saveAtlas(const PlanAtlas& atlas, const std::string& path);

@@ -160,17 +160,19 @@ std::vector<PlanCache::SnapshotEntry> PlanCache::exportEntries() const {
   return entries;
 }
 
-void PlanCache::insertWarm(const std::string& keyText,
+bool PlanCache::insertWarm(const std::string& keyText,
                            const PlanAnswer& answer) {
+  if (!answer.fullFidelity()) return false;
   Shard& shard = shardForHash(fnv1a(keyText));
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (auto it = shard.index.find(keyText); it != shard.index.end()) {
     // Duplicate restore: refresh in place rather than double-insert.
     it->second->answer = answer;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+    return true;
   }
   insertLocked(shard, keyText, answer);
+  return true;
 }
 
 void PlanCache::clear() {

@@ -103,11 +103,13 @@ class PlanCache {
   /// identical per-shard recency). In-flight solves are not included.
   std::vector<SnapshotEntry> exportEntries() const;
 
-  /// Inserts a restored entry at the most-recent end of its shard, evicting
-  /// as needed. Counts neither hit nor miss (restores are not traffic);
-  /// evictions it causes are counted. `keyText` must be a canonical key's
-  /// text (its FNV-1a hash selects the shard).
-  void insertWarm(const std::string& keyText, const PlanAnswer& answer);
+  /// Inserts a restored or replicated entry at the most-recent end of its
+  /// shard, evicting as needed. Returns false, inserting nothing, for an
+  /// answer that is not full fidelity: the cache never holds one, whichever
+  /// path offers it. Counts neither hit nor miss (restores are not
+  /// traffic); evictions it causes are counted. `keyText` must be a
+  /// canonical key's text (its FNV-1a hash selects the shard).
+  bool insertWarm(const std::string& keyText, const PlanAnswer& answer);
 
   /// Drops every cached entry (in-flight solves are unaffected; they insert
   /// into the emptied cache when they land). Counters keep accumulating.

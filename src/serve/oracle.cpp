@@ -364,10 +364,6 @@ std::size_t Oracle::saveSnapshot(const std::string& path) const {
   return savePlanCacheSnapshot(cache_, path);
 }
 
-SnapshotLoadReport Oracle::loadSnapshot(const std::string& path) {
-  return loadPlanCacheSnapshot(cache_, path);
-}
-
 SnapshotLoadReport Oracle::tryLoadSnapshot(const std::string& path) {
   return tryLoadPlanCacheSnapshot(cache_, path);
 }
@@ -382,9 +378,6 @@ std::optional<PlanAnswer> Oracle::peekCached(const CanonicalKey& key) {
 
 void Oracle::insertReplica(const std::string& keyText,
                            const PlanAnswer& answer) {
-  // Replication obeys the same cacheability rule as the local cache: a
-  // degraded answer is served once, never stored anywhere.
-  if (!answer.fullFidelity()) return;
   cache_.insertWarm(keyText, answer);
 }
 

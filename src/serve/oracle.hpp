@@ -213,17 +213,14 @@ class Oracle {
 
   OracleStats stats() const;
 
-  /// Persists the answer cache to `path` (atomic rename; see
+  /// Persists the answer cache to `path` (durable publish; see
   /// serve/snapshot.hpp). Returns entries written.
   std::size_t saveSnapshot(const std::string& path) const;
 
   /// Warms the answer cache from `path`. Corrupt entries are skipped;
-  /// a version mismatch throws and loads nothing.
-  SnapshotLoadReport loadSnapshot(const std::string& path);
-
-  /// Non-throwing loadSnapshot: version refusal and unreadable files come
-  /// back in the report (versionRefused/error) instead of an exception, so
-  /// a serving path can start cold and say exactly why.
+  /// version refusal and unreadable files come back in the report
+  /// (versionRefused/error), never as an exception, so a serving path can
+  /// start cold and say exactly why.
   SnapshotLoadReport tryLoadSnapshot(const std::string& path);
 
   /// Loads one snapshot-format document (e.g. a rebalance segment streamed
@@ -243,8 +240,8 @@ class Oracle {
   std::optional<PlanAnswer> peekCached(const CanonicalKey& key);
 
   /// Inserts a replicated entry. Only full-fidelity answers are accepted
-  /// (the cluster shares the single-process cacheability rule); degraded
-  /// answers are ignored. `keyText` must be canonical key text.
+  /// (PlanCache::insertWarm enforces the single-process cacheability rule);
+  /// degraded answers are ignored. `keyText` must be canonical key text.
   void insertReplica(const std::string& keyText, const PlanAnswer& answer);
 
   /// Every resident cache entry (deterministic order; see

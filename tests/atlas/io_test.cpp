@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "../support/mutants.hpp"
 #include "atlas/builder.hpp"
 #include "support/fnv.hpp"
 
@@ -126,6 +127,17 @@ TEST(AtlasIoTest, WrappedStepProductReportsTheSpecError) {
       << report.error;
 }
 
+TEST(AtlasIoTest, OversizedGridIsRefusedBeforeAllocating) {
+  // 1025 x 1025 points is one past the 2^20 cap: a checksummed header must
+  // not size an allocation the loader cannot bound.
+  const AtlasLoadReport report = loadWithGridLine(
+      savedText(*builtAtlas()), gridRecord("1 20 1025 1 10 1025"));
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.atlas, nullptr);
+  EXPECT_NE(report.error.find("grid points"), std::string::npos)
+      << report.error;
+}
+
 TEST(AtlasIoTest, AnyFlippedHeaderByteRefusesTheFile) {
   // A grid or info line that loaded with a flipped byte would re-map every
   // cell (another ratio span, another n) while reading clean. Each byte of
@@ -192,6 +204,49 @@ TEST(AtlasIoTest, CorruptCellIsSkippedAndBoundariesRederived) {
   const auto derived = report.atlas->boundaryCells();
   report.atlas->markBoundaries();
   EXPECT_EQ(report.atlas->boundaryCells(), derived);
+}
+
+TEST(AtlasIoTest, SavedBytesArePinned) {
+  // The atlas format is v3 on disk: the fixture must save the same bytes as
+  // every earlier build of v3 did.
+  const std::string text = savedText(*builtAtlas());
+  EXPECT_EQ(fnv1a(text), 0xcc85b2fb14a6dd38ull) << text;
+}
+
+TEST(AtlasIoTest, MutationSweepLoadsOnlySavedCellsAndNeverHidesAnEdit) {
+  // Every single-bit flip, byte deletion, duplication and truncation, and
+  // every dropped or duplicated line of a saved atlas: an accepted mutant
+  // has the saved grid and build, each cell it loads is the saved one (up
+  // to the re-derived boundary flag), and it loads clean() only when it
+  // differs in blank lines, a '\r' or the final newline alone.
+  const auto atlas = builtAtlas();
+  const AtlasGridSpec& spec = atlas->spec();
+  const std::string text = savedText(*atlas);
+  const std::string header = text.substr(0, text.find("\ncells ") + 1);
+  const std::vector<std::string> mutants = testing_mutants::mutantsOf(text);
+  EXPECT_EQ(mutants.size(), 17847u);
+  std::size_t foreign = 0, hidden = 0;
+  for (const std::string& mutant : mutants) {
+    std::istringstream is(mutant);
+    const AtlasLoadReport report = tryLoadAtlas(is);
+    if (report.ok()) {
+      if (savedText(*report.atlas).rfind(header, 0) != 0) ++foreign;
+      for (int i = 0; i < spec.prSteps; ++i)
+        for (int j = 0; j < spec.rrSteps; ++j) {
+          const std::optional<AtlasCell> got = report.atlas->cell(i, j);
+          if (!got || !got->solved) continue;
+          AtlasCell want = *atlas->cell(i, j);
+          want.boundary = got->boundary;
+          if (!(*got == want)) ++foreign;
+        }
+    }
+    if (report.clean() && testing_mutants::tolerantForm(mutant) !=
+                              testing_mutants::tolerantForm(text) &&
+        hidden++ == 0)
+      ADD_FAILURE() << "an edited atlas loaded clean():\n" << mutant;
+  }
+  EXPECT_EQ(foreign, 0u);
+  EXPECT_EQ(hidden, 0u);
 }
 
 TEST(AtlasIoTest, PathRoundTripsAtomically) {

@@ -156,7 +156,7 @@ TEST(AtlasServeTest, SnapshotRoundTripsAtlasProvenance) {
   // The restarted oracle has NO atlas: the provenance must come back from
   // the snapshot, not from a fresh lookup.
   Oracle restarted{OracleOptions{}};
-  const SnapshotLoadReport report = restarted.loadSnapshot(path);
+  const SnapshotLoadReport report = restarted.tryLoadSnapshot(path);
   EXPECT_GE(report.loaded, 1u);
   const PlanResponse warm = restarted.plan(req);
   EXPECT_TRUE(warm.cacheHit);

@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../support/mutants.hpp"
 #include "serve/oracle.hpp"
 #include "support/fnv.hpp"
 
@@ -63,7 +63,7 @@ TEST(SnapshotTest, SaveLoadSaveIsByteIdentical) {
 
   PlanCache restored(64, 4);
   std::istringstream in(first.str());
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
   EXPECT_EQ(report.loaded, 6u);
   EXPECT_EQ(report.skipped, 0u);
   EXPECT_EQ(restored.counters().entries, 6u);
@@ -81,7 +81,7 @@ TEST(SnapshotTest, RestoredAnswersAreBitwiseEqual) {
   savePlanCacheSnapshot(cache, os);
   PlanCache restored(64, 4);
   std::istringstream in(os.str());
-  loadPlanCacheSnapshot(restored, in);
+  tryLoadPlanCacheSnapshot(restored, in);
   for (int i = 0; i < 4; ++i) {
     const auto hit = restored.tryGet(keyFor(20 + i));
     ASSERT_TRUE(hit.has_value()) << "entry " << i << " missing after reload";
@@ -105,7 +105,7 @@ TEST(SnapshotTest, FlippedByteSkipsThatEntryAndKeepsTheRest) {
 
   PlanCache restored(64, 4);
   std::istringstream in(text);
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
   EXPECT_EQ(report.loaded, 4u);
   EXPECT_EQ(report.skipped, 1u);
   EXPECT_EQ(restored.counters().entries, 4u);
@@ -122,7 +122,7 @@ TEST(SnapshotTest, TruncatedFileKeepsThePrefixEntries) {
   const std::string cut = text.substr(0, text.size() - 25);
   PlanCache restored(64, 4);
   std::istringstream in(cut);
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
   EXPECT_EQ(report.loaded, 4u);
   EXPECT_EQ(report.skipped, 1u);
 }
@@ -167,12 +167,80 @@ TEST(SnapshotTest, SavedBytesArePinned) {
   EXPECT_EQ(fnv1a(os.str()), 0x88ff896875bbbb1eull) << os.str();
 }
 
+TEST(SnapshotTest, MutationSweepLoadsOnlySavedEntriesAndNeverHidesAnEdit) {
+  // Every single-bit flip, byte deletion, duplication and truncation, and
+  // every dropped or duplicated line of a saved snapshot: each entry a
+  // mutant loads is one that was saved, and a mutant loads clean() only
+  // when it differs in blank lines, a '\r' or the final newline alone.
+  PlanCache cache(64, 4);
+  populate(cache, 6);
+  const std::vector<PlanCache::SnapshotEntry> saved = cache.exportEntries();
+  std::ostringstream os;
+  savePlanCacheSnapshot(cache, os);
+  const std::string text = os.str();
+  const std::vector<std::string> mutants = testing_mutants::mutantsOf(text);
+  EXPECT_EQ(mutants.size(), 16868u);
+  std::size_t foreign = 0, hidden = 0;
+  for (const std::string& mutant : mutants) {
+    PlanCache restored(64, 4);
+    std::istringstream in(mutant);
+    const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, in);
+    for (const PlanCache::SnapshotEntry& got : restored.exportEntries())
+      if (std::none_of(saved.begin(), saved.end(),
+                       [&](const PlanCache::SnapshotEntry& entry) {
+                         return got.key == entry.key &&
+                                got.answer == entry.answer;
+                       }))
+        ++foreign;
+    if (report.clean() && testing_mutants::tolerantForm(mutant) !=
+                              testing_mutants::tolerantForm(text) &&
+        hidden++ == 0)
+      ADD_FAILURE() << "an edited snapshot loaded clean():\n" << mutant;
+  }
+  EXPECT_EQ(foreign, 0u);
+  EXPECT_EQ(hidden, 0u);
+}
+
+TEST(SnapshotTest, AnswersTheCacheNeverHoldsAreSkippedAndSolvedCold) {
+  // Checksummed entries no serving path would cache: a degraded answer, a
+  // truncated one, and ones with a negative count or time. Each is skipped,
+  // and the key is then solved cold instead of served as a hit.
+  PlanRequest req;
+  req.n = 40;
+  const std::string key = canonicalize(req).text;
+  const PlanAnswer good = Oracle(OracleOptions{}).plan(req).answer;
+  PlanAnswer late = good, truncated = good, negativeVoc = good,
+             negativeTime = good;
+  late.degrade = DegradeReason::kLate;
+  truncated.truncated = true;
+  negativeVoc.voc = -5;
+  negativeTime.model.commSeconds = -1.0;
+  for (const PlanAnswer& bad : {late, truncated, negativeVoc, negativeTime}) {
+    std::ostringstream wire;
+    savePlanCacheSegment({{key, bad}}, wire);
+    Oracle oracle(OracleOptions{});
+    std::istringstream in(wire.str());
+    const SnapshotLoadReport report = oracle.loadSnapshotSegment(in);
+    EXPECT_TRUE(report.ok()) << report.error;
+    EXPECT_EQ(report.loaded, 0u);
+    EXPECT_EQ(report.skipped, 1u);
+    EXPECT_FALSE(oracle.plan(req).cacheHit);
+  }
+  // The same answer at full fidelity is restored and served as a hit.
+  std::ostringstream wire;
+  savePlanCacheSegment({{key, good}}, wire);
+  Oracle oracle(OracleOptions{});
+  std::istringstream in(wire.str());
+  EXPECT_TRUE(oracle.loadSnapshotSegment(in).clean());
+  EXPECT_TRUE(oracle.plan(req).cacheHit);
+}
+
 TEST(SnapshotTest, VersionMismatchRefusesTheWholeFile) {
   PlanCache restored(64, 4);
   std::istringstream future("pushpart-plancache v4\nentries 0\n");
-  EXPECT_THROW(loadPlanCacheSnapshot(restored, future), std::runtime_error);
+  EXPECT_TRUE(tryLoadPlanCacheSnapshot(restored, future).versionRefused);
   std::istringstream garbage("not a snapshot at all\n");
-  EXPECT_THROW(loadPlanCacheSnapshot(restored, garbage), std::runtime_error);
+  EXPECT_TRUE(tryLoadPlanCacheSnapshot(restored, garbage).versionRefused);
   EXPECT_EQ(restored.counters().entries, 0u);
 }
 
@@ -229,7 +297,7 @@ TEST(SnapshotTest, SegmentRoundTripsAnArbitraryEntrySubset) {
   EXPECT_EQ(savePlanCacheSegment(subset, wire), 2u);
   PlanCache receiver(64, 4);
   std::istringstream in(wire.str());
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(receiver, in);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(receiver, in);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.loaded, 2u);
   EXPECT_EQ(receiver.counters().entries, 2u);
@@ -251,11 +319,11 @@ TEST(SnapshotTest, PathRoundTripViaAtomicRename) {
   populate(cache, 3);
   EXPECT_EQ(savePlanCacheSnapshot(cache, path), 3u);
   PlanCache restored(64, 4);
-  const SnapshotLoadReport report = loadPlanCacheSnapshot(restored, path);
+  const SnapshotLoadReport report = tryLoadPlanCacheSnapshot(restored, path);
   EXPECT_EQ(report.loaded, 3u);
   EXPECT_EQ(report.skipped, 0u);
   std::remove(path.c_str());
-  EXPECT_THROW(loadPlanCacheSnapshot(restored, path), std::runtime_error);
+  EXPECT_FALSE(tryLoadPlanCacheSnapshot(restored, path).ok());
 }
 
 // End to end through the Oracle: a snapshot-warmed oracle serves its first
@@ -274,7 +342,7 @@ TEST(SnapshotTest, WarmedOracleServesRestoredKeysAsHits) {
   ASSERT_GT(original.saveSnapshot(path), 0u);
 
   Oracle restarted(OracleOptions{});
-  const SnapshotLoadReport report = restarted.loadSnapshot(path);
+  const SnapshotLoadReport report = restarted.tryLoadSnapshot(path);
   EXPECT_GE(report.loaded, 1u);
   const PlanResponse warm = restarted.plan(req);
   EXPECT_TRUE(warm.cacheHit);

@@ -47,7 +47,7 @@
 // are cancelled cooperatively and served truncated or closed-form-only),
 // --max-concurrency/--max-queue bound admission (beyond them requests are
 // shed), and --snapshot warm-starts the answer cache from a file on entry
-// and persists it back (atomic rename) on exit, reporting exactly what
+// and persists it back (durable publish) on exit, reporting exactly what
 // loaded (entries restored, corrupt entries skipped, version refusals — a
 // refused snapshot starts cold instead of aborting); `plan --adaptive`
 // wraps the oracle in an AdaptiveSession (src/adapt): it plans at --ratio,
