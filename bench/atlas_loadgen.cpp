@@ -17,7 +17,11 @@
 // never be served); (d) a differential sweep re-solving a subset uncached
 // agrees with the atlas-served modeled time to within the bound; and (e)
 // the atlas cold-path p99 is at least 10x faster than the baseline's.
-// Machine-readable output: --json=BENCH_atlas.json (written by default).
+// Machine-readable output: --json=BENCH_atlas.json (written by default): the
+// run's settings, the build, the baseline and atlas runs (answered, wall
+// time, cold p50/p99, and for the atlas the served share and largest
+// certificate gap), the differential and the p99 speedup. A report that
+// cannot be written is reported ("cannot write <path>") and exits 1.
 //
 //   ./atlas_loadgen [--queries=24] [--n=300] [--runs=2] [--gap-pct=5]
 //                   [--build-n=64] [--pr-steps=16] [--rr-steps=8]
@@ -25,7 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -34,6 +37,7 @@
 #include "serve/oracle.hpp"
 #include "support/flags.hpp"
 #include "support/histogram.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -198,51 +202,29 @@ int main(int argc, char** argv) {
   std::printf("cold-path p99 speedup: %.1fx\n", speedup);
 
   // --- BENCH_atlas.json ---------------------------------------------------
-  {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::cerr << "cannot write " << jsonPath << "\n";
-      return 1;
-    }
-    char head[768];
-    std::snprintf(
-        head, sizeof(head),
-        "{\n"
-        "  \"bench\": \"atlas_loadgen\",\n"
-        "  \"queries\": %d,\n"
-        "  \"n\": %d,\n"
-        "  \"runs\": %d,\n"
-        "  \"gap_pct\": %.6g,\n"
-        "  \"build\": {\"n\": %d, \"pr_steps\": %d, \"rr_steps\": %d,\n"
-        "    \"solved\": %zu, \"boundary\": %zu, \"seconds\": %.9g},\n"
-        "  \"boundary_redraws\": %lld,\n",
-        queries, n, runs, gapPct, buildN, prSteps, rrSteps,
-        buildReport.solved, buildReport.boundary, buildReport.seconds,
-        static_cast<long long>(boundaryRedraws));
-    char body[768];
-    std::snprintf(
-        body, sizeof(body),
-        "  \"baseline\": {\"answered\": %lld, \"wall_seconds\": %.9g,\n"
-        "    \"p50_s\": %.9g, \"p99_s\": %.9g},\n"
-        "  \"atlas\": {\"answered\": %lld, \"served\": %lld,\n"
-        "    \"served_share\": %.9g, \"wall_seconds\": %.9g,\n"
-        "    \"p50_s\": %.9g, \"p99_s\": %.9g,\n"
-        "    \"max_cert_gap_pct\": %.9g, \"uncertified_served\": 0},\n",
-        static_cast<long long>(baselineAnswered), baselineSeconds,
-        percentile(baselineLatency, 0.5), baseP99,
-        static_cast<long long>(atlasAnswered),
-        static_cast<long long>(atlasServedCount), servedShare, atlasSeconds,
-        percentile(atlasLatency, 0.5), atlasP99, maxCertGapPct);
-    char tail[384];
-    std::snprintf(
-        tail, sizeof(tail),
-        "  \"differential\": {\"checked\": %lld, \"max_gap_pct\": %.9g},\n"
-        "  \"p99_speedup\": %.9g\n"
-        "}\n",
-        static_cast<long long>(diffChecked), maxDiffGapPct, speedup);
-    out << head << body << tail;
-    std::cout << "\nreport written to " << jsonPath << "\n";
-  }
+  JsonWriter json(jsonPath);
+  json.field("bench", "atlas_loadgen").field("queries", queries).field("n", n)
+      .field("runs", runs).field("gap_pct", gapPct);
+  json.beginObject("build").field("n", buildN).field("pr_steps", prSteps)
+      .field("rr_steps", rrSteps).field("solved", buildReport.solved)
+      .field("boundary", buildReport.boundary)
+      .field("seconds", buildReport.seconds).end();
+  json.field("boundary_redraws", boundaryRedraws);
+  json.beginObject("baseline").field("answered", baselineAnswered)
+      .field("wall_seconds", baselineSeconds)
+      .field("p50_s", percentile(baselineLatency, 0.5))
+      .field("p99_s", baseP99).end();
+  json.beginObject("atlas").field("answered", atlasAnswered)
+      .field("served", atlasServedCount).field("served_share", servedShare)
+      .field("wall_seconds", atlasSeconds)
+      .field("p50_s", percentile(atlasLatency, 0.5)).field("p99_s", atlasP99)
+      .field("max_cert_gap_pct", maxCertGapPct)
+      .field("uncertified_served", 0).end();
+  json.beginObject("differential").field("checked", diffChecked)
+      .field("max_gap_pct", maxDiffGapPct).end();
+  json.field("p99_speedup", speedup);
+  if (!json.close()) return 1;
+  std::cout << "\nreport written to " << jsonPath << "\n";
 
   const bool ok = baselineAnswered == queries && atlasAnswered == queries &&
                   servedShare >= 0.9 && maxCertGapPct <= gapPct &&

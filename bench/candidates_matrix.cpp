@@ -31,16 +31,19 @@
 //
 // --families selects the candidate families for the gap columns and the
 // grid scan: "canonical", "all", or a comma list ("layered,hierarchical").
-// --json writes the Part 2 grid as a machine-diffable document (%.17g
-// doubles, one cell object per line) — the E19 artifact CI uploads as
-// BENCH_families.json.
+// --json writes the Part 2 grid as a machine-diffable document: experiment,
+// families, n, pmax, rmax, one cell object per line ({pr, rr, canonicalVoc,
+// familyVoc, winnerFamily, candidate, gapPct, strictWin}, a VoC of -1 where
+// that side has no feasible candidate), then cellsTotal, strictWins,
+// gapMeanPct and gapMaxPct, with round-trip exact doubles — the E19
+// artifact CI uploads as BENCH_families.json. A --csv or --json file that
+// cannot be written is reported ("cannot write <path>") and exits 1.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <stdexcept>
+#include <optional>
 
 #include "bounds/bounds.hpp"
 #include "family/rank.hpp"
@@ -48,6 +51,7 @@
 #include "model/optimal.hpp"
 #include "support/csv.hpp"
 #include "support/flags.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 
 using namespace pushpart;
@@ -159,6 +163,7 @@ int main(int argc, char** argv) {
     table.addRow(cells);
   }
   table.print(std::cout);
+  if (!csv.close()) return 1;
 
   std::printf("\nSquare-Corner wins %d/%d cells past the Fig. 13 crossover "
               "(SCB/PCB/SCO at ratios with P_r > crossover)\n",
@@ -168,17 +173,13 @@ int main(int argc, char** argv) {
               scbAgree, scbCells, squareCornerCrossover(1, 1));
 
   // ---- Part 2 (E19): family-vs-canonical scan over the Fig. 13 grid. ----
-  std::ofstream json;
+  std::optional<JsonWriter> json;
   if (flags.has("json")) {
-    json.open(flags.str("json", ""), std::ios::trunc);
-    if (!json)
-      throw std::runtime_error("cannot open --json=" + flags.str("json", ""));
-    json << "{\n  \"experiment\": \"candidates_matrix\",\n  \"families\": \""
-         << families.str() << "\",\n  \"n\": " << n
-         << ",\n  \"pmax\": " << pmax << ",\n  \"rmax\": " << rmax
-         << ",\n  \"cells\": [\n";
+    json.emplace(flags.str("json", ""));
+    json->field("experiment", "candidates_matrix")
+        .field("families", families.str()).field("n", n).field("pmax", pmax)
+        .field("rmax", rmax).beginArray("cells");
   }
-  bool firstJsonCell = true;
 
   std::cout << "\nE19: best family VoC vs best canonical VoC over the "
                "Fig. 13 grid, n=" << n << "\n"
@@ -229,33 +230,23 @@ int main(int argc, char** argv) {
         mark = 'c';
       std::printf("  %c", mark);
 
-      if (json.is_open() && overall) {
-        char cell[512];
-        std::snprintf(
-            cell, sizeof(cell),
-            "    {\"pr\": %d, \"rr\": %d, \"canonicalVoc\": %lld, "
-            "\"familyVoc\": %lld, \"winnerFamily\": \"%s\", "
-            "\"candidate\": \"%s\", \"gapPct\": %.17g, \"strictWin\": %s}",
-            p, r, canon ? static_cast<long long>(canon->voc) : -1LL,
-            ext ? static_cast<long long>(ext->voc) : -1LL,
-            familyName(overall->family), overall->name.c_str(),
-            overall->gapPct, strictWin ? "true" : "false");
-        json << (firstJsonCell ? "" : ",\n") << cell;
-        firstJsonCell = false;
-      }
+      if (json && overall)
+        json->beginObject().field("pr", p).field("rr", r)
+            .field("canonicalVoc", canon ? canon->voc : std::int64_t{-1})
+            .field("familyVoc", ext ? ext->voc : std::int64_t{-1})
+            .field("winnerFamily", familyName(overall->family))
+            .field("candidate", overall->name)
+            .field("gapPct", overall->gapPct).field("strictWin", strictWin)
+            .end();
     }
     std::printf("\n");
   }
 
   const double gapMean = gridCells > 0 ? gapSum / gridCells : 0.0;
-  if (json.is_open()) {
-    char tail[256];
-    std::snprintf(tail, sizeof(tail),
-                  "\n  ],\n  \"cellsTotal\": %d,\n  \"strictWins\": %d,\n"
-                  "  \"gapMeanPct\": %.17g,\n  \"gapMaxPct\": %.17g\n}\n",
-                  gridCells, strictWins, gapMean, gapMax);
-    json << tail;
-    if (!json) throw std::runtime_error("write to --json file failed");
+  if (json) {
+    json->end().field("cellsTotal", gridCells).field("strictWins", strictWins)
+        .field("gapMeanPct", gapMean).field("gapMaxPct", gapMax);
+    if (!json->close()) return 1;
     std::cout << "\njson grid written to " << flags.str("json", "") << "\n";
   }
 

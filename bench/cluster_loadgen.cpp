@@ -21,7 +21,10 @@
 // cluster-shed), zero replicated entries lost while the node was dead, the
 // replication factor restored after rejoin, and the recovery markers
 // present in the event log. Machine-readable output:
-// --json=BENCH_cluster.json (written by default).
+// --json=BENCH_cluster.json (written by default): the drill's settings, the
+// availability and survival numbers, then the router, replication,
+// rebalance and detector counters, one flat object. A report that cannot be
+// written is reported ("cannot write <path>") and exits 1.
 //
 //   ./cluster_loadgen [--nodes=3] [--replication=2] [--keys=48]
 //                     [--warm-requests=300] [--death-requests=400]
@@ -31,7 +34,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -41,6 +43,7 @@
 #include "cluster/cluster.hpp"
 #include "support/flags.hpp"
 #include "support/histogram.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 
 using namespace pushpart;
@@ -224,72 +227,32 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // --- BENCH_cluster.json -------------------------------------------------
-  {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::cerr << "cannot write " << jsonPath << "\n";
-      return 1;
-    }
-    char head[1024];
-    std::snprintf(
-        head, sizeof(head),
-        "{\n"
-        "  \"bench\": \"cluster_loadgen\",\n"
-        "  \"nodes\": %d,\n"
-        "  \"replication\": %d,\n"
-        "  \"seed\": %llu,\n"
-        "  \"kill_node\": %d,\n"
-        "  \"kill_at_s\": %.9g,\n"
-        "  \"rejoin_at_s\": %.9g,\n"
-        "  \"requests\": %lld,\n"
-        "  \"answered\": %lld,\n"
-        "  \"availability\": %.9g,\n"
-        "  \"death_p99_s\": %.9g,\n"
-        "  \"keys\": %lld,\n"
-        "  \"keys_replicated\": %lld,\n"
-        "  \"keys_surviving\": %lld,\n"
-        "  \"entries_lost\": %lld,\n"
-        "  \"keys_restored\": %lld,\n",
-        nodes, options.replication,
-        static_cast<unsigned long long>(options.faults.seed), killNode,
-        killAt, rejoinAt, static_cast<long long>(issued),
-        static_cast<long long>(answered), availability, death.latency.p99,
-        static_cast<long long>(keys), static_cast<long long>(replicated),
-        static_cast<long long>(survivors), static_cast<long long>(lost),
-        static_cast<long long>(restored));
-    char tail[768];
-    std::snprintf(
-        tail, sizeof(tail),
-        "  \"cluster_sheds\": %llu,\n"
-        "  \"primary_serves\": %llu,\n"
-        "  \"replica_serves\": %llu,\n"
-        "  \"replica_hits\": %llu,\n"
-        "  \"retries\": %llu,\n"
-        "  \"replicas_written\": %llu,\n"
-        "  \"hints_stored\": %llu,\n"
-        "  \"hints_delivered\": %llu,\n"
-        "  \"rebalances\": %llu,\n"
-        "  \"rebalance_segments\": %llu,\n"
-        "  \"rebalance_entries\": %llu,\n"
-        "  \"detector_confirmations\": %llu,\n"
-        "  \"detector_recoveries\": %llu\n"
-        "}\n",
-        static_cast<unsigned long long>(stats.clusterSheds),
-        static_cast<unsigned long long>(stats.primaryServes),
-        static_cast<unsigned long long>(stats.replicaServes),
-        static_cast<unsigned long long>(stats.replicaHits),
-        static_cast<unsigned long long>(stats.retries),
-        static_cast<unsigned long long>(stats.replicasWritten),
-        static_cast<unsigned long long>(stats.hintsStored),
-        static_cast<unsigned long long>(stats.hintsDelivered),
-        static_cast<unsigned long long>(stats.rebalance.rebalances),
-        static_cast<unsigned long long>(stats.rebalance.segmentsStreamed),
-        static_cast<unsigned long long>(stats.rebalance.entriesStreamed),
-        static_cast<unsigned long long>(stats.detector.confirmations),
-        static_cast<unsigned long long>(stats.detector.recoveries));
-    out << head << tail;
-    std::cout << "report written to " << jsonPath << "\n";
-  }
+  JsonWriter json(jsonPath);
+  json.field("bench", "cluster_loadgen").field("nodes", nodes)
+      .field("replication", options.replication)
+      .field("seed", options.faults.seed).field("kill_node", killNode)
+      .field("kill_at_s", killAt).field("rejoin_at_s", rejoinAt)
+      .field("requests", issued).field("answered", answered)
+      .field("availability", availability)
+      .field("death_p99_s", death.latency.p99).field("keys", keys)
+      .field("keys_replicated", replicated)
+      .field("keys_surviving", survivors).field("entries_lost", lost)
+      .field("keys_restored", restored)
+      .field("cluster_sheds", stats.clusterSheds)
+      .field("primary_serves", stats.primaryServes)
+      .field("replica_serves", stats.replicaServes)
+      .field("replica_hits", stats.replicaHits)
+      .field("retries", stats.retries)
+      .field("replicas_written", stats.replicasWritten)
+      .field("hints_stored", stats.hintsStored)
+      .field("hints_delivered", stats.hintsDelivered)
+      .field("rebalances", stats.rebalance.rebalances)
+      .field("rebalance_segments", stats.rebalance.segmentsStreamed)
+      .field("rebalance_entries", stats.rebalance.entriesStreamed)
+      .field("detector_confirmations", stats.detector.confirmations)
+      .field("detector_recoveries", stats.detector.recoveries);
+  if (!json.close()) return 1;
+  std::cout << "report written to " << jsonPath << "\n";
 
   const bool availabilityOk = availability >= 0.99;
   const bool survivalOk = lost == 0 && replicated == keys;

@@ -22,19 +22,23 @@
 //                  reconvergePhases of the window closing;
 //   CONTROL_OK     zero replans, zero invalidations in the control run.
 // The markers print only when the bar passes, so a grep is a real check.
-// Machine-readable output: --json=BENCH_drift.json (written by default).
+// Machine-readable output: --json=BENCH_drift.json (written by default): the
+// scenario, both regret factors, one object per fault window, the main and
+// control sessions' counters, and the three verdicts. A report that cannot
+// be written is reported ("cannot write <path>") and exits 1.
 //
 //   ./drift_loadgen [--phases=300] [--seed=42] [--n=96] [--wander=0.05]
 //                   [--stale-gap-pct=5] [--hysteresis=2] [--min-replan-s=0]
 //                   [--regret-bound=1.25] [--json=BENCH_drift.json]
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "adapt/drill.hpp"
 #include "serve/oracle.hpp"
 #include "support/flags.hpp"
+#include "support/json.hpp"
 
 using namespace pushpart;
 
@@ -59,35 +63,6 @@ DriftScenarioOptions scenarioFromFlags(const Flags& flags) {
       SlowNode{0, 0.2 * duration, 0.4 * duration, 2.5});
   options.faults.kills.push_back(NodeKill{1, 0.5 * duration, 0.7 * duration});
   return options;
-}
-
-std::string windowJson(const FaultWindowReport& w) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"fault\": \"%s\", \"node\": %d, \"begin_s\": %g, "
-                "\"end_s\": %g, \"replan_during\": %s, \"reconverged\": %s, "
-                "\"reconverged_after_phases\": %d}",
-                w.kill ? "kill" : "slow", w.node, w.begin, w.end,
-                w.replanDuring ? "true" : "false",
-                w.reconverged ? "true" : "false", w.reconvergedAfterPhases);
-  return buf;
-}
-
-std::string statsJson(const AdaptiveStats& s) {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"phases\": %llu, \"warmup\": %llu, \"stale_verdicts\": %llu, "
-      "\"replans\": %llu, \"hysteresis_holds\": %llu, "
-      "\"interval_holds\": %llu, \"invalidations\": %llu}",
-      static_cast<unsigned long long>(s.phases),
-      static_cast<unsigned long long>(s.warmupPhases),
-      static_cast<unsigned long long>(s.staleVerdicts),
-      static_cast<unsigned long long>(s.replans),
-      static_cast<unsigned long long>(s.hysteresisHolds),
-      static_cast<unsigned long long>(s.intervalHolds),
-      static_cast<unsigned long long>(s.invalidations));
-  return buf;
 }
 
 }  // namespace
@@ -175,42 +150,37 @@ int main(int argc, char** argv) {
                 "drifting\n");
 
   // --- BENCH_drift.json ---------------------------------------------------
-  {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::cerr << "cannot write " << jsonPath << "\n";
-      return 1;
-    }
-    char head[512];
-    std::snprintf(head, sizeof(head),
-                  "{\n"
-                  "  \"bench\": \"drift_loadgen\",\n"
-                  "  \"phases\": %d,\n"
-                  "  \"n\": %d,\n"
-                  "  \"seed\": %llu,\n"
-                  "  \"wander_step\": %.9g,\n"
-                  "  \"stale_gap_pct\": %.9g,\n"
-                  "  \"hysteresis_phases\": %d,\n"
-                  "  \"regret_bound\": %.9g,\n"
-                  "  \"regret_factor\": %.9g,\n"
-                  "  \"control_regret_factor\": %.9g,\n",
-                  scenario.phases, scenario.n,
-                  static_cast<unsigned long long>(scenario.seed),
-                  scenario.wanderStep, scenario.session.staleGapPct,
-                  scenario.session.hysteresisPhases, scenario.regretBound,
-                  report.regretFactor(), controlReport.regretFactor());
-    out << head << "  \"windows\": [";
-    for (std::size_t i = 0; i < report.windows.size(); ++i)
-      out << (i ? ", " : "") << windowJson(report.windows[i]);
-    out << "],\n"
-        << "  \"session\": " << statsJson(report.stats) << ",\n"
-        << "  \"control\": " << statsJson(controlReport.stats) << ",\n"
-        << "  \"regret_ok\": " << (regretOk ? "true" : "false") << ",\n"
-        << "  \"reconverged\": " << (windowsOk ? "true" : "false") << ",\n"
-        << "  \"control_ok\": " << (controlOk ? "true" : "false") << "\n"
-        << "}\n";
-    std::cout << "report written to " << jsonPath << "\n";
-  }
+  JsonWriter json(jsonPath);
+  json.field("bench", "drift_loadgen").field("phases", scenario.phases)
+      .field("n", scenario.n).field("seed", scenario.seed)
+      .field("wander_step", scenario.wanderStep)
+      .field("stale_gap_pct", scenario.session.staleGapPct)
+      .field("hysteresis_phases", scenario.session.hysteresisPhases)
+      .field("regret_bound", scenario.regretBound)
+      .field("regret_factor", report.regretFactor())
+      .field("control_regret_factor", controlReport.regretFactor())
+      .beginArray("windows");
+  for (const FaultWindowReport& w : report.windows)
+    json.beginObject().field("fault", w.kill ? "kill" : "slow")
+        .field("node", w.node).field("begin_s", w.begin).field("end_s", w.end)
+        .field("replan_during", w.replanDuring)
+        .field("reconverged", w.reconverged)
+        .field("reconverged_after_phases", w.reconvergedAfterPhases).end();
+  json.end();
+  const std::pair<const char*, AdaptiveStats> sessions[] = {
+      {"session", report.stats}, {"control", controlReport.stats}};
+  for (const auto& [name, st] : sessions)
+    json.beginObject(name).field("phases", st.phases)
+        .field("warmup", st.warmupPhases)
+        .field("stale_verdicts", st.staleVerdicts)
+        .field("replans", st.replans)
+        .field("hysteresis_holds", st.hysteresisHolds)
+        .field("interval_holds", st.intervalHolds)
+        .field("invalidations", st.invalidations).end();
+  json.field("regret_ok", regretOk).field("reconverged", windowsOk)
+      .field("control_ok", controlOk);
+  if (!json.close()) return 1;
+  std::cout << "report written to " << jsonPath << "\n";
 
   const bool ok = regretOk && windowsOk && controlOk;
   std::cout << (ok ? "\nRESULT: bounded regret, re-converged after every "

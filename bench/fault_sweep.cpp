@@ -132,7 +132,10 @@ int main(int argc, char** argv) {
   std::cout << "\nexec / fault-free baseline vs death time of proc "
             << procName(dead) << " (failover via rebalance)\n";
   deathTable.print(std::cout);
-  if (csv.enabled()) std::cout << "\nrows written to " << flags.str("csv", "") << "\n";
+  if (csv.enabled()) {
+    if (!csv.close()) return 1;
+    std::cout << "\nrows written to " << flags.str("csv", "") << "\n";
+  }
 
   const bool ok = allCompleted && allRecovered;
   std::cout << (ok ? "\nRESULT: every run completed; every death recovered "

@@ -12,19 +12,22 @@
 //   ./fig13_surface [--n=200] [--pmax=20] [--rmax=10] [--csv=path]
 //                   [--json=path]
 //
-// --json writes the same grid as a machine-diffable document (sorted keys,
-// %.17g doubles, one cell object per line) so the atlas builder's measured
-// surface (`pushpart atlas build`) can be differenced against these closed
-// forms point by point.
+// --json writes the same grid as a machine-diffable document: experiment,
+// pmax, rmax, then one cell object per line ({pr, rr, sc, br, winner}, sc
+// null where the Square-Corner is infeasible) and the crossover front
+// ({rr, pr, wall} per R_r), with round-trip exact doubles, so the atlas
+// builder's measured surface (`pushpart atlas build`) can be differenced
+// against these closed forms point by point. A --csv or --json file that
+// cannot be written is reported ("cannot write <path>") and exits 1.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
+#include <optional>
 
 #include "model/closed_form.hpp"
 #include "support/csv.hpp"
 #include "support/flags.hpp"
+#include "support/json.hpp"
 
 using namespace pushpart;
 
@@ -39,15 +42,12 @@ int main(int argc, char** argv) {
     csv = CsvWriter(flags.str("csv", ""),
                     {"Pr", "Rr", "squareCornerVoC", "blockRectangleVoC"});
 
-  std::ofstream json;
+  std::optional<JsonWriter> json;
   if (flags.has("json")) {
-    json.open(flags.str("json", ""), std::ios::trunc);
-    if (!json)
-      throw std::runtime_error("cannot open --json=" + flags.str("json", ""));
-    json << "{\n  \"experiment\": \"fig13_surface\",\n  \"pmax\": " << pmax
-         << ",\n  \"rmax\": " << rmax << ",\n  \"cells\": [\n";
+    json.emplace(flags.str("json", ""));
+    json->field("experiment", "fig13_surface").field("pmax", pmax)
+        .field("rmax", rmax).beginArray("cells");
   }
-  bool firstJsonCell = true;
 
   std::cout << "E3 (paper Fig. 13): SCB cost, Square-Corner (SC) vs "
                "Block-Rectangle (BR), S_r = 1\n"
@@ -68,24 +68,13 @@ int main(int argc, char** argv) {
       const double sc = closedFormVoC(CandidateShape::kSquareCorner, ratio);
       const double br = closedFormVoC(CandidateShape::kBlockRectangle, ratio);
       csv.row({static_cast<double>(p), static_cast<double>(r), sc, br});
-      if (json.is_open()) {
-        char cell[256];
-        // Infinity is not JSON: the SC-infeasible wall travels as null.
-        char scText[40];
-        if (std::isinf(sc))
-          std::snprintf(scText, sizeof(scText), "null");
-        else
-          std::snprintf(scText, sizeof(scText), "%.17g", sc);
-        std::snprintf(cell, sizeof(cell),
-                      "    {\"pr\": %d, \"rr\": %d, \"sc\": %s, "
-                      "\"br\": %.17g, \"winner\": \"%s\"}",
-                      p, r, scText, br,
-                      std::isinf(sc) ? "infeasible"
-                                     : (sc < br ? "Square-Corner"
-                                                : "Block-Rectangle"));
-        json << (firstJsonCell ? "" : ",\n") << cell;
-        firstJsonCell = false;
-      }
+      if (json)  // The SC-infeasible wall's infinite VoC is written null.
+        json->beginObject().field("pr", p).field("rr", r).field("sc", sc)
+            .field("br", br)
+            .field("winner", std::isinf(sc) ? "infeasible"
+                             : sc < br      ? "Square-Corner"
+                                            : "Block-Rectangle")
+            .end();
       if (std::isinf(sc)) {
         std::printf("  #");
       } else {
@@ -95,22 +84,21 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (json.is_open()) {
-    json << "\n  ],\n  \"crossover\": [\n";
-    for (int r = 1; r <= rmax; ++r) {
-      char line[128];
-      std::snprintf(line, sizeof(line),
-                    "    {\"rr\": %d, \"pr\": %.17g, \"wall\": %.17g}%s\n", r,
-                    squareCornerCrossover(r, 1),
-                    2.0 * std::sqrt(static_cast<double>(r)),
-                    r < rmax ? "," : "");
-      json << line;
-    }
-    json << "  ]\n}\n";
-    if (!json)
-      throw std::runtime_error("write to --json file failed");
-    std::cout << "json surface written to " << flags.str("json", "") << "\n";
+  if (json) {
+    json->end().beginArray("crossover");
+    for (int r = 1; r <= rmax; ++r)
+      json->beginObject()
+          .field("rr", r)
+          .field("pr", squareCornerCrossover(r, 1))
+          .field("wall", 2.0 * std::sqrt(static_cast<double>(r)))
+          .end();
   }
+  // Close both before failing, so neither file is left unterminated.
+  const bool csvOk = csv.close();
+  const bool jsonOk = !json || json->close();
+  if (!csvOk || !jsonOk) return 1;
+  if (json)
+    std::cout << "json surface written to " << flags.str("json", "") << "\n";
 
   std::cout << "\nCrossover front (smallest P_r where SC beats BR):\n";
   std::printf("%4s  %12s  %14s\n", "R_r", "crossover P_r", "feasibility wall");

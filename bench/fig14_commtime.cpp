@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
              scSim, brSim});
   }
   table.print(std::cout);
+  if (!csv.close()) return 1;
 
   std::printf("\ncrossover: Square-Corner first beats Block-Rectangle at "
               "P_r = %.0f (closed form; paper reports the win at high "

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
              std::to_string(tally[4]), std::to_string(options.runs)});
   }
   table.print(std::cout);
+  if (!csv.close()) return 1;
   std::cout << "\nelapsed " << wall.seconds() << " s\n";
   std::cout << (totalUnknown == 0
                     ? "RESULT: no counterexample found — Postulate 1 holds on "

@@ -27,7 +27,11 @@
 //     gated: the bitboard's writes are the grid's plus four bit flips).
 //
 // Machine-readable output: --json=BENCH_micro_push.json (written by
-// default). Exit code 0 iff every self-check passed (RESULT line).
+// default): n and seed, then one object per scenario (scan, trajectory,
+// batch, set_cell) with its sizes, both engines' seconds, speedup and bar,
+// and the divergence count. Exit code 0 iff every self-check passed (RESULT
+// line); a report that cannot be written is reported ("cannot write
+// <path>") and exits 1.
 //
 //   ./micro_push [--n=1000] [--scan-reps=40] [--traj-n=160] [--traj-runs=6]
 //                [--batch-n=1000] [--batch-runs=4] [--budget=120]
@@ -36,7 +40,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -49,6 +52,7 @@
 #include "push/push.hpp"
 #include "shapes/candidates.hpp"
 #include "support/flags.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -219,46 +223,26 @@ int main(int argc, char** argv) {
   std::printf("divergences: %lld\n", static_cast<long long>(divergences));
 
   // --- BENCH_micro_push.json ----------------------------------------------
-  {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::cerr << "cannot write " << jsonPath << "\n";
-      return 1;
-    }
-    char head[768];
-    std::snprintf(
-        head, sizeof(head),
-        "{\n"
-        "  \"bench\": \"micro_push\",\n"
-        "  \"n\": %d,\n"
-        "  \"seed\": %llu,\n"
-        "  \"scan\": {\"reps\": %d, \"scans\": %lld,\n"
-        "    \"grid_seconds\": %.9g, \"bits_seconds\": %.9g,\n"
-        "    \"speedup\": %.9g, \"bar\": %.9g},\n"
-        "  \"trajectory\": {\"n\": %d, \"runs\": %d, \"pushes\": %lld,\n"
-        "    \"grid_seconds\": %.9g, \"bits_seconds\": %.9g,\n"
-        "    \"speedup\": %.9g, \"bar\": %.9g},\n",
-        n, static_cast<unsigned long long>(seed), scanReps,
-        static_cast<long long>(scans), gridScanSeconds, bitsScanSeconds,
-        scanSpeedup, bar, trajN, trajRuns, static_cast<long long>(trajPushes),
-        gridTrajSeconds, bitsTrajSeconds, trajSpeedup, trajBar);
-    char tail[640];
-    std::snprintf(
-        tail, sizeof(tail),
-        "  \"batch\": {\"n\": %d, \"runs\": %d, \"completed\": %d,\n"
-        "    \"seconds\": %.9g, \"budget\": %.9g, \"best_voc\": %lld,\n"
-        "    \"engine\": \"%s\"},\n"
-        "  \"set_cell\": {\"n\": %d, \"ops\": %lld,\n"
-        "    \"grid_seconds\": %.9g, \"bits_seconds\": %.9g},\n"
-        "  \"divergences\": %lld\n"
-        "}\n",
-        batchN, batchRuns, summary.completed, batchSeconds, budget,
-        static_cast<long long>(batchBestVoc), batchEngineName(batch.engine),
-        microN, static_cast<long long>(microOps), gridSetSeconds,
-        bitsSetSeconds, static_cast<long long>(divergences));
-    out << head << tail;
-    std::cout << "\nreport written to " << jsonPath << "\n";
-  }
+  JsonWriter json(jsonPath);
+  json.field("bench", "micro_push").field("n", n).field("seed", seed);
+  json.beginObject("scan").field("reps", scanReps).field("scans", scans)
+      .field("grid_seconds", gridScanSeconds)
+      .field("bits_seconds", bitsScanSeconds).field("speedup", scanSpeedup)
+      .field("bar", bar).end();
+  json.beginObject("trajectory").field("n", trajN).field("runs", trajRuns)
+      .field("pushes", trajPushes).field("grid_seconds", gridTrajSeconds)
+      .field("bits_seconds", bitsTrajSeconds).field("speedup", trajSpeedup)
+      .field("bar", trajBar).end();
+  json.beginObject("batch").field("n", batchN).field("runs", batchRuns)
+      .field("completed", summary.completed).field("seconds", batchSeconds)
+      .field("budget", budget).field("best_voc", batchBestVoc)
+      .field("engine", batchEngineName(batch.engine)).end();
+  json.beginObject("set_cell").field("n", microN).field("ops", microOps)
+      .field("grid_seconds", gridSetSeconds)
+      .field("bits_seconds", bitsSetSeconds).end();
+  json.field("divergences", divergences);
+  if (!json.close()) return 1;
+  std::cout << "\nreport written to " << jsonPath << "\n";
 
   const bool ok = divergences == 0 && scanSpeedup >= bar &&
                   trajSpeedup >= trajBar && summary.completed == batchRuns &&

@@ -20,7 +20,11 @@
 // Self-check (RESULT line): shed rate < 100%, goodput > 0, p99 of accepted
 // requests <= 2x the deadline, zero answers served past their deadline
 // without a degrade/truncation mark, and the warm-restart hit-rate bar.
-// Machine-readable output: --json=BENCH_overload.json (written by default).
+// Machine-readable output: --json=BENCH_overload.json (written by default):
+// the overload phase's counts and rates, breaker and admission counters,
+// the accepted-latency histogram ({count, p50_s, p95_s, p99_s}) and the
+// warm_restart phase. A report that cannot be written is reported ("cannot
+// write <path>") and exits 1.
 //
 //   ./overload_loadgen [--deadline-ms=50] [--max-concurrency=2]
 //                      [--max-queue=4] [--multiplier=4]
@@ -33,7 +37,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -44,6 +47,7 @@
 #include "serve/snapshot.hpp"
 #include "support/flags.hpp"
 #include "support/histogram.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 
 using namespace pushpart;
@@ -90,16 +94,6 @@ double hitRateOver(const Oracle& oracle, std::uint64_t hitsBefore,
                    int requests) {
   const std::uint64_t hits = oracle.stats().cache.hits - hitsBefore;
   return requests > 0 ? static_cast<double>(hits) / requests : 0.0;
-}
-
-std::string jsonHistogram(const LatencyHistogram::Snapshot& h) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\": %llu, \"p50_s\": %.9g, \"p95_s\": %.9g, "
-                "\"p99_s\": %.9g}",
-                static_cast<unsigned long long>(h.count), h.p50, h.p95,
-                h.p99);
-  return buf;
 }
 
 }  // namespace
@@ -230,6 +224,7 @@ int main(int argc, char** argv) {
 
   Oracle restored(OracleOptions{});
   const SnapshotLoadReport report = restored.tryLoadSnapshot(snapshotPath);
+  std::remove(snapshotPath.c_str());
   replay(restored, warmRequests);
   const double warmHitRate = hitRateOver(restored, 0, warmRequests);
   const double warmRatio =
@@ -242,65 +237,30 @@ int main(int argc, char** argv) {
       warmRatio, warmRequests);
 
   // --- BENCH_overload.json ------------------------------------------------
-  {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::cerr << "cannot write " << jsonPath << "\n";
-      return 1;
-    }
-    char head[768];
-    std::snprintf(
-        head, sizeof(head),
-        "{\n"
-        "  \"bench\": \"overload_loadgen\",\n"
-        "  \"deadline_s\": %.9g,\n"
-        "  \"max_concurrency\": %d,\n"
-        "  \"max_queue\": %d,\n"
-        "  \"multiplier\": %d,\n"
-        "  \"offered\": %d,\n"
-        "  \"accepted\": %lld,\n"
-        "  \"shed\": %lld,\n"
-        "  \"shed_rate\": %.9g,\n"
-        "  \"degraded\": %lld,\n"
-        "  \"truncated\": %lld,\n"
-        "  \"within_deadline\": %lld,\n"
-        "  \"goodput_2x\": %lld,\n"
-        "  \"late_unmarked\": %lld,\n"
-        "  \"failed\": %lld,\n",
-        deadlineSeconds, maxConcurrency, maxQueue, multiplier, totalRequests,
-        static_cast<long long>(accepted.load()),
-        static_cast<long long>(shed.load()), shedRate,
-        static_cast<long long>(degraded.load()),
-        static_cast<long long>(truncated.load()),
-        static_cast<long long>(withinDeadline.load()),
-        static_cast<long long>(goodput),
-        static_cast<long long>(lateUnmarked.load()),
-        static_cast<long long>(failed.load()));
-    char breaker[256];
-    std::snprintf(
-        breaker, sizeof(breaker),
-        "  \"breaker_trips\": %llu,\n  \"breaker_open_serves\": %llu,\n"
-        "  \"admission_timeouts\": %llu,\n  \"queue_full\": %llu,\n",
-        static_cast<unsigned long long>(overloadStats.breaker.trips),
-        static_cast<unsigned long long>(overloadStats.breakerOpenServes),
-        static_cast<unsigned long long>(overloadStats.admission.shedTimeout),
-        static_cast<unsigned long long>(
-            overloadStats.admission.shedQueueFull));
-    char warm[512];
-    std::snprintf(
-        warm, sizeof(warm),
-        "  \"warm_restart\": {\"snapshot_entries\": %zu, \"restored\": %zu, "
-        "\"skipped\": %zu, \"pre_hit_rate\": %.9g, \"warm_hit_rate\": %.9g, "
-        "\"ratio\": %.9g, \"requests\": %d}\n"
-        "}\n",
-        saved, report.loaded, report.skipped, preRestartHitRate, warmHitRate,
-        warmRatio, warmRequests);
-    out << head << breaker
-        << "  \"accepted_latency\": " << jsonHistogram(latency) << ",\n"
-        << warm;
-    std::cout << "report written to " << jsonPath << "\n";
-  }
-  std::remove(snapshotPath.c_str());
+  JsonWriter json(jsonPath);
+  json.field("bench", "overload_loadgen").field("deadline_s", deadlineSeconds)
+      .field("max_concurrency", maxConcurrency).field("max_queue", maxQueue)
+      .field("multiplier", multiplier).field("offered", totalRequests)
+      .field("accepted", accepted.load()).field("shed", shed.load())
+      .field("shed_rate", shedRate).field("degraded", degraded.load())
+      .field("truncated", truncated.load())
+      .field("within_deadline", withinDeadline.load())
+      .field("goodput_2x", goodput).field("late_unmarked", lateUnmarked.load())
+      .field("failed", failed.load())
+      .field("breaker_trips", overloadStats.breaker.trips)
+      .field("breaker_open_serves", overloadStats.breakerOpenServes)
+      .field("admission_timeouts", overloadStats.admission.shedTimeout)
+      .field("queue_full", overloadStats.admission.shedQueueFull);
+  json.beginObject("accepted_latency").field("count", latency.count)
+      .field("p50_s", latency.p50).field("p95_s", latency.p95)
+      .field("p99_s", latency.p99).end();
+  json.beginObject("warm_restart").field("snapshot_entries", saved)
+      .field("restored", report.loaded).field("skipped", report.skipped)
+      .field("pre_hit_rate", preRestartHitRate)
+      .field("warm_hit_rate", warmHitRate).field("ratio", warmRatio)
+      .field("requests", warmRequests).end();
+  if (!json.close()) return 1;
+  std::cout << "report written to " << jsonPath << "\n";
 
   const bool overloadOk =
       failed.load() == 0 && shedRate < 1.0 && goodput > 0 &&

@@ -13,7 +13,12 @@
 //
 // Self-check (RESULT line): every request answered, the hot set actually
 // hit, and hot-key hits at least 100x faster than the tier-B cold solve.
-// Machine-readable output: --json=BENCH_serve.json (written by default).
+// Machine-readable output: --json=BENCH_serve.json (written by default): the
+// run's shape and counts, QPS and hit rate, four latency histograms
+// ({count, p50_s, p95_s, p99_s} for end_to_end, hit_latency, tier_a_solve,
+// tier_b_solve), the cold calibration solve and the hot-vs-cold speedup. A
+// report that cannot be written is reported ("cannot write <path>") and
+// exits 1.
 //
 //   ./serve_loadgen [--threads=8] [--requests=12000] [--keys=48] [--skew=1.0]
 //                   [--n=120] [--runs=3] [--tierb-every=4] [--capacity=4096]
@@ -24,16 +29,16 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/oracle.hpp"
 #include "support/flags.hpp"
 #include "support/histogram.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -75,16 +80,6 @@ std::vector<double> zipfCdf(std::size_t keys, double skew) {
   }
   for (double& c : cdf) c /= total;
   return cdf;
-}
-
-std::string jsonHistogram(const LatencyHistogram::Snapshot& h) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\": %llu, \"p50_s\": %.9g, \"p95_s\": %.9g, "
-                "\"p99_s\": %.9g}",
-                static_cast<unsigned long long>(h.count), h.p50, h.p95,
-                h.p99);
-  return buf;
 }
 
 }  // namespace
@@ -189,53 +184,28 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // --- BENCH_serve.json ---------------------------------------------------
-  {
-    std::ofstream out(jsonPath);
-    if (!out) {
-      std::cerr << "cannot write " << jsonPath << "\n";
-      return 1;
-    }
-    char head[512];
-    std::snprintf(head, sizeof(head),
-                  "{\n"
-                  "  \"bench\": \"serve_loadgen\",\n"
-                  "  \"threads\": %d,\n"
-                  "  \"requests\": %lld,\n"
-                  "  \"answered\": %lld,\n"
-                  "  \"failed\": %lld,\n"
-                  "  \"keys\": %d,\n"
-                  "  \"skew\": %.6g,\n"
-                  "  \"wall_seconds\": %.9g,\n"
-                  "  \"qps\": %.9g,\n",
-                  threads, static_cast<long long>(requests),
-                  static_cast<long long>(answered.load()),
-                  static_cast<long long>(failed.load()), keys, skew,
-                  wallSeconds, qps);
-    char counters[512];
-    std::snprintf(
-        counters, sizeof(counters),
-        "  \"hits\": %llu,\n  \"misses\": %llu,\n  \"coalesced\": %llu,\n"
-        "  \"evictions\": %llu,\n  \"hit_rate\": %.9g,\n",
-        static_cast<unsigned long long>(stats.cache.hits),
-        static_cast<unsigned long long>(stats.cache.misses),
-        static_cast<unsigned long long>(stats.cache.coalesced),
-        static_cast<unsigned long long>(stats.cache.evictions), hitRate);
-    char tail[512];
-    std::snprintf(tail, sizeof(tail),
-                  "  \"cold\": {\"n\": %d, \"runs\": %d, "
-                  "\"solve_seconds\": %.9g},\n"
-                  "  \"hot_hit_p50_seconds\": %.9g,\n"
-                  "  \"speedup_hot_vs_cold_b\": %.9g\n"
-                  "}\n",
-                  coldN, coldRuns, coldAnswer.solveSeconds, hotP50, speedup);
-    out << head << counters
-        << "  \"end_to_end\": " << jsonHistogram(endToEnd.snapshot()) << ",\n"
-        << "  \"hit_latency\": " << jsonHistogram(stats.hitLatency) << ",\n"
-        << "  \"tier_a_solve\": " << jsonHistogram(stats.tierASolves) << ",\n"
-        << "  \"tier_b_solve\": " << jsonHistogram(stats.tierBSolves) << ",\n"
-        << tail;
-    std::cout << "\nreport written to " << jsonPath << "\n";
-  }
+  JsonWriter json(jsonPath);
+  json.field("bench", "serve_loadgen").field("threads", threads)
+      .field("requests", requests).field("answered", answered.load())
+      .field("failed", failed.load()).field("keys", keys).field("skew", skew)
+      .field("wall_seconds", wallSeconds).field("qps", qps)
+      .field("hits", stats.cache.hits).field("misses", stats.cache.misses)
+      .field("coalesced", stats.cache.coalesced)
+      .field("evictions", stats.cache.evictions).field("hit_rate", hitRate);
+  const std::pair<const char*, LatencyHistogram::Snapshot> histograms[] = {
+      {"end_to_end", endToEnd.snapshot()},
+      {"hit_latency", stats.hitLatency},
+      {"tier_a_solve", stats.tierASolves},
+      {"tier_b_solve", stats.tierBSolves}};
+  for (const auto& [name, h] : histograms)
+    json.beginObject(name).field("count", h.count).field("p50_s", h.p50)
+        .field("p95_s", h.p95).field("p99_s", h.p99).end();
+  json.beginObject("cold").field("n", coldN).field("runs", coldRuns)
+      .field("solve_seconds", coldAnswer.solveSeconds).end();
+  json.field("hot_hit_p50_seconds", hotP50)
+      .field("speedup_hot_vs_cold_b", speedup);
+  if (!json.close()) return 1;
+  std::cout << "\nreport written to " << jsonPath << "\n";
 
   const bool ok = failed.load() == 0 && answered.load() == requests &&
                   stats.cache.hits > 0 && speedup >= 100.0;

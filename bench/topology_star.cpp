@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+  if (!csv.close()) return 1;
 
   std::cout << "\nWinner under star vs fully-connected (SCB):\n";
   for (const Ratio& ratio : {Ratio{5, 1, 1}, Ratio{10, 1, 1}}) {

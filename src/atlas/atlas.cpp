@@ -68,10 +68,10 @@ bool PlanAtlas::assign(const Ratio& ratio, int& i, int& j) const {
 
 AtlasLookup PlanAtlas::lookup(const Ratio& ratio) const {
   AtlasLookup out;
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  counters_.lookups.add();
   if (!assign(ratio, out.i, out.j)) {
     out.miss = AtlasMissReason::kOutOfRange;
-    outOfRange_.fetch_add(1, std::memory_order_relaxed);
+    counters_.outOfRange.add();
     return out;
   }
 
@@ -79,12 +79,12 @@ AtlasLookup PlanAtlas::lookup(const Ratio& ratio) const {
   const AtlasCell& cell = cells_[indexOf(out.i, out.j)];
   if (!spec_.validCell(out.i, out.j) || !cell.solved) {
     out.miss = AtlasMissReason::kUnsolved;
-    unsolved_.fetch_add(1, std::memory_order_relaxed);
+    counters_.unsolved.add();
     return out;
   }
   if (cell.boundary) {
     out.miss = AtlasMissReason::kBoundary;
-    boundary_.fetch_add(1, std::memory_order_relaxed);
+    counters_.boundary.add();
     return out;
   }
 
@@ -129,7 +129,7 @@ AtlasLookup PlanAtlas::lookup(const Ratio& ratio) const {
     }
   }
 
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  counters_.hits.add();
   return out;
 }
 
@@ -155,7 +155,7 @@ void PlanAtlas::insert(int i, int j, AtlasCell cell) {
   deriveBoundaryLocked(i + 1, j);
   deriveBoundaryLocked(i, j - 1);
   deriveBoundaryLocked(i, j + 1);
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  counters_.inserts.add();
 }
 
 void PlanAtlas::deriveBoundaryLocked(int i, int j) {
@@ -197,17 +197,6 @@ std::vector<std::pair<int, int>> PlanAtlas::boundaryCells() const {
       if (cells_[indexOf(i, j)].solved && cells_[indexOf(i, j)].boundary)
         out.emplace_back(i, j);
   return out;
-}
-
-PlanAtlas::Counters PlanAtlas::counters() const {
-  Counters c;
-  c.lookups = lookups_.load(std::memory_order_relaxed);
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.outOfRange = outOfRange_.load(std::memory_order_relaxed);
-  c.unsolved = unsolved_.load(std::memory_order_relaxed);
-  c.boundary = boundary_.load(std::memory_order_relaxed);
-  c.inserts = inserts_.load(std::memory_order_relaxed);
-  return c;
 }
 
 }  // namespace pushpart

@@ -31,10 +31,9 @@
 //
 // Thread safety: lookups take a shared lock; inserts (the speculative
 // prefetcher, prefetch.hpp) take an exclusive lock and re-derive the
-// affected boundary flags. Counters are atomics.
+// affected boundary flags. Counts are lock-free Counters.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <shared_mutex>
@@ -46,6 +45,7 @@
 #include "model/machine.hpp"
 #include "model/topology.hpp"
 #include "shapes/candidates.hpp"
+#include "support/counter.hpp"
 
 namespace pushpart {
 
@@ -230,14 +230,14 @@ class PlanAtlas {
   std::vector<std::pair<int, int>> boundaryCells() const;
 
   struct Counters {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t outOfRange = 0;
-    std::uint64_t unsolved = 0;
-    std::uint64_t boundary = 0;
-    std::uint64_t inserts = 0;
+    Counter lookups;
+    Counter hits;
+    Counter outOfRange;
+    Counter unsolved;
+    Counter boundary;
+    Counter inserts;
   };
-  Counters counters() const;
+  Counters counters() const { return counters_; }
 
  private:
   std::size_t indexOf(int i, int j) const {
@@ -253,12 +253,8 @@ class PlanAtlas {
   mutable std::shared_mutex mutex_;
   std::vector<AtlasCell> cells_;
 
-  mutable std::atomic<std::uint64_t> lookups_{0};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> outOfRange_{0};
-  mutable std::atomic<std::uint64_t> unsolved_{0};
-  mutable std::atomic<std::uint64_t> boundary_{0};
-  std::atomic<std::uint64_t> inserts_{0};
+  /// Live counts; lookup() is logically const but counts itself.
+  mutable Counters counters_;
 };
 
 }  // namespace pushpart

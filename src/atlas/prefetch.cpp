@@ -21,12 +21,12 @@ void AtlasPrefetcher::enqueueOne(int i, int j) {
   const std::pair<int, int> key{i, j};
   if (queued_.count(key)) return;
   if (queue_.size() >= options_.maxQueue) {
-    ++dropped_;
+    ++counters_.dropped;
     return;
   }
   queue_.push_back(key);
   queued_.insert(key);
-  ++requested_;
+  ++counters_.requested;
   cv_.notify_one();
 }
 
@@ -56,7 +56,7 @@ void AtlasPrefetcher::run() {
     solved->origin = CellOrigin::kPrefetched;
     atlas_->insert(cell.first, cell.second, *solved);
     std::lock_guard<std::mutex> lock(mutex_);
-    ++solved_;
+    ++counters_.solved;
   }
 }
 
@@ -72,11 +72,7 @@ void AtlasPrefetcher::stop() {
 
 AtlasPrefetcher::Counters AtlasPrefetcher::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Counters c;
-  c.requested = requested_;
-  c.solved = solved_;
-  c.dropped = dropped_;
-  return c;
+  return counters_;
 }
 
 }  // namespace pushpart

@@ -66,9 +66,7 @@ class AtlasPrefetcher {
   std::deque<std::pair<int, int>> queue_;
   std::set<std::pair<int, int>> queued_;  ///< Dedup of pending cells.
   bool stopping_ = false;
-  std::uint64_t requested_ = 0;
-  std::uint64_t solved_ = 0;
-  std::uint64_t dropped_ = 0;
+  Counters counters_;
 
   std::thread worker_;
 };

@@ -56,7 +56,7 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
                                     const PlanCallOptions& call) {
   Stopwatch timer;
   const CanonicalKey key = canonicalize(req);
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  stats_.requests.add();
 
   std::shared_lock lock(mutex_);
   const double now = clock_->nowSeconds();
@@ -71,10 +71,10 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
         timer.seconds() * injector_.slowFactorAt(owner, now);
     latency_.record(out.response.latencySeconds);
     if (owner == owners.front()) {
-      primaryServes_.fetch_add(1, std::memory_order_relaxed);
+      stats_.primaryServes.add();
     } else {
-      replicaServes_.fetch_add(1, std::memory_order_relaxed);
-      if (out.replicaHit) replicaHits_.fetch_add(1, std::memory_order_relaxed);
+      stats_.replicaServes.add();
+      if (out.replicaHit) stats_.replicaHits.add();
     }
   };
 
@@ -114,7 +114,7 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
     if (!reachable(owner, now)) {
       // The router believes this owner is up (at worst suspect) and tries
       // it; ground truth says otherwise, so the attempt fails over.
-      retries_.fetch_add(1, std::memory_order_relaxed);
+      stats_.retries.add();
       continue;
     }
     // Each attempt layers the call budget onto the caller's token anew;
@@ -124,7 +124,7 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
     anyAttempted = true;
     PlanResponse resp = node.oracle->plan(key.request, attempt);
     if (resp.shed) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
+      stats_.retries.add();
       continue;
     }
     out.servedBy = owner;
@@ -143,7 +143,7 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
   out.response.key = key.text;
   out.response.deadlineExceeded = call.deadline.expired();
   out.response.latencySeconds = timer.seconds();
-  clusterSheds_.fetch_add(1, std::memory_order_relaxed);
+  stats_.clusterSheds.add();
   return out;
 }
 
@@ -155,7 +155,7 @@ void OracleCluster::replicate(const std::vector<int>& owners, int servedBy,
     Node& node = nodes_[static_cast<std::size_t>(owner)];
     if (node.status == NodeStatus::kUp && reachable(owner, now)) {
       node.oracle->insertReplica(keyText, answer);
-      replicasWritten_.fetch_add(1, std::memory_order_relaxed);
+      stats_.replicasWritten.add();
     } else {
       // Hinted handoff: park the write for delivery when the owner returns,
       // bounded per target (oldest hints drop first — they are the most
@@ -164,10 +164,10 @@ void OracleCluster::replicate(const std::vector<int>& owners, int servedBy,
       std::deque<Hint>& parked = hints_[owner];
       if (parked.size() >= options_.maxHintsPerNode) {
         parked.pop_front();
-        hintsDropped_.fetch_add(1, std::memory_order_relaxed);
+        stats_.hintsDropped.add();
       }
       parked.push_back(Hint{keyText, answer});
-      hintsStored_.fetch_add(1, std::memory_order_relaxed);
+      stats_.hintsStored.add();
     }
   }
 }
@@ -269,9 +269,9 @@ std::size_t OracleCluster::rebalanceNode(int target, double now) {
   }
   flush();
 
-  rebalance_.rebalances += 1;
-  rebalance_.segmentsStreamed += segments;
-  rebalance_.entriesStreamed += restored;
+  stats_.rebalance.rebalances += 1;
+  stats_.rebalance.segmentsStreamed += segments;
+  stats_.rebalance.entriesStreamed += restored;
 
   // Deliver hinted handoffs: replication writes that happened while the
   // node was away.
@@ -286,7 +286,7 @@ std::size_t OracleCluster::rebalanceNode(int target, double now) {
   }
   for (const Hint& hint : parked)
     joining.oracle->insertReplica(hint.keyText, hint.answer);
-  hintsDelivered_.fetch_add(parked.size(), std::memory_order_relaxed);
+  stats_.hintsDelivered.add(parked.size());
 
   logEvent(now, "rebalance: node " + std::to_string(target) + " restored " +
                     std::to_string(restored) + " entries in " +
@@ -298,19 +298,8 @@ std::size_t OracleCluster::rebalanceNode(int target, double now) {
 ClusterStats OracleCluster::stats() const {
   std::shared_lock lock(mutex_);
   const double now = clock_->nowSeconds();
-  ClusterStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.primaryServes = primaryServes_.load(std::memory_order_relaxed);
-  s.replicaServes = replicaServes_.load(std::memory_order_relaxed);
-  s.replicaHits = replicaHits_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.clusterSheds = clusterSheds_.load(std::memory_order_relaxed);
-  s.replicasWritten = replicasWritten_.load(std::memory_order_relaxed);
-  s.hintsStored = hintsStored_.load(std::memory_order_relaxed);
-  s.hintsDelivered = hintsDelivered_.load(std::memory_order_relaxed);
-  s.hintsDropped = hintsDropped_.load(std::memory_order_relaxed);
+  ClusterStats s = stats_;
   s.detector = detector_.counters();
-  s.rebalance = rebalance_;
   s.latency = latency_.snapshot();
   s.nodes.reserve(nodes_.size());
   for (int n = 0; n < options_.nodes; ++n) {

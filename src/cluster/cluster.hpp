@@ -34,10 +34,9 @@
 // Concurrency: plan() takes a shared lock (many router threads serve
 // concurrently; per-node state is behind each Oracle's own synchronization),
 // tick() takes the exclusive lock for membership transitions and rebalance.
-// Counters are atomics; the hint store has its own mutex.
+// Router counts are lock-free Counters; the hint store has its own mutex.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -51,6 +50,7 @@
 #include "cluster/ring.hpp"
 #include "serve/oracle.hpp"
 #include "sim/fault.hpp"
+#include "support/counter.hpp"
 #include "support/deadline.hpp"
 #include "support/histogram.hpp"
 
@@ -140,18 +140,21 @@ struct RebalanceStats {
   std::uint64_t entriesStreamed = 0;
 };
 
+/// Router counters plus the detector, rebalance, latency and per-node
+/// snapshots. OracleCluster keeps one instance as its live store: the router
+/// counts and the rebalance totals (written under the exclusive lock) live
+/// there, and stats() fills in the rest.
 struct ClusterStats {
-  // Router counters.
-  std::uint64_t requests = 0;
-  std::uint64_t primaryServes = 0;  ///< Answered by the key's primary owner.
-  std::uint64_t replicaServes = 0;  ///< Answered by a non-primary owner.
-  std::uint64_t replicaHits = 0;    ///< ... of which straight from its cache.
-  std::uint64_t retries = 0;        ///< Owner attempts that failed over.
-  std::uint64_t clusterSheds = 0;   ///< Requests no owner could answer.
-  std::uint64_t replicasWritten = 0;
-  std::uint64_t hintsStored = 0;
-  std::uint64_t hintsDelivered = 0;
-  std::uint64_t hintsDropped = 0;
+  Counter requests;
+  Counter primaryServes;  ///< Answered by the key's primary owner.
+  Counter replicaServes;  ///< Answered by a non-primary owner.
+  Counter replicaHits;    ///< ... of which straight from its cache.
+  Counter retries;        ///< Owner attempts that failed over.
+  Counter clusterSheds;   ///< Requests no owner could answer.
+  Counter replicasWritten;
+  Counter hintsStored;
+  Counter hintsDelivered;
+  Counter hintsDropped;
   FailureDetector::Counters detector;
   RebalanceStats rebalance;
   LatencyHistogram::Snapshot latency;  ///< Router end-to-end (slow-node scaled).
@@ -242,17 +245,7 @@ class OracleCluster {
   mutable std::mutex eventsMutex_;
   std::vector<ClusterEvent> events_;
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> primaryServes_{0};
-  std::atomic<std::uint64_t> replicaServes_{0};
-  std::atomic<std::uint64_t> replicaHits_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> clusterSheds_{0};
-  std::atomic<std::uint64_t> replicasWritten_{0};
-  std::atomic<std::uint64_t> hintsStored_{0};
-  std::atomic<std::uint64_t> hintsDelivered_{0};
-  std::atomic<std::uint64_t> hintsDropped_{0};
-  RebalanceStats rebalance_;  ///< Mutated under the exclusive lock only.
+  ClusterStats stats_;
   LatencyHistogram latency_;
 };
 

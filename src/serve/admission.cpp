@@ -18,24 +18,26 @@ AdmissionController::AdmissionController(AdmissionOptions options)
 AdmissionOutcome AdmissionController::acquire(const Deadline& deadline) {
   if (!enabled()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++admitted_;
-    ++inUse_;
+    ++counters_.admitted;
+    ++counters_.inUse;
     return AdmissionOutcome::kAdmitted;
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (inUse_ < options_.maxConcurrency) {
-    ++inUse_;
-    ++admitted_;
+  if (counters_.inUse < options_.maxConcurrency) {
+    ++counters_.inUse;
+    ++counters_.admitted;
     return AdmissionOutcome::kAdmitted;
   }
-  if (queued_ >= options_.maxQueue) {
-    ++shedQueueFull_;
+  if (counters_.queued >= options_.maxQueue) {
+    ++counters_.shedQueueFull;
     return AdmissionOutcome::kQueueFull;
   }
 
-  ++queued_;
-  const auto freeSlot = [&]() { return inUse_ < options_.maxConcurrency; };
+  ++counters_.queued;
+  const auto freeSlot = [&]() {
+    return counters_.inUse < options_.maxConcurrency;
+  };
   bool gotSlot = false;
   if (deadline.isUnlimited()) {
     slotFreed_.wait(lock, freeSlot);
@@ -47,33 +49,27 @@ AdmissionOutcome AdmissionController::acquire(const Deadline& deadline) {
         lock, std::chrono::duration<double>(deadline.remainingSeconds()),
         freeSlot);
   }
-  --queued_;
+  --counters_.queued;
   if (!gotSlot) {
-    ++shedTimeout_;
+    ++counters_.shedTimeout;
     return AdmissionOutcome::kTimedOut;
   }
-  ++inUse_;
-  ++admitted_;
+  ++counters_.inUse;
+  ++counters_.admitted;
   return AdmissionOutcome::kAdmitted;
 }
 
 void AdmissionController::release() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    --inUse_;
+    --counters_.inUse;
   }
   slotFreed_.notify_one();
 }
 
 AdmissionController::Counters AdmissionController::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Counters c;
-  c.admitted = admitted_;
-  c.shedQueueFull = shedQueueFull_;
-  c.shedTimeout = shedTimeout_;
-  c.inUse = inUse_;
-  c.queued = queued_;
-  return c;
+  return counters_;
 }
 
 CircuitBreaker::CircuitBreaker(BreakerOptions options) : options_(options) {
@@ -98,18 +94,18 @@ bool CircuitBreaker::allowRequest() {
       if (clock().nowSeconds() - openedAt_ >= options_.openSeconds) {
         state_ = BreakerState::kHalfOpen;
         probeInFlight_ = true;
-        ++probes_;
+        ++counters_.probes;
         return true;
       }
-      ++shortCircuited_;
+      ++counters_.shortCircuited;
       return false;
     case BreakerState::kHalfOpen:
       if (!probeInFlight_) {  // previous probe resolved without closing
         probeInFlight_ = true;
-        ++probes_;
+        ++counters_.probes;
         return true;
       }
-      ++shortCircuited_;
+      ++counters_.shortCircuited;
       return false;
   }
   return true;
@@ -119,7 +115,7 @@ void CircuitBreaker::recordSuccess() {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   state_ = BreakerState::kClosed;
-  consecutiveFailures_ = 0;
+  counters_.consecutiveFailures = 0;
   probeInFlight_ = false;
 }
 
@@ -131,15 +127,15 @@ void CircuitBreaker::recordFailure() {
     state_ = BreakerState::kOpen;
     openedAt_ = clock().nowSeconds();
     probeInFlight_ = false;
-    ++trips_;
+    ++counters_.trips;
     return;
   }
-  ++consecutiveFailures_;
+  ++counters_.consecutiveFailures;
   if (state_ == BreakerState::kClosed &&
-      consecutiveFailures_ >= options_.failureThreshold) {
+      counters_.consecutiveFailures >= options_.failureThreshold) {
     state_ = BreakerState::kOpen;
     openedAt_ = clock().nowSeconds();
-    ++trips_;
+    ++counters_.trips;
   }
 }
 
@@ -150,12 +146,7 @@ BreakerState CircuitBreaker::state() const {
 
 CircuitBreaker::Counters CircuitBreaker::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Counters c;
-  c.trips = trips_;
-  c.probes = probes_;
-  c.shortCircuited = shortCircuited_;
-  c.consecutiveFailures = consecutiveFailures_;
-  return c;
+  return counters_;
 }
 
 }  // namespace pushpart

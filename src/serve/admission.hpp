@@ -99,11 +99,7 @@ class AdmissionController {
   AdmissionOptions options_;
   mutable std::mutex mutex_;
   std::condition_variable slotFreed_;
-  int inUse_ = 0;
-  int queued_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t shedQueueFull_ = 0;
-  std::uint64_t shedTimeout_ = 0;
+  Counters counters_;
 };
 
 struct BreakerOptions {
@@ -170,12 +166,9 @@ class CircuitBreaker {
   BreakerOptions options_;
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::kClosed;
-  int consecutiveFailures_ = 0;
   double openedAt_ = 0.0;
   bool probeInFlight_ = false;
-  std::uint64_t trips_ = 0;
-  std::uint64_t probes_ = 0;
-  std::uint64_t shortCircuited_ = 0;
+  Counters counters_;
 };
 
 }  // namespace pushpart

@@ -35,7 +35,7 @@ void PlanCache::insertLocked(Shard& shard, const std::string& keyText,
   while (shard.lru.size() > perShardCapacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    counters_.evictions.add();
   }
 }
 
@@ -45,7 +45,7 @@ std::optional<PlanAnswer> PlanCache::tryGet(const CanonicalKey& key) {
   const auto it = shard.index.find(key.text);
   if (it == shard.index.end()) return std::nullopt;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  counters_.hits.add();
   return it->second->answer;
 }
 
@@ -56,7 +56,7 @@ bool PlanCache::invalidate(const CanonicalKey& key) {
   if (it == shard.index.end()) return false;
   shard.lru.erase(it->second);
   shard.index.erase(it);
-  staleInvalidations_.fetch_add(1, std::memory_order_relaxed);
+  counters_.staleInvalidations.add();
   return true;
 }
 
@@ -71,14 +71,14 @@ PlanCache::Outcome PlanCache::getOrCompute(
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (auto it = shard.index.find(key.text); it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.hits.add();
       return Outcome{it->second->answer, /*hit=*/true, /*coalesced=*/false};
     }
     if (auto it = shard.inflight.find(key.text); it != shard.inflight.end()) {
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
+      counters_.coalesced.add();
       wait = it->second;
     } else {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      counters_.misses.add();
       shard.inflight.emplace(key.text, mine.get_future().share());
     }
   }
@@ -92,7 +92,7 @@ PlanCache::Outcome PlanCache::getOrCompute(
       const auto budget =
           std::chrono::duration<double>(deadline.remainingSeconds());
       if (wait.wait_for(budget) != std::future_status::ready) {
-        waitTimeouts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.waitTimeouts.add();
         Outcome out;
         out.coalesced = true;
         out.timedOut = true;
@@ -117,7 +117,7 @@ PlanCache::Outcome PlanCache::getOrCompute(
       if (answer.fullFidelity()) {
         insertLocked(shard, key.text, answer);
       } else {
-        uncacheable_.fetch_add(1, std::memory_order_relaxed);
+        counters_.uncacheable.add();
       }
     }
     mine.set_value(answer);
@@ -133,14 +133,7 @@ PlanCache::Outcome PlanCache::getOrCompute(
 }
 
 PlanCache::Counters PlanCache::counters() const {
-  Counters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.coalesced = coalesced_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  c.waitTimeouts = waitTimeouts_.load(std::memory_order_relaxed);
-  c.uncacheable = uncacheable_.load(std::memory_order_relaxed);
-  c.staleInvalidations = staleInvalidations_.load(std::memory_order_relaxed);
+  Counters c = counters_;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     c.entries += shard->lru.size();

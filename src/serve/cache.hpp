@@ -20,7 +20,6 @@
 //     instead of blocking forever, and the serving layer degrades.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -34,6 +33,7 @@
 
 #include "serve/answer.hpp"
 #include "serve/request.hpp"
+#include "support/counter.hpp"
 #include "support/deadline.hpp"
 
 namespace pushpart {
@@ -81,14 +81,14 @@ class PlanCache {
 
   /// Monotonic counters across the cache's lifetime.
   struct Counters {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;     ///< Lookups that ran the solve themselves.
-    std::uint64_t coalesced = 0;  ///< Lookups that joined an in-flight solve.
-    std::uint64_t evictions = 0;
-    std::uint64_t waitTimeouts = 0;  ///< Coalesced waits that hit their deadline.
-    std::uint64_t uncacheable = 0;   ///< Solves delivered but not cached (degraded).
-    std::uint64_t staleInvalidations = 0;  ///< Entries dropped via invalidate().
-    std::size_t entries = 0;      ///< Current resident answers.
+    Counter hits;
+    Counter misses;     ///< Lookups that ran the solve themselves.
+    Counter coalesced;  ///< Lookups that joined an in-flight solve.
+    Counter evictions;
+    Counter waitTimeouts;  ///< Coalesced waits that hit their deadline.
+    Counter uncacheable;   ///< Solves delivered but not cached (degraded).
+    Counter staleInvalidations;  ///< Entries dropped via invalidate().
+    std::size_t entries = 0;     ///< Current resident answers (snapshot only).
   };
   Counters counters() const;
 
@@ -138,13 +138,7 @@ class PlanCache {
   std::size_t perShardCapacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> waitTimeouts_{0};
-  std::atomic<std::uint64_t> uncacheable_{0};
-  std::atomic<std::uint64_t> staleInvalidations_{0};
+  Counters counters_;
 };
 
 }  // namespace pushpart

@@ -86,7 +86,7 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
       !options_.families.extended()) {
     const AtlasLookup lk = options_.atlas->lookup(req.ratio);
     if (!lk.hit) {
-      atlasMisses_.fetch_add(1, std::memory_order_relaxed);
+      stats_.atlasMisses.add();
       // An unsolved cell is the one miss prefetch can cure: speculatively
       // build its neighborhood so the next request in this region hits.
       if (lk.miss == AtlasMissReason::kUnsolved && prefetcher_)
@@ -136,11 +136,11 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
         }
       }
       if (certified) {
-        atlasServed_.fetch_add(1, std::memory_order_relaxed);
+        stats_.atlasServed.add();
         answer.solveSeconds = timer.seconds();
         return answer;
       }
-      atlasUncertified_.fetch_add(1, std::memory_order_relaxed);
+      stats_.atlasUncertified.add();
     }
   }
 
@@ -224,13 +224,13 @@ PlanResponse Oracle::finishResponse(const CanonicalKey& key, PlanAnswer answer,
   // per response; shed is counted at its own site in plan(), so atlas
   // serves can never hide shed traffic.
   if ((hit || coalesced) && !freshFallback)
-    sourceCache_.fetch_add(1, std::memory_order_relaxed);
+    stats_.sourceCache.add();
   else if (answer.atlasServed)
-    sourceAtlas_.fetch_add(1, std::memory_order_relaxed);
+    stats_.sourceAtlas.add();
   else if (answer.servedTier == PlanTier::kSearch)
-    sourceTierB_.fetch_add(1, std::memory_order_relaxed);
+    stats_.sourceTierB.add();
   else
-    sourceTierA_.fetch_add(1, std::memory_order_relaxed);
+    stats_.sourceTierA.add();
   PlanResponse response;
   response.cacheHit = hit;
   response.coalesced = coalesced;
@@ -247,19 +247,19 @@ PlanResponse Oracle::finishResponse(const CanonicalKey& key, PlanAnswer answer,
     case DegradeReason::kNone:
       break;
     case DegradeReason::kTruncatedSearch:
-      truncatedSearch_.fetch_add(1, std::memory_order_relaxed);
+      stats_.truncatedSearch.add();
       break;
     case DegradeReason::kNoTimeForSearch:
-      noTimeForSearch_.fetch_add(1, std::memory_order_relaxed);
+      stats_.noTimeForSearch.add();
       break;
     case DegradeReason::kBreakerOpen:
-      breakerOpenServes_.fetch_add(1, std::memory_order_relaxed);
+      stats_.breakerOpenServes.add();
       break;
     case DegradeReason::kLate:
-      late_.fetch_add(1, std::memory_order_relaxed);
+      stats_.late.add();
       break;
   }
-  if (!answer.fullFidelity()) degraded_.fetch_add(1, std::memory_order_relaxed);
+  if (!answer.fullFidelity()) stats_.degraded.add();
   response.answer = std::move(answer);
   if (hit) hitLatency_.record(latencySeconds);
   return response;
@@ -279,7 +279,7 @@ PlanResponse Oracle::plan(const PlanRequest& req,
   AdmissionController::Permit permit(admission_, call.deadline);
   if (!permit.admitted()) {
     // Ladder rung 4: load-shed. No answer; the caller retries or gives up.
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    stats_.shed.add();
     PlanResponse response;
     response.shed = true;
     response.shedReason = permit.outcome() == AdmissionOutcome::kQueueFull
@@ -299,9 +299,11 @@ PlanResponse Oracle::plan(const PlanRequest& req,
         PlanAnswer answer = solveCanonical(key, solveCancel,
                                            /*consultBreaker=*/true,
                                            /*consultAtlas=*/true);
-        (answer.atlasServed
-             ? atlasSolves_
-             : answer.tier == PlanTier::kSearch ? tierBSolves_ : tierASolves_)
+        // Keyed on the tier that served, like the sources ledger: a
+        // search request degraded to the closed form is a tier-A solve.
+        (answer.atlasServed                       ? atlasSolves_
+         : answer.servedTier == PlanTier::kSearch ? tierBSolves_
+                                                  : tierASolves_)
             .record(answer.solveSeconds);
         return answer;
       },
@@ -334,25 +336,12 @@ PlanAnswer Oracle::solveUncached(const PlanRequest& req) const {
 }
 
 OracleStats Oracle::stats() const {
-  OracleStats s;
+  OracleStats s = stats_;
   s.cache = cache_.counters();
   s.admission = admission_.counters();
   s.breaker = breaker_.counters();
   s.breakerState = breaker_.state();
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.truncatedSearch = truncatedSearch_.load(std::memory_order_relaxed);
-  s.noTimeForSearch = noTimeForSearch_.load(std::memory_order_relaxed);
-  s.breakerOpenServes = breakerOpenServes_.load(std::memory_order_relaxed);
-  s.late = late_.load(std::memory_order_relaxed);
-  s.atlasServed = atlasServed_.load(std::memory_order_relaxed);
-  s.atlasMisses = atlasMisses_.load(std::memory_order_relaxed);
-  s.atlasUncertified = atlasUncertified_.load(std::memory_order_relaxed);
   if (options_.atlas) s.atlasCells = options_.atlas->counters();
-  s.sourceCache = sourceCache_.load(std::memory_order_relaxed);
-  s.sourceAtlas = sourceAtlas_.load(std::memory_order_relaxed);
-  s.sourceTierA = sourceTierA_.load(std::memory_order_relaxed);
-  s.sourceTierB = sourceTierB_.load(std::memory_order_relaxed);
   s.hitLatency = hitLatency_.snapshot();
   s.tierASolves = tierASolves_.snapshot();
   s.tierBSolves = tierBSolves_.snapshot();

@@ -46,6 +46,7 @@
 #include "serve/cache.hpp"
 #include "serve/request.hpp"
 #include "serve/snapshot.hpp"
+#include "support/counter.hpp"
 #include "support/deadline.hpp"
 #include "support/histogram.hpp"
 
@@ -154,36 +155,39 @@ struct PlanResponse {
 };
 
 /// Cache counters plus per-tier latency distributions and the overload
-/// ledger (degradations by reason, sheds, breaker activity).
+/// ledger (degradations by reason, sheds, breaker activity). The Oracle
+/// keeps one instance as the live store of its own counts; the nested
+/// component counters, breaker state and histogram snapshots are filled in
+/// by stats().
 struct OracleStats {
   PlanCache::Counters cache;
   AdmissionController::Counters admission;
   CircuitBreaker::Counters breaker;
   BreakerState breakerState = BreakerState::kClosed;
-  std::uint64_t shed = 0;             ///< Load-shed responses.
-  std::uint64_t degraded = 0;         ///< Answers served below full fidelity.
-  std::uint64_t truncatedSearch = 0;  ///< ... of which tier B was cut short.
-  std::uint64_t noTimeForSearch = 0;  ///< ... of which tier B never started.
-  std::uint64_t breakerOpenServes = 0;  ///< ... short-circuited by the breaker.
-  std::uint64_t late = 0;             ///< Full answers marked late.
+  Counter shed;               ///< Load-shed responses.
+  Counter degraded;           ///< Answers served below full fidelity.
+  Counter truncatedSearch;    ///< ... of which tier B was cut short.
+  Counter noTimeForSearch;    ///< ... of which tier B never started.
+  Counter breakerOpenServes;  ///< ... short-circuited by the breaker.
+  Counter late;               ///< Full answers marked late.
   // Atlas tier accounting. atlasServed counts certified answers; an
   // uncertified lookup (winner mismatch or certificate gap beyond the
   // bound) falls through to the live search and counts in atlasUncertified.
-  std::uint64_t atlasServed = 0;
-  std::uint64_t atlasMisses = 0;       ///< Lookup misses (no usable cell).
-  std::uint64_t atlasUncertified = 0;  ///< Hits the certificate rejected.
-  PlanAtlas::Counters atlasCells;      ///< The atlas's own lookup counters.
+  Counter atlasServed;
+  Counter atlasMisses;             ///< Lookup misses (no usable cell).
+  Counter atlasUncertified;        ///< Hits the certificate rejected.
+  PlanAtlas::Counters atlasCells;  ///< The atlas's own lookup counters.
   // Per-response source breakdown. Sums (with shed) to every plan() call:
   // a response is exactly one of cache-served (hit or coalesced), atlas-
   // certified, tier-B searched, tier-A closed-form, or shed — so the atlas
   // tier can never mask shed accounting.
-  std::uint64_t sourceCache = 0;
-  std::uint64_t sourceAtlas = 0;
-  std::uint64_t sourceTierA = 0;
-  std::uint64_t sourceTierB = 0;
+  Counter sourceCache;
+  Counter sourceAtlas;
+  Counter sourceTierA;
+  Counter sourceTierB;
   LatencyHistogram::Snapshot hitLatency;    ///< plan() calls served by cache.
-  LatencyHistogram::Snapshot tierASolves;   ///< Cold tier-A solve times.
-  LatencyHistogram::Snapshot tierBSolves;   ///< Cold tier-B solve times.
+  LatencyHistogram::Snapshot tierASolves;   ///< Cold solves tier A served.
+  LatencyHistogram::Snapshot tierBSolves;   ///< Cold solves tier B served.
   LatencyHistogram::Snapshot atlasSolves;   ///< Atlas-certified cold serves.
 
   /// The pinned one-line per-source breakdown shown by the CLI stats:
@@ -287,19 +291,9 @@ class Oracle {
   LatencyHistogram tierASolves_;
   LatencyHistogram tierBSolves_;
   LatencyHistogram atlasSolves_;
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> truncatedSearch_{0};
-  std::atomic<std::uint64_t> noTimeForSearch_{0};
-  std::atomic<std::uint64_t> breakerOpenServes_{0};
-  std::atomic<std::uint64_t> late_{0};
-  mutable std::atomic<std::uint64_t> atlasServed_{0};
-  mutable std::atomic<std::uint64_t> atlasMisses_{0};
-  mutable std::atomic<std::uint64_t> atlasUncertified_{0};
-  std::atomic<std::uint64_t> sourceCache_{0};
-  std::atomic<std::uint64_t> sourceAtlas_{0};
-  std::atomic<std::uint64_t> sourceTierA_{0};
-  std::atomic<std::uint64_t> sourceTierB_{0};
+  /// Live store of the oracle's own counts. Mutable because the cold solve
+  /// (logically const) counts its atlas lookups.
+  mutable OracleStats stats_;
 };
 
 }  // namespace pushpart

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iostream>
 #include <stdexcept>
 
 #include "support/check.hpp"
@@ -27,7 +28,7 @@ std::string quoted(const std::string& f) {
 }  // namespace
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
-    : out_(path), width_(header.size()) {
+    : path_(path), out_(path), width_(header.size()) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
   emit(header);
 }
@@ -46,6 +47,14 @@ void CsvWriter::row(std::initializer_list<double> fields) {
   strs.reserve(fields.size());
   for (double v : fields) strs.push_back(formatNumber(v));
   row(strs);
+}
+
+bool CsvWriter::close() {
+  if (!out_.is_open()) return true;
+  out_.close();
+  if (!out_.fail()) return true;
+  std::cerr << "cannot write " << path_ << "\n";
+  return false;
 }
 
 void CsvWriter::emit(const std::vector<std::string>& fields) {

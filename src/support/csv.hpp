@@ -31,9 +31,15 @@ class CsvWriter {
 
   bool enabled() const { return out_.is_open(); }
 
+  /// Flushes and closes the file. Returns whether every row reached it,
+  /// printing "cannot write <path>" to stderr when one did not; a disabled
+  /// writer returns true.
+  bool close();
+
  private:
   void emit(const std::vector<std::string>& fields);
 
+  std::string path_;
   std::ofstream out_;
   std::size_t width_ = 0;
 };

@@ -39,6 +39,11 @@ TEST(DegradeTest, ExpiredDeadlineServesClosedFormOnly) {
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_EQ(stats.noTimeForSearch, 1u);
   EXPECT_EQ(stats.cache.uncacheable, 1u);
+  // The solve histograms key on the tier that served, like the sources
+  // ledger: this closed-form serve is a tier-A solve.
+  EXPECT_EQ(stats.sourceTierA, 1u);
+  EXPECT_EQ(stats.tierASolves.count, 1u);
+  EXPECT_EQ(stats.tierBSolves.count, 0u);
 }
 
 TEST(DegradeTest, DegradedAnswerIsNotCachedAndRetriesAtFullQuality) {
@@ -139,6 +144,9 @@ TEST(DegradeTest, ConsecutiveBustsTripTheBreakerAndProbeCloses) {
   EXPECT_EQ(open.answer.degrade, DegradeReason::kBreakerOpen);
   EXPECT_EQ(open.answer.servedTier, PlanTier::kFast);
   EXPECT_EQ(oracle.stats().breakerOpenServes, 1u);
+  // The two busts and the open serve were all closed-form solves.
+  EXPECT_EQ(oracle.stats().tierASolves.count, 3u);
+  EXPECT_EQ(oracle.stats().tierBSolves.count, 0u);
 
   // After the cool-down one probe goes through; it completes in budget and
   // closes the breaker, restoring full tier-B service.

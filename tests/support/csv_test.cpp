@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -52,6 +53,23 @@ TEST(CsvNullTest, DisabledWriterDiscardsRows) {
   EXPECT_FALSE(w.enabled());
   w.row(std::vector<std::string>{"anything", "goes"});  // must not throw
   w.row({1.0, 2.0, 3.0});
+}
+
+TEST_F(CsvTest, CloseReportsWhetherEveryRowWasWritten) {
+  CsvWriter w(path_, {"a"});
+  w.row({1.0});
+  EXPECT_TRUE(w.close());
+  EXPECT_EQ(slurp(path_), "a\n1\n");
+  EXPECT_TRUE(CsvWriter().close());
+}
+
+TEST(CsvFullTest, FailedWritesAreReportedOnClose) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvWriter w("/dev/full", {"a", "b"});
+  w.row({1.0, 2.0});
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(w.close());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "cannot write /dev/full\n");
 }
 
 TEST(CsvPathTest, BadPathThrows) {

@@ -988,6 +988,7 @@ int cmdCommPlan(const Flags& flags) {
                  std::to_string(t.j), std::string(1, procName(t.from)),
                  std::string(1, procName(t.to))});
     }
+    if (!csv.close()) return 1;
     std::cout << "plan written to " << flags.str("csv", "") << "\n";
   }
   return 0;
