@@ -50,7 +50,8 @@ double percentile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
   const std::size_t idx = static_cast<std::size_t>(
-      std::min(v.size() - 1.0, std::ceil(q * static_cast<double>(v.size())) - 1.0));
+      std::min(static_cast<double>(v.size()) - 1.0,
+               std::ceil(q * static_cast<double>(v.size())) - 1.0));
   return v[idx];
 }
 

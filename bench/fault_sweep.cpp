@@ -132,10 +132,9 @@ int main(int argc, char** argv) {
   std::cout << "\nexec / fault-free baseline vs death time of proc "
             << procName(dead) << " (failover via rebalance)\n";
   deathTable.print(std::cout);
-  if (csv.enabled()) {
-    if (!csv.close()) return 1;
+  if (!csv.close()) return 1;
+  if (flags.has("csv"))
     std::cout << "\nrows written to " << flags.str("csv", "") << "\n";
-  }
 
   const bool ok = allCompleted && allRecovered;
   std::cout << (ok ? "\nRESULT: every run completed; every death recovered "

@@ -113,14 +113,6 @@ enum class CellOrigin {
   kPrefetched = 1, ///< Speculative background prefetch on a serving miss.
 };
 
-constexpr const char* cellOriginName(CellOrigin o) {
-  switch (o) {
-    case CellOrigin::kBuilt: return "built";
-    case CellOrigin::kPrefetched: return "prefetched";
-  }
-  return "?";
-}
-
 /// One solved grid point of the plan surface.
 struct AtlasCell {
   bool solved = false;

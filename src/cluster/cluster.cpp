@@ -162,7 +162,7 @@ void OracleCluster::replicate(const std::vector<int>& owners, int servedBy,
       // likely to be re-replicated by later traffic anyway).
       std::lock_guard<std::mutex> hintsLock(hintsMutex_);
       std::deque<Hint>& parked = hints_[owner];
-      if (parked.size() >= options_.maxHintsPerNode) {
+      if (parked.size() >= kMaxHintsPerNode) {
         parked.pop_front();
         stats_.hintsDropped.add();
       }

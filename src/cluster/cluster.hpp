@@ -56,6 +56,9 @@
 
 namespace pushpart {
 
+/// Hinted-handoff bound per down node; beyond it the oldest hints drop.
+inline constexpr std::size_t kMaxHintsPerNode = 1024;
+
 struct ClusterOptions {
   int nodes = 3;
   /// Replication factor k: each key lives on its first k ring owners.
@@ -75,8 +78,6 @@ struct ClusterOptions {
   double confirmAfterSeconds = 0.4;
   /// Entries per rebalance segment streamed to a rejoining node.
   std::size_t segmentEntries = 64;
-  /// Hinted-handoff bound per down node; beyond it the oldest hints drop.
-  std::size_t maxHintsPerNode = 1024;
 
   /// Throws CheckError on non-positive counts, replication outside
   /// [1, nodes], or inverted detector thresholds.
@@ -107,15 +108,6 @@ enum class ClusterShedReason {
   kAllOwnersDown,      ///< No owner was reachable to even try.
   kAllOwnersShedding,  ///< Every reachable owner load-shed.
 };
-
-constexpr const char* clusterShedReasonName(ClusterShedReason r) {
-  switch (r) {
-    case ClusterShedReason::kNone: return "none";
-    case ClusterShedReason::kAllOwnersDown: return "all-owners-down";
-    case ClusterShedReason::kAllOwnersShedding: return "all-owners-shedding";
-  }
-  return "?";
-}
 
 /// One routed request: the winning node's PlanResponse plus routing metadata.
 struct ClusterResponse {

@@ -21,12 +21,6 @@ BatchSummary runBatch(const BatchOptions& options,
   PUSHPART_CHECK(options.n > 0);
   PUSHPART_CHECK_MSG(options.ratio.valid(),
                      "invalid ratio " << options.ratio.str());
-  // Reject out-of-range (or NaN) fractions here with a precise message
-  // instead of letting rng.chance() see a nonsensical probability.
-  PUSHPART_CHECK_MSG(options.clusteredStartFraction >= 0.0 &&
-                         options.clusteredStartFraction <= 1.0,
-                     "BatchOptions.clusteredStartFraction must be in [0,1], "
-                     "got " << options.clusteredStartFraction);
 
   const unsigned hw = std::thread::hardware_concurrency();
   const int threads = options.threads > 0
@@ -68,7 +62,7 @@ BatchSummary runBatch(const BatchOptions& options,
         // produce bit-identical results.
         Schedule schedule = Schedule::random(rng);
         Partition q0 =
-            rng.chance(options.clusteredStartFraction)
+            rng.chance(kClusteredStartFraction)
                 ? randomClusteredPartition(options.n, options.ratio, rng)
                 : randomPartition(options.n, options.ratio, rng);
         DfaResult res =

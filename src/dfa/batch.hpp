@@ -34,16 +34,16 @@ constexpr const char* batchEngineName(BatchEngine e) {
   return "?";
 }
 
+/// Fraction of batch runs that start from the clustered q0 builder instead
+/// of the paper's scattered builder, diversifying start states.
+inline constexpr double kClusteredStartFraction = 0.25;
+
 struct BatchOptions {
   int n = 100;                ///< Matrix size per run (paper: 1000).
   Ratio ratio{2, 1, 1};
   int runs = 100;             ///< Walks to perform (paper: ~10,000). Must be >= 0.
   int threads = 0;            ///< 0 = hardware_concurrency. Must be >= 0.
   std::uint64_t seed = 1;     ///< Batch seed; run r uses stream split(r).
-  /// Fraction of runs that use the clustered q0 builder instead of the
-  /// paper's scattered builder, diversifying start states. Must be in [0,1];
-  /// runBatch rejects anything else (including NaN) with a CheckError.
-  double clusteredStartFraction = 0.25;
   /// Cooperative cancellation for the whole batch. Polled before every run
   /// is claimed, and threaded into each run's DfaOptions so in-flight walks
   /// stop at their next check point. A cancelled batch returns best-so-far:

@@ -43,6 +43,10 @@
 
 namespace pushpart {
 
+/// Consecutive non-improving sweeps a walk tolerates before declaring a
+/// stall.
+inline constexpr int kMaxStalledSweeps = 50;
+
 struct DfaOptions {
   /// Hard cap on applied pushes (safety net; never hit in practice).
   std::int64_t maxPushes = 50'000'000;
@@ -52,8 +56,6 @@ struct DfaOptions {
   int traceCells = 50;
   /// Run the beautify pass on the condensed result (paper §VIII-C).
   bool beautifyResult = true;
-  /// Consecutive non-improving sweeps tolerated before declaring a stall.
-  int maxStalledSweeps = 50;
   /// Cooperative cancellation: polled at every sweep boundary and every
   /// `cancelCheckEvery` applied pushes. A cancelled walk stops with
   /// DfaStop::kCancelled and returns its current (always-valid) partition —
@@ -198,7 +200,7 @@ DfaResultT<Q> runDfaT(Q q0, const Schedule& schedule,
       result.stop = DfaStop::kCycle;
       break;
     }
-    if (++stalledSweeps >= options.maxStalledSweeps) {
+    if (++stalledSweeps >= kMaxStalledSweeps) {
       result.stop = DfaStop::kStalled;
       break;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <thread>
@@ -145,9 +144,13 @@ void multiplyRect(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-/// Emulated communication duration for the chosen schedule.
-double commPhaseSeconds(Algo algo, const Partition& q, const Machine& m) {
-  const auto v = pairVolumes(q);
+/// Emulated communication duration for the chosen schedule: one Hockney
+/// start-up plus every directed pair volume in series (SCB), or the busiest
+/// sender's volume (PCB).
+double commPhaseSeconds(
+    Algo algo,
+    const std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>& v,
+    const Machine& m) {
   if (algo == Algo::kSCB) {
     std::int64_t total = 0;
     for (const auto& row : v)
@@ -162,71 +165,6 @@ double commPhaseSeconds(Algo algo, const Partition& q, const Machine& m) {
     worst = std::max(worst, m.transferSeconds(mine));
   }
   return worst;
-}
-
-struct CommEmulation {
-  double seconds = 0.0;
-  std::int64_t drops = 0;
-  std::int64_t retries = 0;
-  bool completed = true;
-};
-
-/// Fault-aware emulated communication: one block transfer per directed pair
-/// (the unit of retransmission), each drawn against the drop probability; a
-/// lost transfer costs its full duration plus the ack timeout and a jittered
-/// backoff before the resend. Latency spikes and NIC stalls shift each
-/// attempt by the injector's factors at its start instant. Deterministic in
-/// faults.seed.
-CommEmulation commPhaseFaulty(Algo algo, const Partition& q,
-                              const ExecOptions& options) {
-  FaultInjector injector(options.faults);
-  const Machine& m = options.machine;
-  const RetryPolicy& retry = options.retry;
-  const auto v = pairVolumes(q);
-  CommEmulation out;
-
-  // Returns the clock after the pair's transfer finishes (or is abandoned).
-  auto pairDone = [&](Proc s, std::int64_t volume, double start) {
-    double t = start;
-    for (int attempt = 1;; ++attempt) {
-      t = injector.stallClearedAt(s, t);
-      t += m.alphaSeconds * injector.alphaFactorAt(t) +
-           m.sendElementSeconds * injector.betaFactorAt(t) *
-               static_cast<double>(volume);
-      if (!injector.dropHop()) return t;
-      ++out.drops;
-      if (attempt >= retry.maxAttempts) {
-        out.completed = false;
-        return t + retry.timeoutSeconds;
-      }
-      t += retry.timeoutSeconds +
-           retry.backoffBeforeRetry(attempt, injector.rng());
-      ++out.retries;
-    }
-  };
-
-  if (algo == Algo::kSCB) {
-    double t = 0.0;
-    for (Proc s : kAllProcs)
-      for (Proc r : kAllProcs) {
-        if (s == r || v[procSlot(s)][procSlot(r)] == 0) continue;
-        t = pairDone(s, v[procSlot(s)][procSlot(r)], t);
-      }
-    out.seconds = t;
-    return out;
-  }
-  // PCB: senders run in parallel; each serializes its own pairs.
-  double worst = 0.0;
-  for (Proc s : kAllProcs) {
-    double t = 0.0;
-    for (Proc r : kAllProcs) {
-      if (s == r || v[procSlot(s)][procSlot(r)] == 0) continue;
-      t = pairDone(s, v[procSlot(s)][procSlot(r)], t);
-    }
-    worst = std::max(worst, t);
-  }
-  out.seconds = worst;
-  return out;
 }
 
 }  // namespace
@@ -252,30 +190,10 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
   Stopwatch wall;
 
   // --- Communication phase (emulated) -----------------------------------
-  {
-    const auto v = pairVolumes(q);
-    for (const auto& row : v)
-      for (std::int64_t x : row) result.commElements += x;
-    if (options.faults.enabled()) {
-      options.faults.validate();
-      options.retry.validate();
-      PUSHPART_CHECK_MSG(!options.faults.death.has_value(),
-                         "runParallelMMM cannot survive a processor death "
-                         "(real threads hold the data); use simulateMMM for "
-                         "failover studies");
-      const CommEmulation comm = commPhaseFaulty(algo, q, options);
-      result.commSeconds = comm.seconds;
-      result.commDropsInjected = comm.drops;
-      result.commRetriesSent = comm.retries;
-      result.commCompleted = comm.completed;
-    } else {
-      result.commSeconds = commPhaseSeconds(algo, q, options.machine);
-    }
-    if (options.paceCommunication && result.commSeconds > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(result.commSeconds));
-    }
-  }
+  const auto v = pairVolumes(q);
+  for (const auto& row : v)
+    for (std::int64_t x : row) result.commElements += x;
+  result.commSeconds = commPhaseSeconds(algo, v, options.machine);
 
   // --- Barrier, then parallel computation -------------------------------
   const double maxSpeed = options.machine.ratio.p;

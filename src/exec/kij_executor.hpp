@@ -3,17 +3,19 @@
 // Three worker threads stand in for the paper's three cluster nodes: each
 // computes exactly the C elements its processor owns in the partition, at a
 // speed emulated by a duty-cycle throttle (exec/throttle.hpp), after an
-// emulated communication phase whose duration follows the partition's
-// directed pair volumes on the Hockney machine (serial or parallel schedule,
-// matching SCB/PCB). Each worker splits its cells into rectangles (maximal
-// row runs merged down consecutive rows with the same column bounds) and
-// computes them in 4 × 8 register tiles over ascending blocks of 256
-// pivots; full tiles read their operands packed contiguously. Every C
-// element sums its n products in ascending k starting from 0.0, as
-// multiplySerial does, so the result is bit-identical to the serial
-// reference it is verified against. This is the repo's "real execution"
-// substrate for the Fig. 14 analogue (bench/exec_mmm): wall-clock times of
-// Square-Corner vs Block-Rectangle under genuine threads, real
+// emulated communication phase. That phase is accounted, not slept: one
+// Hockney start-up α plus the partition's directed pair volumes at T_send
+// per element, all of them in series for SCB and the busiest sender's for
+// PCB, which is evalModel's comm term plus α. The phase is fault-free;
+// faults are studied in the simulator (sim/mmm_sim.hpp). Each worker splits
+// its cells into rectangles (maximal row runs merged down consecutive rows
+// with the same column bounds) and computes them in 4 × 8 register tiles
+// over ascending blocks of 256 pivots; full tiles read their operands packed
+// contiguously. Every C element sums its n products in ascending k starting
+// from 0.0, as multiplySerial does, so the result is bit-identical to the
+// serial reference it is verified against. This is the repo's "real
+// execution" substrate for the Fig. 14 analogue (bench/exec_mmm): wall-clock
+// times of Square-Corner vs Block-Rectangle under genuine threads, real
 // floating-point work and real sleep-based heterogeneity.
 #pragma once
 
@@ -23,13 +25,12 @@
 #include "grid/partition.hpp"
 #include "model/algo.hpp"
 #include "model/machine.hpp"
-#include "sim/fault.hpp"
 #include "sim/telemetry.hpp"
 
 namespace pushpart {
 
 struct ExecOptions {
-  Machine machine;          ///< ratio → per-thread throttle; T_send → comm pacing.
+  Machine machine;          ///< ratio → per-thread throttle; α, T_send → comm phase.
   bool verify = true;       ///< Check against multiplySerial (costs an O(N³) run).
   std::uint64_t seed = 1;   ///< Input matrix seed.
   /// Work quantum between throttle charges, in MAC operations. Charges land
@@ -37,17 +38,6 @@ struct ExecOptions {
   /// that brings its uncharged work to at least this many MACs (a tile is
   /// at most 4 × 8 × 256 MACs).
   int quantumMacs = 1 << 15;
-  /// Pace the emulated communication phase with real sleeps (true) or only
-  /// account its modeled duration (false, default — keeps tests fast).
-  bool paceCommunication = false;
-  /// Fault injection for the emulated communication phase: per-transfer
-  /// drops trigger timeout + backoff + retransmission, extending
-  /// commSeconds. Deterministic in faults.seed. Processor death is not
-  /// supported here (real threads hold the data) — use simulateMMM for
-  /// failover studies; a plan with a death throws CheckError.
-  FaultPlan faults{};
-  /// Timeout/retransmit policy used when `faults` is enabled.
-  RetryPolicy retry{};
   /// When set, the run emits one PhaseSample on completion: per worker, the
   /// MACs it computed and its measured busy time *including* the throttle's
   /// duty-cycle sleeps (they are what emulates the slow processor, so
@@ -58,17 +48,11 @@ struct ExecOptions {
 
 struct ExecResult {
   double wallSeconds = 0.0;       ///< Total measured wall time.
-  double commSeconds = 0.0;       ///< Emulated communication phase duration.
+  double commSeconds = 0.0;       ///< Emulated comm phase: α + model comm term.
   std::array<double, kNumProcs> computeSeconds{};  ///< Per-worker busy time.
   std::int64_t commElements = 0;  ///< Elements crossing node boundaries.
   double maxAbsError = 0.0;       ///< vs serial reference (0 when verify off).
   bool verified = false;
-  std::int64_t commDropsInjected = 0;  ///< Emulated transfers lost in transit.
-  std::int64_t commRetriesSent = 0;    ///< Retransmissions after a timeout.
-  /// False when some transfer ran out of retry attempts (its share of the
-  /// data is then assumed re-synced out of band; the compute phase still
-  /// runs so the numerics stay verifiable).
-  bool commCompleted = true;
 };
 
 /// Runs one parallel MMM of random n×n matrices partitioned by `q` under

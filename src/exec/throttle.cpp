@@ -1,13 +1,22 @@
 #include "exec/throttle.hpp"
 
+#include <chrono>
 #include <thread>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
 
 namespace pushpart {
 
-Throttle::Throttle(double fraction) : fraction_(fraction) {
+double Throttle::sleepFor(double seconds) {
+  Stopwatch sw;
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  return sw.seconds();
+}
+
+Throttle::Throttle(double fraction, SleepStep sleep)
+    : fraction_(fraction), sleep_(std::move(sleep)) {
   PUSHPART_CHECK_MSG(fraction > 0.0 && fraction <= 1.0,
                      "throttle fraction must be in (0, 1], got " << fraction);
 }
@@ -24,9 +33,7 @@ void Throttle::charge(double seconds) {
   // Record the *measured* sleep, not the requested one: the OS oversleeps by
   // up to a scheduler tick, and both the duty-cycle control loop and the
   // caller's busy-time accounting (total − slept) need the real figure.
-  Stopwatch sw;
-  std::this_thread::sleep_for(std::chrono::duration<double>(shouldSleep));
-  slept_ += sw.seconds();
+  slept_ += sleep_(shouldSleep);
 }
 
 }  // namespace pushpart

@@ -1,11 +1,11 @@
 // Communication metrics over a partition (paper Eqs. 1 and 6).
 //
-// Free functions layered on Partition's O(1) counters. These are the
-// quantities the five performance models consume: the global Volume of
-// Communication and the per-processor send volumes d_X. The templated ones
-// read only the counter API that Partition, BitPartition (which forwards to
-// its grid's counters) and LineCounts share, so they evaluate any of the
-// three.
+// Header-only templates over the O(1) counter API that Partition,
+// BitPartition (which forwards to its grid's counters) and LineCounts share,
+// so they evaluate any of the three: the directed pair volumes the five
+// performance models route (they sum to the Eq. 1 VoC, and a sender's row
+// sums to its send volume d_X), the rectangle tests of the beautify pass and
+// the bulk-overlap element count.
 #pragma once
 
 #include <array>
@@ -15,33 +15,12 @@
 
 namespace pushpart {
 
-/// Per-processor communication summary.
-struct ProcComm {
-  std::int64_t elements = 0;   ///< ∈X — elements assigned to X.
-  int rowsUsed = 0;            ///< i_X — rows containing elements of X.
-  int colsUsed = 0;            ///< j_X — columns containing elements of X.
-  /// Elements X must *send*: (N·i_X + N·j_X) − ∈X (Eq. 6 numerator). Every
-  /// element of a pivot row/column X touches must reach the other owners of
-  /// that row/column; X's own elements need no send.
-  std::int64_t sendVolume = 0;
-};
-
-/// Computes the Eq. 6 summary for one processor.
-ProcComm procComm(const Partition& q, Proc x);
-
-/// All three summaries, indexed by procIndex().
-std::array<ProcComm, kNumProcs> allProcComm(const Partition& q);
-
-/// Volume of Communication, Eq. 1 (alias of the Partition method; kept as a
-/// free function so call sites can stay metric-centric).
-std::int64_t volumeOfCommunication(const Partition& q);
-
 /// Directed per-pair communication volumes under kij semantics.
 /// pairVolumes(q)[s][r] = elements processor s must send to processor r:
 /// an element (i,j) of s travels to r when r owns cells in row i (r will
 /// need it as the A(i,k)-pivot) or, separately, in column j (as the
 /// B(k,j)-pivot) — both uses counted, matching Eq. 1:
-///   Σ_{s≠r} pairVolumes[s][r] == volumeOfCommunication(q).
+///   Σ_{s≠r} pairVolumes[s][r] == q.volumeOfCommunication().
 /// Diagonal entries are zero. Indexed by procIndex().
 /// O(N · kNumProcs²).
 template <typename Q>
@@ -126,12 +105,5 @@ std::int64_t overlapElements(const Q& q, Proc x) {
   }
   return fullRows * fullCols;
 }
-
-/// Total kij flop-steps processor X can run during bulk overlap: for each
-/// C(i,j) owned by X, the number of pivots k with both A(i,k) and B(k,j)
-/// owned by X. This is the finer-grained (per-k) overlap measure; O(N²) with
-/// an O(N) precomputation per row/column pair via ownership run-length
-/// tables. Used by the simulator's overlap phase.
-std::int64_t overlapFlopSteps(const Partition& q, Proc x);
 
 }  // namespace pushpart

@@ -39,15 +39,6 @@ enum class AdmissionOutcome {
   kTimedOut,   ///< Waited, but the deadline expired before a slot freed.
 };
 
-constexpr const char* admissionOutcomeName(AdmissionOutcome o) {
-  switch (o) {
-    case AdmissionOutcome::kAdmitted: return "admitted";
-    case AdmissionOutcome::kQueueFull: return "queue-full";
-    case AdmissionOutcome::kTimedOut: return "timed-out";
-  }
-  return "?";
-}
-
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionOptions options);

@@ -38,19 +38,6 @@ void RetryPolicy::validate() const {
 
 double RetryPolicy::backoffBeforeRetry(int retry, Rng& rng) const {
   PUSHPART_CHECK(retry >= 1);
-  if (jitterMode == JitterMode::kDecorrelated) {
-    // delay_r = min(cap, uniform(base, 3 · delay_{r−1})), delay_0 = base.
-    // The chain is replayed from the base on every call (consuming `retry`
-    // draws), so the delay is a pure function of (retry, stream position)
-    // rather than of hidden per-transfer state.
-    double delay = backoffSeconds;
-    for (int r = 1; r <= retry; ++r) {
-      const double hi = std::max(backoffSeconds, 3.0 * delay);
-      delay = std::min(backoffMaxSeconds,
-                       backoffSeconds + (hi - backoffSeconds) * rng.real());
-    }
-    return delay;
-  }
   const double raw =
       backoffSeconds * std::pow(backoffFactor, static_cast<double>(retry - 1));
   const double capped = std::min(raw, backoffMaxSeconds);

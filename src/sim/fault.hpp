@@ -72,34 +72,10 @@ struct FaultPlan {
   void validate() const;
 };
 
-/// How backoffBeforeRetry spreads the delays of colliding retriers.
-enum class JitterMode {
-  /// Relative jitter: the bounded exponential delay scaled by a uniform
-  /// factor in [1 − jitterFraction, 1 + jitterFraction]. Cheap and mildly
-  /// spreading, but retriers that started together stay clustered around
-  /// the same exponential schedule.
-  kRelative = 0,
-  /// Decorrelated jitter: delay r is uniform in
-  /// [backoffSeconds, 3 · delay_{r−1}], capped at backoffMaxSeconds (with
-  /// delay_0 = backoffSeconds). Each draw ranges over the whole interval
-  /// from base to thrice the previous delay, so two retriers on the same
-  /// schedule rapidly drift apart instead of colliding every round.
-  kDecorrelated,
-};
-
-constexpr const char* jitterModeName(JitterMode m) {
-  switch (m) {
-    case JitterMode::kRelative: return "relative";
-    case JitterMode::kDecorrelated: return "decorrelated";
-  }
-  return "?";
-}
-
 /// Retransmission knobs for reliable transfers. Backoff before retry r
-/// (r = 1 is the first retransmit) is, in kRelative mode,
+/// (r = 1 is the first retransmit) is
 ///   min(backoffSeconds · backoffFactor^(r−1), backoffMaxSeconds)
-/// scaled by a uniform jitter in [1 − jitterFraction, 1 + jitterFraction];
-/// kDecorrelated mode replaces the fixed schedule entirely (see JitterMode).
+/// scaled by a uniform jitter in [1 − jitterFraction, 1 + jitterFraction].
 struct RetryPolicy {
   int maxAttempts = 8;            ///< Total attempts before giving up.
   double timeoutSeconds = 1e-3;   ///< Ack wait before declaring a loss.
@@ -107,7 +83,6 @@ struct RetryPolicy {
   double backoffFactor = 2.0;     ///< Exponential growth per retry.
   double backoffMaxSeconds = 0.1; ///< Backoff ceiling (bounded backoff).
   double jitterFraction = 0.1;    ///< ± relative jitter per backoff draw.
-  JitterMode jitterMode = JitterMode::kRelative;
 
   /// Throws CheckError on non-positive attempts/timeouts or jitter outside
   /// [0, 1).

@@ -79,9 +79,6 @@ class Network {
                     const RetryPolicy& policy,
                     std::function<void(const TransferOutcome&)> onDone);
 
-  /// Earliest instant the processor's NIC can accept another send.
-  double nicFreeAt(Proc p) const { return nicFreeAt_[procSlot(p)]; }
-
   const NetworkStats& stats() const { return stats_; }
 
  private:

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -29,8 +28,7 @@ std::string quoted(const std::string& f) {
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
     : path_(path), out_(path), width_(header.size()) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  emit(header);
+  if (out_.is_open()) emit(header);
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
@@ -50,8 +48,8 @@ void CsvWriter::row(std::initializer_list<double> fields) {
 }
 
 bool CsvWriter::close() {
-  if (!out_.is_open()) return true;
-  out_.close();
+  // A failed open leaves the stream failed and closed, so it reports here.
+  if (out_.is_open()) out_.close();
   if (!out_.fail()) return true;
   std::cerr << "cannot write " << path_ << "\n";
   return false;

@@ -16,8 +16,8 @@ namespace pushpart {
 /// commas, quotes or newlines are quoted per RFC 4180.
 class CsvWriter {
  public:
-  /// Opens `path` for writing and emits the header row.
-  /// Throws std::runtime_error when the file cannot be opened.
+  /// Opens `path` for writing and emits the header row. A file that cannot
+  /// be opened discards every row and makes close() fail.
   CsvWriter(const std::string& path, std::vector<std::string> header);
 
   /// No-op writer: row() calls are discarded. Lets call sites write
@@ -31,9 +31,9 @@ class CsvWriter {
 
   bool enabled() const { return out_.is_open(); }
 
-  /// Flushes and closes the file. Returns whether every row reached it,
-  /// printing "cannot write <path>" to stderr when one did not; a disabled
-  /// writer returns true.
+  /// Flushes and closes the file. Returns whether the file opened and every
+  /// row reached it, printing "cannot write <path>" to stderr when not; a
+  /// writer built without a path returns true.
   bool close();
 
  private:

@@ -9,6 +9,9 @@
 namespace pushpart {
 namespace {
 
+/// Safety cap on shrink rounds (never hit in practice).
+constexpr int kMaxRounds = 64;
+
 /// Candidate one-step reductions of `c`, most aggressive first.
 std::vector<FailingCase> shrinkCandidates(const FailingCase& c, int minN) {
   std::vector<FailingCase> out;
@@ -66,7 +69,7 @@ ShrinkResult shrinkCase(const FailingCase& failing, const PropertyHolds& holds,
   result.minimal = failing;
   ++result.attempts;  // the initial confirmation above
 
-  for (int round = 0; round < options.maxRounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool shrunk = false;
     for (const FailingCase& candidate :
          shrinkCandidates(result.minimal, options.minN)) {

@@ -36,7 +36,6 @@ using PropertyHolds = std::function<bool(const FailingCase&)>;
 
 struct ShrinkOptions {
   int minN = 3;         ///< Never shrink n below this.
-  int maxRounds = 64;   ///< Safety cap on shrink rounds (never hit in practice).
 };
 
 struct ShrinkResult {

@@ -45,9 +45,10 @@ TEST(AtlasBuilderTest, RebuildsAreBitIdentical) {
   const auto b = buildAtlas(smallBuild());
   for (int i = 0; i < 8; ++i)
     for (int j = 0; j < 4; ++j)
-      if (a->spec().validCell(i, j))
+      if (a->spec().validCell(i, j)) {
         EXPECT_EQ(*a->cell(i, j), *b->cell(i, j))
             << "cell (" << i << "," << j << ") differs between rebuilds";
+      }
 }
 
 TEST(AtlasBuilderTest, ParallelBuildMatchesSerialBuild) {
@@ -57,9 +58,10 @@ TEST(AtlasBuilderTest, ParallelBuildMatchesSerialBuild) {
   const auto threaded = buildAtlas(parallel);
   for (int i = 0; i < 8; ++i)
     for (int j = 0; j < 4; ++j)
-      if (serial->spec().validCell(i, j))
+      if (serial->spec().validCell(i, j)) {
         EXPECT_EQ(*serial->cell(i, j), *threaded->cell(i, j))
             << "thread interleaving changed cell (" << i << "," << j << ")";
+      }
 }
 
 TEST(AtlasBuilderTest, TieSnappingFoldsIdenticalCostWinners) {

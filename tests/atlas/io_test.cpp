@@ -47,8 +47,9 @@ TEST(AtlasIoTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(savedText(*report.atlas), first);
   for (int i = 0; i < 6; ++i)
     for (int j = 0; j < 3; ++j)
-      if (atlas->spec().validCell(i, j))
+      if (atlas->spec().validCell(i, j)) {
         EXPECT_EQ(*report.atlas->cell(i, j), *atlas->cell(i, j));
+      }
 }
 
 /// Loads `text` with its magic line replaced by `magic`.

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -89,31 +88,6 @@ TEST(BatchTest, NegativeThreadsRejectedWithPreciseMessage) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-2"), std::string::npos);
-  }
-}
-
-TEST(BatchTest, ClusteredStartFractionOutsideUnitIntervalRejected) {
-  for (double bad : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
-    BatchOptions opts;
-    opts.clusteredStartFraction = bad;
-    try {
-      runBatch(opts, [](const BatchRun&) {});
-      FAIL() << "expected CheckError for clusteredStartFraction=" << bad;
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("clusteredStartFraction"),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(BatchTest, UnitIntervalEndpointsAccepted) {
-  for (double ok : {0.0, 1.0}) {
-    BatchOptions opts;
-    opts.n = 8;
-    opts.runs = 2;
-    opts.clusteredStartFraction = ok;
-    const BatchSummary summary = runBatch(opts, [](const BatchRun&) {});
-    EXPECT_TRUE(summary.allCompleted());
   }
 }
 

@@ -2,62 +2,161 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "grid/builder.hpp"
 #include "support/rng.hpp"
 
 namespace pushpart {
 namespace {
 
-TEST(ProcCommTest, UniformGridSendsNothingForAbsentProcs) {
-  Partition q(5);
-  const auto r = procComm(q, Proc::R);
-  EXPECT_EQ(r.elements, 0);
-  EXPECT_EQ(r.rowsUsed, 0);
-  EXPECT_EQ(r.sendVolume, 0);
-  const auto p = procComm(q, Proc::P);
-  EXPECT_EQ(p.elements, 25);
-  // P owns everything: sends N·N + N·N − N² = N² (it must broadcast pivots to
-  // nobody in a 1-proc layout; Eq. 6 counts row+col coverage minus owned).
-  EXPECT_EQ(p.sendVolume, 25);
+using PairMatrix = std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>;
+
+// Which owners appear in each row and column, read cell by cell without
+// touching the partition's incremental counters.
+struct LineOwners {
+  std::vector<std::array<bool, kNumProcs>> row;
+  std::vector<std::array<bool, kNumProcs>> col;
+};
+
+LineOwners lineOwners(const Partition& q) {
+  const auto n = static_cast<std::size_t>(q.n());
+  LineOwners lines{std::vector<std::array<bool, kNumProcs>>(n),
+                   std::vector<std::array<bool, kNumProcs>>(n)};
+  for (int i = 0; i < q.n(); ++i)
+    for (int j = 0; j < q.n(); ++j) {
+      const std::size_t x = procSlot(q.at(i, j));
+      lines.row[static_cast<std::size_t>(i)][x] = true;
+      lines.col[static_cast<std::size_t>(j)][x] = true;
+    }
+  return lines;
 }
 
-TEST(ProcCommTest, SingleCellProcessor) {
+// pairVolumes by its definition: each cell (i, j) of s goes to r once for
+// row i and once more for column j, whenever r owns a cell in that line.
+PairMatrix pairVolumesFromCells(const Partition& q) {
+  const LineOwners lines = lineOwners(q);
+  PairMatrix v{};
+  for (int i = 0; i < q.n(); ++i)
+    for (int j = 0; j < q.n(); ++j) {
+      const Proc s = q.at(i, j);
+      for (Proc r : kAllProcs) {
+        if (r == s) continue;
+        v[procSlot(s)][procSlot(r)] +=
+            (lines.row[static_cast<std::size_t>(i)][procSlot(r)] ? 1 : 0) +
+            (lines.col[static_cast<std::size_t>(j)][procSlot(r)] ? 1 : 0);
+      }
+    }
+  return v;
+}
+
+// Cells (i, j) whose whole row i and whole column j belong to x.
+std::int64_t overlapFromCells(const Partition& q, Proc x) {
+  const int n = q.n();
+  const auto lineIsX = [&](int line, bool isRow) {
+    for (int t = 0; t < n; ++t)
+      if ((isRow ? q.at(line, t) : q.at(t, line)) != x) return false;
+    return true;
+  };
+  std::int64_t cells = 0;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      if (lineIsX(i, true) && lineIsX(j, false)) ++cells;
+  return cells;
+}
+
+std::int64_t sendVolume(const PairMatrix& v, Proc s) {
+  std::int64_t total = 0;
+  for (std::int64_t x : v[procSlot(s)]) total += x;
+  return total;
+}
+
+TEST(SendVolumeTest, UniformGridSendsNothing) {
+  Partition q(5);
+  const PairMatrix v = pairVolumes(q);
+  for (Proc s : kAllProcs) EXPECT_EQ(sendVolume(v, s), 0) << procName(s);
+  EXPECT_EQ(q.count(Proc::R), 0);
+  EXPECT_EQ(q.rowsUsed(Proc::R), 0);
+  EXPECT_EQ(q.count(Proc::P), 25);
+  EXPECT_EQ(q.rowsUsed(Proc::P), 5);
+  EXPECT_EQ(q.colsUsed(Proc::P), 5);
+}
+
+TEST(SendVolumeTest, SingleCellProcessor) {
   Partition q(5);
   q.set(2, 3, Proc::R);
-  const auto r = procComm(q, Proc::R);
-  EXPECT_EQ(r.elements, 1);
-  EXPECT_EQ(r.rowsUsed, 1);
-  EXPECT_EQ(r.colsUsed, 1);
-  // d_R numerator: N·1 + N·1 − 1 = 9.
-  EXPECT_EQ(r.sendVolume, 9);
+  const PairMatrix v = pairVolumes(q);
+  EXPECT_EQ(q.rowsUsed(Proc::R), 1);
+  EXPECT_EQ(q.colsUsed(Proc::R), 1);
+  // R's one cell goes to P twice: P owns cells in row 2 and in column 3.
+  EXPECT_EQ(v[procSlot(Proc::R)][procSlot(Proc::P)], 2);
+  // P sends the other four cells of row 2 and of column 3 to R.
+  EXPECT_EQ(v[procSlot(Proc::P)][procSlot(Proc::R)], 8);
+  EXPECT_EQ(sendVolume(v, Proc::S), 0);
+  EXPECT_EQ(q.volumeOfCommunication(), 10);
 }
 
-TEST(ProcCommTest, RectangularBlock) {
-  // R owns rows 0..1 x cols 0..2 of a 6x6 grid.
+TEST(SendVolumeTest, RectangularBlock) {
+  // R owns rows 0..1 x cols 0..2 of a 6x6 grid; P owns the rest.
   Partition q(6);
   for (int i = 0; i < 2; ++i)
     for (int j = 0; j < 3; ++j) q.set(i, j, Proc::R);
-  const auto r = procComm(q, Proc::R);
-  EXPECT_EQ(r.elements, 6);
-  EXPECT_EQ(r.rowsUsed, 2);
-  EXPECT_EQ(r.colsUsed, 3);
-  EXPECT_EQ(r.sendVolume, 6 * 2 + 6 * 3 - 6);
+  const PairMatrix v = pairVolumes(q);
+  EXPECT_EQ(q.rowsUsed(Proc::R), 2);
+  EXPECT_EQ(q.colsUsed(Proc::R), 3);
+  // Rows 0..1 and columns 0..2 all hold P cells, so each of R's six cells
+  // travels to P twice.
+  EXPECT_EQ(v[procSlot(Proc::R)][procSlot(Proc::P)], 6 * 2);
+  // P's three cells in each of rows 0..1, and four in each of columns 0..2.
+  EXPECT_EQ(v[procSlot(Proc::P)][procSlot(Proc::R)], 2 * 3 + 3 * 4);
+  EXPECT_EQ(q.volumeOfCommunication(), 12 + 18);
 }
 
-TEST(ProcCommTest, AllProcCommIndexedByProc) {
+TEST(SendVolumeTest, IndexedByProcSlot) {
   Partition q(4);
   q.set(0, 0, Proc::R);
   q.set(3, 3, Proc::S);
-  const auto all = allProcComm(q);
-  EXPECT_EQ(all[procIndex(Proc::R)].elements, 1);
-  EXPECT_EQ(all[procIndex(Proc::S)].elements, 1);
-  EXPECT_EQ(all[procIndex(Proc::P)].elements, 14);
+  const PairMatrix v = pairVolumes(q);
+  EXPECT_EQ(v[procSlot(Proc::R)][procSlot(Proc::P)], 2);
+  EXPECT_EQ(v[procSlot(Proc::S)][procSlot(Proc::P)], 2);
+  EXPECT_EQ(v[procSlot(Proc::P)][procSlot(Proc::R)], 6);
+  EXPECT_EQ(v[procSlot(Proc::P)][procSlot(Proc::S)], 6);
+  // R and S share no line, so they exchange nothing.
+  EXPECT_EQ(v[procSlot(Proc::R)][procSlot(Proc::S)], 0);
+  EXPECT_EQ(v[procSlot(Proc::S)][procSlot(Proc::R)], 0);
+  EXPECT_EQ(q.count(Proc::P), 14);
 }
 
-TEST(VoCTest, FreeFunctionMatchesMethod) {
+TEST(SendVolumeTest, MatchesTheCellDefinition) {
   Rng rng(8);
-  const auto q = randomPartition(30, Ratio{4, 2, 1}, rng);
-  EXPECT_EQ(volumeOfCommunication(q), q.volumeOfCommunication());
+  for (int trial = 0; trial < 6; ++trial) {
+    const Ratio ratio = trial % 2 == 0 ? Ratio{4, 2, 1} : Ratio{10, 1, 1};
+    const Partition q = trial < 3 ? randomPartition(30, ratio, rng)
+                                  : randomClusteredPartition(30, ratio, rng);
+    EXPECT_EQ(pairVolumes(q), pairVolumesFromCells(q)) << "trial " << trial;
+  }
+}
+
+TEST(VoCTest, MatchesEq1CountedFromCells) {
+  Rng rng(9);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Partition q = trial < 3
+                            ? randomPartition(30, Ratio{4, 2, 1}, rng)
+                            : randomClusteredPartition(30, Ratio{3, 2, 1}, rng);
+    const LineOwners lines = lineOwners(q);
+    const auto owners = [](const std::array<bool, kNumProcs>& line) {
+      std::int64_t c = 0;
+      for (bool has : line) c += has ? 1 : 0;
+      return c;
+    };
+    std::int64_t voc = 0;
+    for (std::size_t k = 0; k < lines.row.size(); ++k)
+      voc += q.n() * (owners(lines.row[k]) - 1) +
+             q.n() * (owners(lines.col[k]) - 1);
+    EXPECT_EQ(q.volumeOfCommunication(), voc) << "trial " << trial;
+  }
 }
 
 TEST(VoCTest, ColumnStripesPartition) {
@@ -77,9 +176,7 @@ TEST(VoCTest, ColumnStripesPartition) {
 TEST(OverlapTest, FullyOwnedGridOverlapsEverything) {
   Partition q(4);  // all P
   EXPECT_EQ(overlapElements(q, Proc::P), 16);
-  EXPECT_EQ(overlapFlopSteps(q, Proc::P), 4L * 4 * 4);
   EXPECT_EQ(overlapElements(q, Proc::R), 0);
-  EXPECT_EQ(overlapFlopSteps(q, Proc::R), 0);
 }
 
 TEST(OverlapTest, StripesGiveNoFullyLocalElements) {
@@ -90,12 +187,6 @@ TEST(OverlapTest, StripesGiveNoFullyLocalElements) {
     for (int j = 3; j < 6; ++j) q.set(i, j, Proc::R);
   EXPECT_EQ(overlapElements(q, Proc::P), 0);
   EXPECT_EQ(overlapElements(q, Proc::R), 0);
-  // But per-k partial overlap exists: for C(i,j) owned by R (j>=3),
-  // pivots k in 3..5 have A(i,k) and B(k,j) R-owned.
-  // #owned C cells = 18, each with 3 local pivots → 54.
-  EXPECT_EQ(overlapFlopSteps(q, Proc::R), 54);
-  // P symmetric: 18 cells × 3 local pivots.
-  EXPECT_EQ(overlapFlopSteps(q, Proc::P), 54);
 }
 
 TEST(OverlapTest, HorizontalBandIsFullyLocalInsideItself) {
@@ -105,36 +196,51 @@ TEST(OverlapTest, HorizontalBandIsFullyLocalInsideItself) {
   for (int i = 0; i < 3; ++i)
     for (int j = 0; j < 8; ++j) q.set(i, j, Proc::R);
   EXPECT_EQ(overlapElements(q, Proc::R), 0);
-  // Per-k: C(i,j), i<3: pivots k<3 have A(i,k) (row i all R) and B(k,j)
-  // (row k all R) → 3 local pivots each. 24 cells × 3 = 72.
-  EXPECT_EQ(overlapFlopSteps(q, Proc::R), 72);
 }
 
 TEST(OverlapTest, SquareCornerOverlapCounts) {
-  // S owns the 2x2 bottom-right corner of a 4x4 grid; P the rest.
+  // S owns the 2x2 bottom-right corner of a 4x4 grid; P the rest. P fully
+  // owns rows 0..1 and columns 0..1, so the four cells where they cross are
+  // local; S owns no full line.
   Partition q(4);
   for (int i = 2; i < 4; ++i)
     for (int j = 2; j < 4; ++j) q.set(i, j, Proc::S);
-  // S: C(i,j) in corner; local pivots k ∈ {2,3} when A(i,k),B(k,j) S-owned →
-  // A(i,k): k∈{2,3} (row i cols 2,3 are S); B(k,j): k∈{2,3}. So 2 each → 4
-  // cells × 2 = 8.
-  EXPECT_EQ(overlapFlopSteps(q, Proc::S), 8);
-  // P: C(i,j) with i<2 or j<2. For i<2,j<2: pivots k∈{0,1} fully P plus
-  // k∈{2,3}: A(i,k) P? row i<2, col k≥2 is P → yes; B(k,j): row k≥2, col j<2
-  // is P → yes. So 4 local pivots. For i<2,j≥2: A(i,k) always P; B(k,j) P only
-  // k<2 → 2. Symmetric for i≥2,j<2.
-  // Total: 4 cells×4 + 4×2 + 4×2 = 32.
-  EXPECT_EQ(overlapFlopSteps(q, Proc::P), 32);
+  EXPECT_EQ(overlapElements(q, Proc::P), 4);
+  EXPECT_EQ(overlapElements(q, Proc::S), 0);
+  EXPECT_EQ(overlapElements(q, Proc::R), 0);
 }
 
-TEST(OverlapTest, FlopStepsNeverExceedCubeShare) {
-  Rng rng(5);
-  const auto q = randomPartition(24, Ratio{3, 1, 1}, rng);
-  for (Proc x : kAllProcs) {
-    const auto steps = overlapFlopSteps(q, x);
-    EXPECT_GE(steps, 0);
-    EXPECT_LE(steps, q.count(x) * q.n());
+TEST(OverlapTest, MatchesTheFullLineDefinition) {
+  // Random partitions with whole rows and columns repainted, so owners hold
+  // full lines that cross.
+  Rng rng(14);
+  constexpr int n = 12;
+  int nonZero = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    Partition q = randomPartition(n, Ratio{4, 2, 1}, rng);
+    for (int paint = 0; paint < 6; ++paint) {
+      const Proc x =
+          kAllProcs[static_cast<std::size_t>(rng.below(kAllProcs.size()))];
+      const int k =
+          static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      const bool row = rng.chance(0.5);
+      for (int t = 0; t < n; ++t) {
+        if (row) {
+          q.set(k, t, x);
+        } else {
+          q.set(t, k, x);
+        }
+      }
+    }
+    for (Proc x : kAllProcs) {
+      const std::int64_t local = overlapElements(q, x);
+      EXPECT_EQ(local, overlapFromCells(q, x))
+          << "trial " << trial << " " << procName(x);
+      EXPECT_LE(local, q.count(x));
+      nonZero += local > 0 ? 1 : 0;
+    }
   }
+  EXPECT_GT(nonZero, 0);
 }
 
 }  // namespace

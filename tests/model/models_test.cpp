@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <ostream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "grid/builder.hpp"
 #include "grid/metrics.hpp"
@@ -196,6 +202,75 @@ TEST(StarTopologyTest, TraditionalRectanglePaysRelay) {
   const double star = evalModel(Algo::kSCB, q, m, Topology::kStar).commSeconds;
   EXPECT_GT(star, full);
 }
+
+// One canonical shape at one ratio. It prints as its test-name suffix, so
+// the ctest names carry no pointer values and stay the same across builds.
+struct ShapeRatio {
+  CandidateShape shape;
+  const char* ratio;
+};
+
+std::string shapeRatioName(const ShapeRatio& c) {
+  std::string name = std::string(candidateName(c.shape)) + "_" + c.ratio;
+  std::erase(name, '-');
+  std::replace(name.begin(), name.end(), ':', '_');
+  return name;
+}
+
+void PrintTo(const ShapeRatio& c, std::ostream* os) {
+  *os << shapeRatioName(c);
+}
+
+std::vector<ShapeRatio> shapeRatios() {
+  std::vector<ShapeRatio> cases;
+  for (CandidateShape shape : kAllCandidates)
+    for (const char* ratio : {"3:1:1", "10:1:1", "5:2:1"})
+      cases.push_back({shape, ratio});
+  return cases;
+}
+
+// Star relaying, exactly: with hub h, every element the two spokes exchange
+// crosses a second link, so the serial volume grows by exactly the
+// spoke↔spoke pair volumes, and the hub's outbound budget carries them on
+// top of its own sends. Checked on every canonical shape, each processor
+// taking a turn as the hub.
+class StarRelayCandidateTest : public ::testing::TestWithParam<ShapeRatio> {};
+
+TEST_P(StarRelayCandidateTest, RelayAddsExactlyTheSpokePairTraffic) {
+  const ShapeRatio& c = GetParam();
+  const Ratio ratio = Ratio::parse(c.ratio);
+  constexpr int n = 120;
+  ASSERT_TRUE(candidateFeasible(c.shape, n, ratio));
+  const auto q = makeCandidate(c.shape, n, ratio);
+  const Machine m = testMachine(ratio);
+  const auto v = pairVolumes(q);
+  for (Proc hub : kAllProcs) {
+    std::array<std::int64_t, kNumProcs> outbound{};
+    std::int64_t forwarded = 0;
+    for (Proc s : kAllProcs)
+      for (Proc r : kAllProcs) {
+        outbound[procSlot(s)] += v[procSlot(s)][procSlot(r)];
+        if (s != hub && r != hub) forwarded += v[procSlot(s)][procSlot(r)];
+      }
+    outbound[procSlot(hub)] += forwarded;
+    const StarConfig star{hub};
+    EXPECT_EQ(evalModel(Algo::kSCB, q, m, Topology::kStar, star).commSeconds,
+              m.sendElementSeconds *
+                  static_cast<double>(q.volumeOfCommunication() + forwarded))
+        << "hub " << procName(hub);
+    EXPECT_EQ(evalModel(Algo::kPCB, q, m, Topology::kStar, star).commSeconds,
+              m.sendElementSeconds *
+                  static_cast<double>(
+                      *std::max_element(outbound.begin(), outbound.end())))
+        << "hub " << procName(hub);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndRatios, StarRelayCandidateTest, ::testing::ValuesIn(shapeRatios()),
+    [](const ::testing::TestParamInfo<ShapeRatio>& p) {
+      return shapeRatioName(p.param);
+    });
 
 TEST(PioModelTest, CommSumsPerStepVolumes) {
   Rng rng(13);

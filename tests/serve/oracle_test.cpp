@@ -224,8 +224,9 @@ TEST(OracleTest, ExtendedFamiliesNeverLoseToCanonicalServing) {
     // The canonical shape field survives as the best six-shape answer even
     // when an extended candidate is served.
     EXPECT_EQ(b.answer.shape, a.answer.shape);
-    if (b.answer.family != FamilyId::kCanonical)
+    if (b.answer.family != FamilyId::kCanonical) {
       EXPECT_LT(b.answer.voc, a.answer.voc);
+    }
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "grid/builder.hpp"
 #include "model/models.hpp"
 #include "shapes/candidates.hpp"
@@ -55,6 +60,65 @@ TEST(MmmSimTest, ZeroLatencyMatchesAnalyticModelOverlap) {
         << algoName(algo);
   }
 }
+
+// One canonical shape at one ratio. It prints as its test-name suffix, so
+// the ctest names carry no pointer values and stay the same across builds.
+struct ShapeRatio {
+  CandidateShape shape;
+  const char* ratio;
+};
+
+std::string shapeRatioName(const ShapeRatio& c) {
+  std::string name = std::string(candidateName(c.shape)) + "_" + c.ratio;
+  std::erase(name, '-');
+  std::replace(name.begin(), name.end(), ':', '_');
+  return name;
+}
+
+void PrintTo(const ShapeRatio& c, std::ostream* os) {
+  *os << shapeRatioName(c);
+}
+
+std::vector<ShapeRatio> shapeRatios() {
+  std::vector<ShapeRatio> cases;
+  for (CandidateShape shape : kAllCandidates)
+    for (const char* ratio : {"3:1:1", "10:1:1", "5:2:1"})
+      cases.push_back({shape, ratio});
+  return cases;
+}
+
+// The zero-latency collapse on the shapes the paper compares. Random
+// partitions give no owner a full row and a full column, so their bulk
+// overlap is empty; the Square-Corner leaves P whole rows and columns, and
+// each shape routes a different mix of pair volumes through the NICs.
+class ZeroLatencyCandidateTest : public ::testing::TestWithParam<ShapeRatio> {};
+
+TEST_P(ZeroLatencyCandidateTest, SimulationMatchesEveryBulkModel) {
+  const ShapeRatio& c = GetParam();
+  const Ratio ratio = Ratio::parse(c.ratio);
+  constexpr int n = 60;
+  ASSERT_TRUE(candidateFeasible(c.shape, n, ratio));
+  const auto q = makeCandidate(c.shape, n, ratio);
+  const auto opts = flatOptions(ratio);
+  for (Algo algo : {Algo::kSCB, Algo::kPCB, Algo::kSCO, Algo::kPCO}) {
+    const auto sim = simulateMMM(algo, q, opts);
+    const auto model = evalModel(algo, q, opts.machine);
+    ASSERT_TRUE(sim.completed) << algoName(algo);
+    EXPECT_NEAR(sim.commSeconds, model.commSeconds, model.commSeconds * 1e-9)
+        << algoName(algo);
+    EXPECT_NEAR(sim.overlapSeconds, model.overlapSeconds,
+                model.overlapSeconds * 1e-9 + 1e-15)
+        << algoName(algo);
+    EXPECT_NEAR(sim.execSeconds, model.execSeconds, model.execSeconds * 1e-9)
+        << algoName(algo);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndRatios, ZeroLatencyCandidateTest, ::testing::ValuesIn(shapeRatios()),
+    [](const ::testing::TestParamInfo<ShapeRatio>& p) {
+      return shapeRatioName(p.param);
+    });
 
 TEST(MmmSimTest, LatencyIncreasesTime) {
   Rng rng(7);

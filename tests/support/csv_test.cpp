@@ -72,9 +72,18 @@ TEST(CsvFullTest, FailedWritesAreReportedOnClose) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "cannot write /dev/full\n");
 }
 
-TEST(CsvPathTest, BadPathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv", {"a"}),
-               std::runtime_error);
+TEST(CsvPathTest, BadPathFailsOnClose) {
+  // An unopenable path is reported where a failed write is: close() prints
+  // "cannot write <path>" and returns false, and the rows go nowhere.
+  const std::string path = "/nonexistent-dir-xyz/file.csv";
+  CsvWriter w(path, {"a"});
+  EXPECT_FALSE(w.enabled());
+  w.row({1.0});
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(w.close());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "cannot write " + path + "\n");
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(FormatNumberTest, Integers) {
