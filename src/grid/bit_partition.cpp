@@ -6,15 +6,6 @@
 
 namespace pushpart {
 
-namespace {
-
-constexpr std::uint64_t bitOf(int k) {
-  return std::uint64_t{1} << (static_cast<unsigned>(k) & 63u);
-}
-constexpr std::size_t wordOf(int k) { return static_cast<std::size_t>(k >> 6); }
-
-}  // namespace
-
 BitPartition::BitPartition(int n, Proc fill)
     : BitPartition(Partition(n, fill)) {}
 
@@ -42,37 +33,12 @@ BitPartition::BitPartition(Partition q)
 }
 
 void BitPartition::set(int i, int j, Proc p) {
-  const int n = grid_.n();
-  PUSHPART_CHECK_MSG(i >= 0 && i < n && j >= 0 && j < n,
-                     "cell (" << i << "," << j << ") out of range for n=" << n);
+  checkCell(i, j);
+  PUSHPART_CHECK_MSG(procIndex(p) < kNumProcs,
+                     "owner " << procIndex(p) << " out of range for "
+                              << kNumProcs << " owners");
   const Proc old = grid_.at(i, j);
-  if (old == p) return;
-  grid_.set(i, j, p);
-
-  const auto w = static_cast<std::size_t>(words_);
-  const std::size_t o = procSlot(old);
-  const std::size_t x = procSlot(p);
-  const std::size_t rowWord = static_cast<std::size_t>(i) * w + wordOf(j);
-  const std::size_t colWord = static_cast<std::size_t>(j) * w + wordOf(i);
-  rowBits_[o][rowWord] &= ~bitOf(j);
-  rowBits_[x][rowWord] |= bitOf(j);
-  colBits_[o][colWord] &= ~bitOf(i);
-  colBits_[x][colWord] |= bitOf(i);
-
-  // The grid's counters are already updated: `old` may have left the line,
-  // `p` is now certainly in it.
-  if (!grid_.rowHas(old, i)) rowPresence_[o][wordOf(i)] &= ~bitOf(i);
-  if (!grid_.colHas(old, j)) colPresence_[o][wordOf(j)] &= ~bitOf(j);
-  rowPresence_[x][wordOf(i)] |= bitOf(i);
-  colPresence_[x][wordOf(j)] |= bitOf(j);
-}
-
-void BitPartition::swapCells(int i1, int j1, int i2, int j2) {
-  const Proc a = at(i1, j1);
-  const Proc b = at(i2, j2);
-  if (a == b) return;
-  set(i1, j1, b);
-  set(i2, j2, a);
+  if (old != p) reassign(i, j, old, p);
 }
 
 void BitPartition::validateCounters() const {

@@ -10,13 +10,14 @@
 // orientations are kept because the oriented push view maps logical rows onto
 // physical columns for Right/Left pushes.
 //
-// set() keeps every bitset current in O(1) on top of the grid's own O(1)
-// counter update. The push engine (push/engine.hpp) detects this class
-// through the HasOwnerBits concept and scans destinations a word at a time:
-// the owners a destination may have are ORed into one candidate word, the
-// active processor's column presence is ANDed in where the push type needs
-// it, and std::countr_zero picks the first legal cell — the cell the grid's
-// cell walk would pick. src/verify locksteps the two engines move for move.
+// set() and swapCells() keep every bitset current in O(1) on top of the
+// grid's own O(1) counter update. The push engine (push/engine.hpp) detects
+// this class through the HasOwnerBits concept and scans destinations a word
+// at a time: the owners a destination may have are ORed into one candidate
+// word, the active processor's column presence is ANDed in where the push
+// type needs it, and std::countr_zero picks the first legal cell — the cell
+// the grid's cell walk would pick. src/verify locksteps the two engines move
+// for move.
 #pragma once
 
 #include <array>
@@ -27,6 +28,7 @@
 #include "grid/partition.hpp"
 #include "grid/proc.hpp"
 #include "grid/rect.hpp"
+#include "support/check.hpp"
 
 namespace pushpart {
 
@@ -57,8 +59,18 @@ class BitPartition {
   /// and every owner and presence bit it touches. O(1).
   void set(int i, int j, Proc p);
 
-  /// Swaps the owners of two cells (no-op if they already match).
-  void swapCells(int i1, int j1, int i2, int j2);
+  /// Swaps the owners of two cells (no-op if they already match), updating
+  /// each cell's counters and bits in one pass. O(1); the push engine
+  /// commits each planned move with one call.
+  void swapCells(int i1, int j1, int i2, int j2) {
+    checkCell(i1, j1);
+    checkCell(i2, j2);
+    const Proc a = grid_.at(i1, j1);
+    const Proc b = grid_.at(i2, j2);
+    if (a == b) return;
+    reassign(i1, j1, a, b);
+    reassign(i2, j2, b, a);
+  }
 
   // --- Owner bits (bit b of word w covers index 64·w + b) -----------------
 
@@ -115,6 +127,41 @@ class BitPartition {
     return {bits[procSlot(p)].data() + static_cast<std::size_t>(k) *
                                            static_cast<std::size_t>(words_),
             static_cast<std::size_t>(words_)};
+  }
+
+  static constexpr std::uint64_t bitOf(int k) {
+    return std::uint64_t{1} << (static_cast<unsigned>(k) & 63u);
+  }
+  static constexpr std::size_t wordOf(int k) {
+    return static_cast<std::size_t>(k >> 6);
+  }
+
+  /// Throws CheckError unless (i, j) is a cell of the grid.
+  void checkCell(int i, int j) const {
+    const int n = grid_.n();
+    PUSHPART_CHECK_MSG(i >= 0 && i < n && j >= 0 && j < n,
+                       "cell (" << i << "," << j << ") out of range for n="
+                                << n);
+  }
+
+  /// Hands cell (i, j) from its owner `old` to `p` != old: the grid's
+  /// counters, then the four owner bits and the presence bits of the lines
+  /// the grid reports `old` left or `p` entered.
+  void reassign(int i, int j, Proc old, Proc p) {
+    const Partition::LineChange change = grid_.reassign(i, j, old, p);
+    const auto w = static_cast<std::size_t>(words_);
+    const std::size_t o = procSlot(old);
+    const std::size_t x = procSlot(p);
+    const std::size_t rowWord = static_cast<std::size_t>(i) * w + wordOf(j);
+    const std::size_t colWord = static_cast<std::size_t>(j) * w + wordOf(i);
+    rowBits_[o][rowWord] &= ~bitOf(j);
+    rowBits_[x][rowWord] |= bitOf(j);
+    colBits_[o][colWord] &= ~bitOf(i);
+    colBits_[x][colWord] |= bitOf(i);
+    if (change.leftRow) rowPresence_[o][wordOf(i)] &= ~bitOf(i);
+    if (change.leftCol) colPresence_[o][wordOf(j)] &= ~bitOf(j);
+    if (change.enteredRow) rowPresence_[x][wordOf(i)] |= bitOf(i);
+    if (change.enteredCol) colPresence_[x][wordOf(j)] |= bitOf(j);
   }
 
   Partition grid_;

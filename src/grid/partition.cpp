@@ -37,46 +37,8 @@ void Partition::set(int i, int j, Proc p) {
   PUSHPART_CHECK_MSG(procIndex(p) < owners_, "owner " << procIndex(p)
                                                       << " out of range for "
                                                       << owners_ << " owners");
-  const std::size_t idx = index(i, j);
-  const Proc old = cells_[idx];
-  if (old == p) return;
-  cells_[idx] = p;
-
-  const std::size_t oi = procSlot(old);
-  const std::size_t pi = procSlot(p);
-  OwnerTotals& from = owner_[oi];
-  OwnerTotals& to = owner_[pi];
-  const auto iz = static_cast<std::size_t>(i);
-  const auto jz = static_cast<std::size_t>(j);
-
-  // Row counters for the departing processor.
-  if (--rowCnt_[oi][iz] == 0) {
-    --from.rowsUsed;
-    --ci_[iz];
-    --ciSum_;
-  }
-  if (--colCnt_[oi][jz] == 0) {
-    --from.colsUsed;
-    --cj_[jz];
-    --cjSum_;
-  }
-  --from.total;
-
-  // Row counters for the arriving processor.
-  if (rowCnt_[pi][iz]++ == 0) {
-    ++to.rowsUsed;
-    ++ci_[iz];
-    ++ciSum_;
-  }
-  if (colCnt_[pi][jz]++ == 0) {
-    ++to.colsUsed;
-    ++cj_[jz];
-    ++cjSum_;
-  }
-  ++to.total;
-
-  rect_[oi].dirty = true;
-  rect_[pi].dirty = true;
+  const Proc old = at(i, j);
+  if (old != p) reassign(i, j, old, p);
 }
 
 void Partition::swapCells(int i1, int j1, int i2, int j2) {

@@ -112,6 +112,10 @@ class Partition {
   void validateCounters() const;
 
  private:
+  // The bitboard keeps its owner bits in step with these counters, so it
+  // reassigns cells through reassign() and reads the line changes it reports.
+  friend class BitPartition;
+
   Partition(int n, int owners, Proc fill);
 
   std::size_t index(int i, int j) const {
@@ -119,6 +123,62 @@ class Partition {
            static_cast<std::size_t>(j);
   }
   void recomputeRect(Proc p) const;
+
+  /// The line memberships one reassignment changed: whether the old owner
+  /// left the cell's row and column, and whether the new owner entered them.
+  struct LineChange {
+    bool leftRow = false;
+    bool leftCol = false;
+    bool enteredRow = false;
+    bool enteredCol = false;
+  };
+
+  /// Hands cell (i, j) from its owner `old` to `p` != old and updates every
+  /// counter. The callers have range-checked (i, j) and both owners.
+  LineChange reassign(int i, int j, Proc old, Proc p) {
+    cells_[index(i, j)] = p;
+    const std::size_t oi = procSlot(old);
+    const std::size_t pi = procSlot(p);
+    OwnerTotals& from = owner_[oi];
+    OwnerTotals& to = owner_[pi];
+    const auto iz = static_cast<std::size_t>(i);
+    const auto jz = static_cast<std::size_t>(j);
+    LineChange change;
+
+    // Line counters for the departing owner.
+    if (--rowCnt_[oi][iz] == 0) {
+      change.leftRow = true;
+      --from.rowsUsed;
+      --ci_[iz];
+      --ciSum_;
+    }
+    if (--colCnt_[oi][jz] == 0) {
+      change.leftCol = true;
+      --from.colsUsed;
+      --cj_[jz];
+      --cjSum_;
+    }
+    --from.total;
+
+    // Line counters for the arriving owner.
+    if (rowCnt_[pi][iz]++ == 0) {
+      change.enteredRow = true;
+      ++to.rowsUsed;
+      ++ci_[iz];
+      ++ciSum_;
+    }
+    if (colCnt_[pi][jz]++ == 0) {
+      change.enteredCol = true;
+      ++to.colsUsed;
+      ++cj_[jz];
+      ++cjSum_;
+    }
+    ++to.total;
+
+    rect_[oi].dirty = true;
+    rect_[pi].dirty = true;
+    return change;
+  }
 
   struct OwnerTotals {
     std::int64_t total = 0;

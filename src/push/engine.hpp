@@ -22,9 +22,10 @@
 // processor's column presence is ANDed in where the type's activeDest needs
 // it, and std::countr_zero finds the first qualifying column, exactly the
 // cell the reference's walk stops at. An overlay stands in for the few line
-// facts the attempt's earlier exchanges would have written, the plan's VoC
-// is priced from line counts, and only the accepted plan is written
-// (DESIGN.md §15, "Plan, then commit").
+// facts the attempt's earlier exchanges would have written, the walk prices
+// the plan's VoC as it writes the overlay, two exact exits skip the attempts
+// no type can finish, and only the accepted plan is written, one cell swap
+// per move (DESIGN.md §15, "Plan, then commit").
 //
 // The non-template entry points in push.hpp / beautify.hpp are the public
 // API for both states; this header is for engine instantiation.
@@ -238,59 +239,6 @@ inline PushPlan& threadPlan() {
   return plan;
 }
 
-/// VoC once every move of `plan` is applied, from the line counts of the
-/// rows and columns the moves touch: a line's owner count changes only where
-/// an owner's count in it drops to zero or rises from zero. Clears the
-/// column deltas it reads.
-template <typename Q>
-std::int64_t planVoC(const OrientedView<Q>& view, Proc active,
-                     PushPlan& plan, std::int64_t vocBefore) {
-  int lineOwners = 0;  // change in Σc_i + Σc_j
-
-  // The edge row: every source leaves it, each owner gains its cells.
-  std::array<bool, kNumProcs> gained{};
-  for (const PlannedMove& m : plan.moves) gained[procSlot(m.owner)] = true;
-  if (view.rowCount(active, plan.edge) ==
-      static_cast<int>(plan.moves.size()))
-    --lineOwners;
-  for (Proc x : kAllProcs)
-    if (gained[procSlot(x)] && !view.rowHas(x, plan.edge)) ++lineOwners;
-
-  // Destination rows: the moves visit them in runs of one row each.
-  std::array<int, kNumProcs> lost{};
-  for (std::size_t m = 0; m < plan.moves.size(); ++m) {
-    const PlannedMove& move = plan.moves[m];
-    ++lost[procSlot(move.owner)];
-    if (m + 1 < plan.moves.size() &&
-        plan.moves[m + 1].destRow == move.destRow)
-      continue;  // the run goes on
-    const int g = move.destRow;
-    if (!view.rowHas(active, g)) ++lineOwners;
-    for (Proc x : kAllProcs)
-      if (lost[procSlot(x)] > 0 && view.rowCount(x, g) == lost[procSlot(x)])
-        --lineOwners;
-    lost = {};
-  }
-
-  // Source and destination columns. A column both kinds touch is priced on
-  // its first visit; clearing its deltas makes later visits price nothing.
-  const auto priceColumn = [&](int c) {
-    auto& delta = plan.colDelta[static_cast<std::size_t>(c)];
-    for (Proc x : kAllProcs) {
-      int& d = delta[procSlot(x)];
-      if (d == 0) continue;
-      const int before = view.colCount(x, c);
-      lineOwners += (before + d > 0 ? 1 : 0) - (before > 0 ? 1 : 0);
-      d = 0;
-    }
-  };
-  for (const PlannedMove& m : plan.moves) {
-    priceColumn(m.col);
-    priceColumn(m.destCol);
-  }
-  return vocBefore + static_cast<std::int64_t>(view.n()) * lineOwners;
-}
-
 /// Plans the edge-clean under one type's predicates without writing: the
 /// reference walk (attemptType) over the same sources with the same
 /// monotone cursor, with the word-granular destination scan. Returns false
@@ -303,7 +251,9 @@ std::int64_t planVoC(const OrientedView<Q>& view, Proc active,
 /// facts an earlier move can change are (DESIGN.md §15, "Plan, then
 /// commit"): whether a displaced owner is in the edge row, an owner's count
 /// in a later source's column, the active processor's column presence, and
-/// its count in the current destination row.
+/// its count in the current destination row. The walk prices the plan as it
+/// goes: VoC changes by n wherever an owner's count in a row or column rises
+/// from zero or falls to zero, and each such change is an overlay write.
 template <typename Q>
   requires HasOwnerBits<Q>
 bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
@@ -333,8 +283,14 @@ bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
   plan.activeCols.assign(presence.begin(), presence.end());
   std::array<bool, kNumProcs> inEdgeRow{};
   for (Proc x : kAllProcs) inEdgeRow[procSlot(x)] = view.rowHas(x, k);
-  int addedRow = -1;  // the active processor's cells added to this row
-  int added = 0;
+  const std::size_t a = procSlot(active);
+  int deltaRow = -1;  // the destination row rowDelta counts changes in
+  std::array<int, kNumProcs> rowDelta{};
+
+  // The change in Σc_i + Σc_j. The sources are all of the active
+  // processor's cells in the edge row, so a complete plan empties the row of
+  // them.
+  int lineOwners = -1;
 
   int g = r.rowEnd - 1;
   int h = r.colBegin;
@@ -366,7 +322,7 @@ bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
       // row (through colHas(active, h)); where it binds, the presence word
       // is ANDed in.
       const int rowActiveCells =
-          view.rowCount(active, g) + (g == addedRow ? added : 0);
+          view.rowCount(active, g) + (g == deltaRow ? rowDelta[a] : 0);
       const bool rowActive = rowActiveCells > 0;
       if (rowActiveCells < r.width() &&
           (rule.activeDest != Req::kAnd || rowActive)) {
@@ -390,35 +346,41 @@ bool planType(const OrientedView<Q>& view, Proc active, const TypeRule& rule,
       break;
     }
 
-    // Record the exchange and what it would write into the overlay.
+    // Record the exchange and write into the overlay what it changes,
+    // pricing each line count the write moves off zero or onto it.
     const Proc owner = view.at(g, hit);
+    const std::size_t o = procSlot(owner);
     plan.moves.push_back({c, g, hit, owner});
-    inEdgeRow[procSlot(owner)] = true;
-    ++sourceDelta[procSlot(owner)];
-    if (view.colCount(active, c) + --sourceDelta[procSlot(active)] == 0)
+    if (!inEdgeRow[o]) {
+      inEdgeRow[o] = true;
+      ++lineOwners;
+    }
+    if (view.colCount(owner, c) + sourceDelta[o]++ == 0) ++lineOwners;
+    if (view.colCount(active, c) + --sourceDelta[a] == 0) {
       plan.activeCols[static_cast<std::size_t>(c >> 6)] &=
           ~(std::uint64_t{1} << (c & 63));
+      --lineOwners;
+    }
     auto& destDelta = plan.colDelta[static_cast<std::size_t>(hit)];
-    --destDelta[procSlot(owner)];
-    ++destDelta[procSlot(active)];
+    if (view.colCount(owner, hit) + --destDelta[o] == 0) --lineOwners;
+    if (view.colCount(active, hit) + destDelta[a]++ == 0) ++lineOwners;
     plan.activeCols[static_cast<std::size_t>(hit >> 6)] |= std::uint64_t{1}
                                                            << (hit & 63);
-    if (g != addedRow) {
-      addedRow = g;
-      added = 0;
+    if (g != deltaRow) {
+      deltaRow = g;
+      rowDelta = {};
     }
-    ++added;
+    if (view.rowCount(active, g) + rowDelta[a]++ == 0) ++lineOwners;
+    if (view.rowCount(owner, g) + --rowDelta[o] == 0) --lineOwners;
     h = hit + 1;  // do not hand the same destination to the next one
   }
 
-  if (!complete) {
-    for (const PlannedMove& m : plan.moves) {
-      plan.colDelta[static_cast<std::size_t>(m.col)] = {};
-      plan.colDelta[static_cast<std::size_t>(m.destCol)] = {};
-    }
-    return false;
+  for (const PlannedMove& m : plan.moves) {
+    plan.colDelta[static_cast<std::size_t>(m.col)] = {};
+    plan.colDelta[static_cast<std::size_t>(m.destCol)] = {};
   }
-  plan.vocAfter = planVoC(view, active, plan, vocBefore);
+  if (!complete) return false;
+  plan.vocAfter = vocBefore + static_cast<std::int64_t>(view.n()) * lineOwners;
   return true;
 }
 
@@ -448,18 +410,40 @@ OwnerRects<Q> logicalRects(const OrientedView<Q>& view) {
 
 /// The first push type, most restrictive first, whose plan passes the VoC
 /// guard; `plan` then holds its moves. Writes nothing to the state.
+///
+/// Two exits answer "no push" before every type is planned, and both are
+/// exact (DESIGN.md §15, "Plan, then commit"). Every type sends each edge
+/// source to a distinct interior cell of the active rectangle that the
+/// active processor does not own, so too few such cells fail them all. And
+/// Type Six admits a superset of every type's destinations, read from the
+/// state alone, so its greedy scan places every source whenever any type's
+/// does: once Type One has failed to, a Type Six scan that fails too fails
+/// the rest.
 template <typename Q>
   requires HasOwnerBits<Q>
 std::optional<PushType> planPush(const OrientedView<Q>& view, Proc active,
                                  const OwnerRects<Q>& rectBefore,
                                  std::int64_t vocBefore,
                                  const PushOptions& options, PushPlan& plan) {
+  const Rect r = rectBefore[procSlot(active)];
+  if (r.isEmpty() || r.height() < 2) return std::nullopt;
+  const std::int64_t sources = view.rowCount(active, r.rowBegin);
+  const std::int64_t interior =
+      static_cast<std::int64_t>(r.width()) * (r.height() - 1);
+  const std::int64_t freeCells =
+      interior - (view.partition().count(active) - sources);
+  if (freeCells < sources) return std::nullopt;
+
   for (PushType type : kAllPushTypes) {
     const TypeRule rule = ruleFor(type);
     if (!options.allowEqualVoC && !rule.strictImprovement) break;
-    if (planType(view, active, rule, rectBefore, vocBefore, plan) &&
-        vocAccepted(rule, vocBefore, plan.vocAfter))
-      return type;
+    if (planType(view, active, rule, rectBefore, vocBefore, plan)) {
+      if (vocAccepted(rule, vocBefore, plan.vocAfter)) return type;
+    } else if (type == PushType::kType1 &&
+               !planType(view, active, ruleFor(PushType::kType6), rectBefore,
+                         vocBefore, plan)) {
+      return std::nullopt;
+    }
   }
   return std::nullopt;
 }
@@ -508,8 +492,12 @@ PushOutcome tryPushState(Q& q, Proc active, Direction dir,
                                               out.vocBefore, options, plan);
     if (!type) return out;
     for (const engine_detail::PlannedMove& m : plan.moves) {
-      view.set(plan.edge, m.col, m.owner);
-      view.set(m.destRow, m.destCol, active);
+      PUSHPART_CHECK_MSG(view.at(plan.edge, m.col) == active &&
+                             view.at(m.destRow, m.destCol) == m.owner,
+                         "planned move from column "
+                             << m.col << " to (" << m.destRow << ","
+                             << m.destCol << ") finds other owners");
+      view.swapCells(plan.edge, m.col, m.destRow, m.destCol);
     }
     PUSHPART_CHECK_MSG(q.volumeOfCommunication() == plan.vocAfter,
                        "committed VoC " << q.volumeOfCommunication()

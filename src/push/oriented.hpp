@@ -11,20 +11,20 @@
 //   Right: (r, c) -> (c, r)            logical rows are physical columns
 //   Left : (r, c) -> (c, n-1-r)        columns flipped and transposed
 //
-// Mutations are funnelled through set(). The grid's cell walk passes an undo
-// log, so a failed push attempt can be rolled back exactly; the bitboard
-// engine plans an attempt read-only and writes only an accepted one, so it
-// uses the log-free overload.
+// Mutations go through two calls. The grid's cell walk writes each cell with
+// set(), which records an undo log, so a failed push attempt can be rolled
+// back exactly; the bitboard engine plans an attempt read-only and commits an
+// accepted one with swapCells(), one call per planned move.
 //
 // The view is a template over the state type Q so the same engine drives the
 // element-exact Partition and the bitboard BitPartition; Q must provide
-// at/set/rowHas/colHas/rowCount/colCount/enclosingRect/n, and the engine
-// also reads its owners()/fastest(). A view over a const Q is a read-only
-// view (the planner and pushAvailable use one). States
-// that additionally expose owner bits (rowBits/colBits/rowPresence/
-// colPresence) get word-granular lineBits()/colPresenceBits() accessors,
-// which the push engine uses to test 64 destination cells per legality
-// decision.
+// at/rowHas/colHas/rowCount/colCount/enclosingRect/n, set for the grid's walk
+// and swapCells for a bitboard commit, and the engine also reads its
+// owners()/fastest(). A view over a const Q is a read-only view (the planner
+// and pushAvailable use one). States that additionally expose owner bits
+// (rowBits/colBits/rowPresence/colPresence) get word-granular
+// lineBits()/colPresenceBits() accessors, which the push engine uses to test
+// 64 destination cells per legality decision.
 #pragma once
 
 #include <concepts>
@@ -77,10 +77,12 @@ class OrientedView {
     q_.set(i, j, p);
   }
 
-  /// Reassigns a cell with no undo record (an accepted plan's commit).
-  void set(int r, int c, Proc p) {
-    const auto [i, j] = toPhysical(r, c);
-    q_.set(i, j, p);
+  /// Swaps the owners of two cells, with no undo record (an accepted plan's
+  /// commit).
+  void swapCells(int r1, int c1, int r2, int c2) {
+    const auto [i1, j1] = toPhysical(r1, c1);
+    const auto [i2, j2] = toPhysical(r2, c2);
+    q_.swapCells(i1, j1, i2, j2);
   }
 
   /// Number of p's elements in logical row r.

@@ -4,8 +4,10 @@
 // succeed exactly when the grid's attemptType does, its moves must be the
 // grid's undo log cell for cell (the partial moves of a failed attempt
 // included), and its VoC must be the grid's after the attempt, whether or not
-// the guard then accepts it. A counting state then shows that a bitboard
-// tryPush writes only the push it applies.
+// the guard then accepts it. Along the same walks, the two exits of planPush
+// fire only where every type fails, and planPush picks the grid's type. A
+// counting state then shows that a bitboard tryPush writes only the push it
+// applies.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -201,8 +203,161 @@ TEST(BitsPlannerTest, PlansMatchTheGridWalkOnTheCorpus) {
   EXPECT_GT(coverage.attempts, 0);
 }
 
+/// How often the exits of planPush had something to decide.
+struct ExitCoverage {
+  int freeShort = 0;  ///< Fewer free interior cells than edge sources.
+  /// Type Six placed no source set although the free cells sufficed.
+  int sixFails = 0;
+  /// As many free cells as sources, and the push applied: the free-cell
+  /// exit's boundary.
+  int boundaryApplied = 0;
+};
+
+/// Checks the two exits of planPush at every (slow processor, direction) of
+/// one state. Where the active rectangle has fewer free interior cells than
+/// edge sources, or where Type Six places no source set, no type's plan and
+/// no grid walk may place every source; and planPush must pick the type the
+/// grid's tryPush applies, with Types Five and Six allowed and not. `grid`
+/// is restored before return. Returns an empty string when all of it holds.
+std::string checkExits(Partition& grid, const BitPartition& bits,
+                       ExitCoverage& coverage) {
+  PushPlan plan;
+  const std::int64_t voc = bits.volumeOfCommunication();
+  for (Proc active : kSlowProcs)
+    for (Direction dir : kAllDirections) {
+      const std::string where =
+          std::string(1, procName(active)) + ":" + directionName(dir);
+      const OrientedView<const BitPartition> view(bits, dir);
+      const auto rects = engine_detail::logicalRects(view);
+      const Rect r = rects[procSlot(active)];
+      if (r.isEmpty() || r.height() < 2) continue;
+      const std::int64_t sources = view.rowCount(active, r.rowBegin);
+      const std::int64_t freeCells =
+          static_cast<std::int64_t>(r.width()) * (r.height() - 1) -
+          (bits.count(active) - sources);
+
+      OrientedView<Partition> gridView(grid, dir);
+      bool placed = false;  // some type placed every source
+      bool sixPlaces = false;
+      for (PushType type : kAllPushTypes) {
+        const engine_detail::TypeRule rule = engine_detail::ruleFor(type);
+        std::vector<CellUndo> log;
+        const bool walked =
+            engine_detail::attemptType(gridView, active, rule,
+                                       engine_detail::logicalRects(gridView),
+                                       log)
+                .has_value();
+        rollback(grid, log);
+        const bool planned =
+            engine_detail::planType(view, active, rule, rects, voc, plan);
+        placed = placed || walked || planned;
+        if (type == PushType::kType6) sixPlaces = planned;
+      }
+      if (freeCells < sources) {
+        ++coverage.freeShort;
+        if (placed)
+          return where + ": " + std::to_string(freeCells) +
+                 " free cells for " + std::to_string(sources) +
+                 " sources, yet a type placed every source";
+      } else if (!sixPlaces) {
+        ++coverage.sixFails;
+      }
+      if (!sixPlaces && placed)
+        return where + ": Type Six placed no source set, yet a type did";
+
+      for (bool allowEqualVoC : {true, false}) {
+        const PushOptions options{allowEqualVoC};
+        Partition copy = grid;
+        const PushOutcome g = tryPush(copy, active, dir, options);
+        const auto type =
+            engine_detail::planPush(view, active, rects, voc, options, plan);
+        if (type.has_value() != g.applied || (type && *type != g.type))
+          return where + (allowEqualVoC ? "" : " (strict types)") +
+                 ": planPush " + (type ? pushTypeName(*type) : "finds none") +
+                 ", the grid's tryPush " +
+                 (g.applied ? pushTypeName(g.type) : "applies none");
+        if (allowEqualVoC && freeCells == sources && g.applied)
+          ++coverage.boundaryApplied;
+      }
+    }
+  return {};
+}
+
+/// Runs checkExits at each state of a push trajectory from q0 under
+/// `schedule`, for at most `maxSweeps` sweeps, the two engines in lockstep.
+std::string checkExitsAlongTrajectory(const Partition& q0,
+                                      const Schedule& schedule, int maxSweeps,
+                                      ExitCoverage& coverage) {
+  Partition grid = q0;
+  BitPartition bits(q0);
+  for (int sweep = 0; sweep < maxSweeps; ++sweep) {
+    bool any = false;
+    for (const ScheduleSlot& slot : schedule.slots) {
+      std::string diff = checkExits(grid, bits, coverage);
+      if (!diff.empty())
+        return "sweep " + std::to_string(sweep) + ": " + diff;
+      const PushOutcome g = tryPush(grid, slot.active, slot.dir);
+      const PushOutcome b = tryPush(bits, slot.active, slot.dir);
+      if (g.applied != b.applied || !(grid == bits.grid()))
+        return "sweep " + std::to_string(sweep) + ": the engines diverged";
+      any = any || g.applied;
+    }
+    if (!any) break;
+  }
+  return {};
+}
+
+// The exits of planPush are exact: along the trajectories and the corpus the
+// comparisons above walk, each exit fires only where every type fails, and
+// planPush always picks the grid's type. Both exits must fire, and some push
+// with exactly as many free cells as sources must apply.
+TEST(BitsPlannerTest, PushExitsAreExactAndFire) {
+  ExitCoverage coverage;
+  for (int styleIdx = 0; styleIdx < kNumGenStyles; ++styleIdx) {
+    for (int t = 0; t < 40; ++t) {
+      const std::uint64_t seed = 900000 +
+                                 static_cast<std::uint64_t>(styleIdx) * 1000 +
+                                 static_cast<std::uint64_t>(t);
+      Rng rng(seed);
+      const Ratio ratio = genRatio(rng);
+      const int n = genSmallN(rng, 4, 14);
+      const Partition q0 =
+          genPartition(static_cast<GenStyle>(styleIdx), n, ratio, rng);
+      const Schedule schedule = genSchedule(rng);
+      const std::string diff =
+          checkExitsAlongTrajectory(q0, schedule, 6, coverage);
+      ASSERT_TRUE(diff.empty())
+          << genStyleName(static_cast<GenStyle>(styleIdx)) << " seed " << seed
+          << " n " << n << ": " << diff;
+    }
+    for (int n : kWordEdgeSizes) {
+      const std::uint64_t seed = 910000 +
+                                 static_cast<std::uint64_t>(styleIdx) * 1000 +
+                                 static_cast<std::uint64_t>(n);
+      Rng rng(seed);
+      const Ratio ratio = genRatio(rng);
+      const Partition q0 =
+          genPartition(static_cast<GenStyle>(styleIdx), n, ratio, rng);
+      const Schedule schedule = genSchedule(rng);
+      const std::string diff =
+          checkExitsAlongTrajectory(q0, schedule, 2, coverage);
+      ASSERT_TRUE(diff.empty())
+          << genStyleName(static_cast<GenStyle>(styleIdx)) << " seed " << seed
+          << " n " << n << ": " << diff;
+    }
+  }
+  for (const std::string& path : corpusFiles(PUSHPART_CORPUS_DIR)) {
+    const std::string diff = checkExitsAlongTrajectory(
+        loadPartition(path), Schedule::full(), 3, coverage);
+    ASSERT_TRUE(diff.empty()) << path << ": " << diff;
+  }
+  EXPECT_GT(coverage.freeShort, 0);
+  EXPECT_GT(coverage.sixFails, 0);
+  EXPECT_GT(coverage.boundaryApplied, 0);
+}
+
 /// A bitboard state that counts its writes: everything forwards to a
-/// BitPartition, and set() also counts.
+/// BitPartition, and swapCells() also counts each cell it writes.
 class CountingBits {
  public:
   explicit CountingBits(const Partition& q) : bits_(q) {}
@@ -215,9 +370,9 @@ class CountingBits {
   static constexpr int owners() { return BitPartition::owners(); }
   static constexpr Proc fastest() { return BitPartition::fastest(); }
   Proc at(int i, int j) const { return bits_.at(i, j); }
-  void set(int i, int j, Proc p) {
-    ++writes_;
-    bits_.set(i, j, p);
+  void swapCells(int i1, int j1, int i2, int j2) {
+    if (bits_.at(i1, j1) != bits_.at(i2, j2)) writes_ += 2;
+    bits_.swapCells(i1, j1, i2, j2);
   }
   std::span<const std::uint64_t> rowBits(Proc p, int i) const {
     return bits_.rowBits(p, i);

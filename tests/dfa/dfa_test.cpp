@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "grid/builder.hpp"
@@ -102,7 +103,7 @@ TEST(DfaTest, BeautifyOffLeavesScheduleResult) {
   EXPECT_LE(result.vocEnd, result.vocStart);
 }
 
-using DfaParam = std::tuple<int, const char*, std::uint64_t>;
+using DfaParam = std::tuple<int, std::string, std::uint64_t>;
 
 class DfaConvergenceTest : public ::testing::TestWithParam<DfaParam> {};
 

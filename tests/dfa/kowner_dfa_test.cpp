@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "dfa/dfa.hpp"
@@ -41,7 +42,7 @@ TEST(KOwnerScheduleTest, ThreeOwnersDrawTheDefaultSchedule) {
 }
 
 class KOwnerDfaTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(KOwnerDfaTest, WalkCondensesAndNeverWorsens) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace pushpart {
@@ -50,7 +51,7 @@ TEST(ToAsciiTest, RoundTrips) {
   EXPECT_EQ(toAscii(fromAscii(art)), art);
 }
 
-using RandomParam = std::tuple<int, const char*, std::uint64_t>;
+using RandomParam = std::tuple<int, std::string, std::uint64_t>;
 
 class RandomPartitionTest : public ::testing::TestWithParam<RandomParam> {};
 

@@ -4,6 +4,7 @@
 // → performance-model ranking → simulated and real execution.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "dfa/batch.hpp"
@@ -18,7 +19,7 @@ namespace pushpart {
 namespace {
 
 class PipelineTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(PipelineTest, SearchClassifyReduceRank) {

@@ -125,7 +125,7 @@ TEST(ModelTest, SquareCornerOverlapIsSubstantial) {
 // in communication volume when computation is fixed. Pushes only reduce VoC
 // and keep counts fixed, so model times must not increase across a push.
 class ModelMonotonicityTest
-    : public ::testing::TestWithParam<std::tuple<Algo, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<Algo, std::string>> {};
 
 TEST_P(ModelMonotonicityTest, PushNeverIncreasesModeledTime) {
   const auto [algo, ratioStr] = GetParam();

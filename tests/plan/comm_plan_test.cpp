@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "grid/builder.hpp"
@@ -54,7 +55,7 @@ TEST(CommPlanTest, PlanVolumesMatchPairVolumes) {
   EXPECT_EQ(total, q.volumeOfCommunication());
 }
 
-using PlanParam = std::tuple<CandidateShape, const char*>;
+using PlanParam = std::tuple<CandidateShape, std::string>;
 
 class CommPlanCandidateTest : public ::testing::TestWithParam<PlanParam> {};
 

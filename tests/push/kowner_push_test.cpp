@@ -52,7 +52,7 @@ TEST(KOwnerPushTest, FailedPushLeavesGridUntouched) {
   }
 }
 
-using KOwnerPushParam = std::tuple<const char*, std::uint64_t>;
+using KOwnerPushParam = std::tuple<std::string, std::uint64_t>;
 
 class KOwnerPushPropertyTest
     : public ::testing::TestWithParam<KOwnerPushParam> {};

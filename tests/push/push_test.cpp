@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "grid/builder.hpp"
@@ -213,7 +214,7 @@ TEST(PushAvailableTest, FalseForRectangles) {
 // Property tests: the paper's Push guarantees on randomized partitions
 // ---------------------------------------------------------------------------
 
-using PushPropParam = std::tuple<int, const char*, std::uint64_t>;
+using PushPropParam = std::tuple<int, std::string, std::uint64_t>;
 
 class PushPropertyTest : public ::testing::TestWithParam<PushPropParam> {};
 

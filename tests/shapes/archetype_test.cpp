@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "dfa/dfa.hpp"
 #include "grid/builder.hpp"
 
@@ -135,7 +138,7 @@ TEST(ArchetypeTest, AsymptoticRaggedEdgesStillClassifyA) {
 // The paper's central experimental claim (Postulate 1): every condensed DFA
 // output classifies into A–D — no Unknown shapes survive.
 class DfaArchetypeCoverageTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(DfaArchetypeCoverageTest, CondensedOutputsClassify) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "grid/builder.hpp"
@@ -63,7 +64,7 @@ TEST(RectangleCornerSplitTest, MatchesClosedForm) {
   EXPECT_NEAR(rectangleCornerSplit(Ratio{5, 9, 4}), 3.0 / 5.0, 1e-12);
 }
 
-using CandidateParam = std::tuple<CandidateShape, const char*, int>;
+using CandidateParam = std::tuple<CandidateShape, std::string, int>;
 
 class CandidateConstructionTest
     : public ::testing::TestWithParam<CandidateParam> {};

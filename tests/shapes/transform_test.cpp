@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "dfa/dfa.hpp"
 #include "grid/builder.hpp"
 
@@ -146,7 +149,7 @@ TEST(ReduceToArchetypeATest, ReducesSurround) {
 // whatever its archetype, admits an Archetype A canonical candidate with VoC
 // no larger.
 class ReducePropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(ReducePropertyTest, CondensedShapesReduceToCandidates) {

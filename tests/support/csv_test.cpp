@@ -21,7 +21,12 @@ std::string slurp(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/pushpart_csv_test.csv";
+  // Named after the running case: ctest runs each case as its own process,
+  // so cases run in parallel must not share one file.
+  std::string path_ =
+      ::testing::TempDir() + "/pushpart_csv_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
