@@ -8,13 +8,15 @@
 // divergence fails the bench, not just the differential suite.
 //
 // Scenarios:
-//   * legality scans: failed tryPush attempts over every (slow processor,
-//     direction) on a condensed state — the DFA's hot loop, re-proving that
-//     no push applies before it can stop. The attempt runs directly on the
-//     engine state (transactional, rolls back on failure, no copy), so this
-//     isolates the representations: the grid scans O(N²) cells per attempt,
-//     the bitboard 64 cells per word. Self-checked bar: >= --bar (default
-//     10x).
+//   * legality scans: failed tryPush attempts over every slot of a walk's
+//     schedule on the condensed state that walk stopped in — the DFA's last
+//     sweep, re-proving that no push applies before it can stop. The
+//     attempt runs directly on the engine state (transactional, rolls back
+//     on failure, no copy), so this isolates the representations: the grid
+//     scans O(N²) cells per attempt, the bitboard 64 cells per word. Some
+//     attempts must get past the bitboard's O(1) free-cell exit, or the
+//     scenario would time the exit instead of a scan. Self-checked bar:
+//     >= --bar (default 10x).
 //   * full DFA trajectories (headline): same seeded starts and schedules
 //     end-to-end on both engines, identical walks required. Scattered starts
 //     are where most of a walk's pushes happen, and word scans speed them up
@@ -49,8 +51,8 @@
 #include "grid/builder.hpp"
 #include "push/beautify.hpp"
 #include "push/direction.hpp"
+#include "push/engine.hpp"
 #include "push/push.hpp"
-#include "shapes/candidates.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -88,34 +90,49 @@ int main(int argc, char** argv) {
             << "x trajectories, batch n=" << batchN << " x " << batchRuns
             << " within " << budget << "s\n\n";
 
-  // --- Legality scans on a condensed state -------------------------------
-  // A canonical candidate is a condensed accept state: every tryPush walks
-  // the full legality machinery and fails, rolling back to the identical
-  // state. This is the hot loop of a condensed-phase DFA sweep — the walk
-  // keeps re-proving that no push applies — and it runs on the engine state
-  // in place, so the grid's O(N²) cell scans face the word scans directly.
-  const Partition cond = makeCandidate(CandidateShape::kSquareCorner, n, ratio);
+  // --- Legality scans on a condensed walk output -------------------------
+  // One fixed-seed walk at n, stopped condensed and not beautified, keeps
+  // the ragged edges and holes its pushes left. Every slot of its schedule
+  // then fails, rolling back to the identical state: this is the walk's
+  // last sweep, and it runs on the engine state in place, so the grid's
+  // O(N²) cell scans face the word scans directly. An attempt the O(1)
+  // free-cell exit ends scans nothing, so the bench counts the attempts
+  // that get past it and fails unless some do.
+  Rng scanRng(seed);
+  const Schedule scanSchedule = Schedule::random(scanRng);
+  DfaOptions unbeautified;
+  unbeautified.beautifyResult = false;
+  const DfaResultT<BitPartition> walk = runDfaT(
+      BitPartition(randomPartition(n, ratio, scanRng)), scanSchedule,
+      unbeautified);
+  const Partition cond = walk.final.grid();
   Partition condG = cond;
-  BitPartition condB(cond);
+  BitPartition condB = walk.final;
   double gridScanSeconds = 0.0;
   double bitsScanSeconds = 0.0;
   std::int64_t scans = 0;
+  std::int64_t pastExit = 0;
   {
+    for (const ScheduleSlot& slot : scanSchedule.slots) {
+      const OrientedView<const BitPartition> view(condB, slot.dir);
+      if (engine_detail::enoughFreeCells(view, slot.active,
+                                         view.rect(slot.active)))
+        pastExit += scanReps;
+    }
     Stopwatch sw;
     for (int rep = 0; rep < scanReps; ++rep)
-      for (Proc x : kSlowProcs)
-        for (Direction d : kAllDirections) {
-          if (tryPush(condG, x, d).applied) ++divergences;  // candidate locks
-          ++scans;
-        }
+      for (const ScheduleSlot& slot : scanSchedule.slots) {
+        if (tryPush(condG, slot.active, slot.dir).applied) ++divergences;
+        ++scans;
+      }
     gridScanSeconds = sw.seconds();
     sw.reset();
     for (int rep = 0; rep < scanReps; ++rep)
-      for (Proc x : kSlowProcs)
-        for (Direction d : kAllDirections)
-          if (tryPush(condB, x, d).applied) ++divergences;
+      for (const ScheduleSlot& slot : scanSchedule.slots)
+        if (tryPush(condB, slot.active, slot.dir).applied) ++divergences;
     bitsScanSeconds = sw.seconds();
-    // Both engines must still be exactly the candidate (rolled back clean).
+    // Both engines must still be exactly the walk's state (rolled back
+    // clean).
     if (!(condG == cond) || !(condB.grid() == cond)) ++divergences;
   }
   const double scanSpeedup = safeRatio(gridScanSeconds, bitsScanSeconds);
@@ -209,9 +226,12 @@ int main(int argc, char** argv) {
                 safeRatio(gridSetSeconds, bitsSetSeconds)});
   table.print(std::cout);
 
-  std::printf("\nlegality scans: %lld per engine on the condensed n=%d "
-              "state, speedup %.1fx (bar %.1fx)\n",
-              static_cast<long long>(scans), n, scanSpeedup, bar);
+  std::printf("\nlegality scans: %lld per engine on a %s n=%d walk's state "
+              "(schedule %s), %lld past the free-cell exit, speedup %.1fx "
+              "(bar %.1fx)\n",
+              static_cast<long long>(scans), dfaStopName(walk.stop), n,
+              scanSchedule.str().c_str(), static_cast<long long>(pastExit),
+              scanSpeedup, bar);
   std::printf("trajectories: %d lockstep runs at n=%d, %lld pushes, "
               "speedup %.1fx (bar %.1fx)\n",
               trajRuns, trajN, static_cast<long long>(trajPushes),
@@ -228,7 +248,7 @@ int main(int argc, char** argv) {
   json.beginObject("scan").field("reps", scanReps).field("scans", scans)
       .field("grid_seconds", gridScanSeconds)
       .field("bits_seconds", bitsScanSeconds).field("speedup", scanSpeedup)
-      .field("bar", bar).end();
+      .field("bar", bar).field("past_free_cell_exit", pastExit).end();
   json.beginObject("trajectory").field("n", trajN).field("runs", trajRuns)
       .field("pushes", trajPushes).field("grid_seconds", gridTrajSeconds)
       .field("bits_seconds", bitsTrajSeconds).field("speedup", trajSpeedup)
@@ -244,7 +264,8 @@ int main(int argc, char** argv) {
   if (!json.close()) return 1;
   std::cout << "\nreport written to " << jsonPath << "\n";
 
-  const bool ok = divergences == 0 && scanSpeedup >= bar &&
+  const bool ok = divergences == 0 && walk.stop == DfaStop::kCondensed &&
+                  pastExit > 0 && scanSpeedup >= bar &&
                   trajSpeedup >= trajBar && summary.completed == batchRuns &&
                   summary.failures.empty() && batchSeconds <= budget;
   std::cout << (ok ? "\nRESULT: bitboard engine matched the grid "

@@ -126,7 +126,6 @@ class DriftMonitor {
   DriftVerdict evaluate(const Ratio& canonicalEstimate) const;
 
   const DriftOptions& options() const { return options_; }
-  bool hasPlan() const { return hasPlan_; }
 
  private:
   /// Frozen-plan cost at the given logical speeds: serial bulk comm of the

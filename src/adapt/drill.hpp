@@ -128,11 +128,6 @@ struct DriftDrillReport {
     return bestTotal > 0.0 ? servedTotal / bestTotal : 1.0;
   }
   bool regretOk(double bound) const { return regretFactor() <= bound; }
-  bool allReconverged() const {
-    for (const FaultWindowReport& w : windows)
-      if (!w.reconverged) return false;
-    return true;
-  }
 };
 
 /// Runs the scenario against `oracle` (whose machine constants the costs

@@ -55,7 +55,7 @@ bool OracleCluster::reachable(int node, double now) const {
 ClusterResponse OracleCluster::plan(const PlanRequest& req,
                                     const PlanCallOptions& call) {
   Stopwatch timer;
-  const CanonicalKey key = canonicalize(req);
+  CanonicalKey key = canonicalize(req);
   stats_.requests.add();
 
   std::shared_lock lock(mutex_);
@@ -90,7 +90,7 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
       out.replicaHit = owner != owners.front();
       out.response.answer = *std::move(cached);
       out.response.cacheHit = true;
-      out.response.key = key.text;
+      out.response.key = std::move(key.text);
       if (call.deadline.expired()) {
         out.response.deadlineExceeded = true;
         if (out.response.answer.fullFidelity())
@@ -140,7 +140,7 @@ ClusterResponse OracleCluster::plan(const PlanRequest& req,
   out.clusterShedReason = anyAttempted ? ClusterShedReason::kAllOwnersShedding
                                        : ClusterShedReason::kAllOwnersDown;
   out.response.shed = true;
-  out.response.key = key.text;
+  out.response.key = std::move(key.text);
   out.response.deadlineExceeded = call.deadline.expired();
   out.response.latencySeconds = timer.seconds();
   stats_.clusterSheds.add();

@@ -6,7 +6,6 @@
 // colEnd); an empty rectangle has rowBegin == rowEnd == colBegin == colEnd == 0.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <ostream>
 
@@ -46,14 +45,6 @@ struct Rect {
     if (isEmpty() || o.isEmpty()) return false;
     return rowBegin < o.rowEnd && o.rowBegin < rowEnd && colBegin < o.colEnd &&
            o.colBegin < colEnd;
-  }
-
-  /// Intersection (empty if disjoint).
-  Rect intersect(const Rect& o) const {
-    Rect r{std::max(rowBegin, o.rowBegin), std::min(rowEnd, o.rowEnd),
-           std::max(colBegin, o.colBegin), std::min(colEnd, o.colEnd)};
-    if (r.isEmpty()) return empty();
-    return r;
   }
 
   friend bool operator==(const Rect&, const Rect&) = default;

@@ -8,6 +8,18 @@
 
 namespace pushpart {
 
+namespace {
+
+/// Drops the trailing '\r', spaces and tabs a line may carry (CRLF files,
+/// editors' trailing blanks).
+void trimTrailingBlanks(std::string& line) {
+  while (!line.empty() &&
+         (line.back() == '\r' || line.back() == ' ' || line.back() == '\t'))
+    line.pop_back();
+}
+
+}  // namespace
+
 void savePartition(const Partition& q, std::ostream& os) {
   requireThreeOwners(q);
   os << "pushpart-partition v1\n";
@@ -37,6 +49,13 @@ Partition loadPartition(std::istream& is) {
   if (nparse >> trailing)
     throw std::runtime_error("loadPartition: trailing junk '" + trailing +
                              "' in size line '" + nline + "'");
+  // The line must read as savePartition writes it, "n <N>" with one space
+  // and plain digits, up to trailing whitespace: "n  5" or "n 05" would
+  // load the same grid under a header no save produces.
+  std::string spelled = nline;
+  trimTrailingBlanks(spelled);
+  if (spelled != "n " + std::to_string(n))
+    throw std::runtime_error("loadPartition: bad size line '" + nline + "'");
   if (n <= 0)
     throw std::runtime_error("loadPartition: n must be positive, got " +
                              std::to_string(n));
@@ -53,9 +72,7 @@ Partition loadPartition(std::istream& is) {
       throw std::runtime_error("loadPartition: truncated grid (got " +
                                std::to_string(i) + " of " + std::to_string(n) +
                                " rows)");
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t'))
-      line.pop_back();
+    trimTrailingBlanks(line);
     if (static_cast<long long>(line.size()) != n)
       throw std::runtime_error(
           "loadPartition: row " + std::to_string(i) + " has " +

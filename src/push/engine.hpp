@@ -408,31 +408,38 @@ OwnerRects<Q> logicalRects(const OrientedView<Q>& view) {
   return rects;
 }
 
+/// True when the active rectangle `r` (logical coordinates) has room for a
+/// push: at least two rows, and at least as many interior cells the active
+/// processor does not own as it has sources on its edge row. Every push type
+/// sends each edge source to a distinct such cell, so a rectangle without
+/// room fails them all. O(1).
+template <typename Q>
+bool enoughFreeCells(const OrientedView<Q>& view, Proc active, const Rect& r) {
+  if (r.isEmpty() || r.height() < 2) return false;
+  const std::int64_t sources = view.rowCount(active, r.rowBegin);
+  const std::int64_t interior =
+      static_cast<std::int64_t>(r.width()) * (r.height() - 1);
+  return interior - (view.partition().count(active) - sources) >= sources;
+}
+
 /// The first push type, most restrictive first, whose plan passes the VoC
 /// guard; `plan` then holds its moves. Writes nothing to the state.
 ///
 /// Two exits answer "no push" before every type is planned, and both are
-/// exact (DESIGN.md §15, "Plan, then commit"). Every type sends each edge
-/// source to a distinct interior cell of the active rectangle that the
-/// active processor does not own, so too few such cells fail them all. And
-/// Type Six admits a superset of every type's destinations, read from the
-/// state alone, so its greedy scan places every source whenever any type's
-/// does: once Type One has failed to, a Type Six scan that fails too fails
-/// the rest.
+/// exact (DESIGN.md §15, "Plan, then commit"): a rectangle without enough
+/// free cells (enoughFreeCells), and a failed Type Six scan after Type One
+/// has failed. Type Six admits a superset of every type's destinations, read
+/// from the state alone, so its greedy scan places every source whenever any
+/// type's does: once Type One has failed to, a Type Six scan that fails too
+/// fails the rest.
 template <typename Q>
   requires HasOwnerBits<Q>
 std::optional<PushType> planPush(const OrientedView<Q>& view, Proc active,
                                  const OwnerRects<Q>& rectBefore,
                                  std::int64_t vocBefore,
                                  const PushOptions& options, PushPlan& plan) {
-  const Rect r = rectBefore[procSlot(active)];
-  if (r.isEmpty() || r.height() < 2) return std::nullopt;
-  const std::int64_t sources = view.rowCount(active, r.rowBegin);
-  const std::int64_t interior =
-      static_cast<std::int64_t>(r.width()) * (r.height() - 1);
-  const std::int64_t freeCells =
-      interior - (view.partition().count(active) - sources);
-  if (freeCells < sources) return std::nullopt;
+  if (!enoughFreeCells(view, active, rectBefore[procSlot(active)]))
+    return std::nullopt;
 
   for (PushType type : kAllPushTypes) {
     const TypeRule rule = ruleFor(type);

@@ -76,7 +76,10 @@ struct PushOutcome {
 
 struct PushOptions {
   /// Permit Types Five and Six (VoC-preserving pushes). The DFA needs them to
-  /// escape plateaus; beautify runs with them off so it cannot cycle.
+  /// escape plateaus, and beautify runs with them on too: its shrinking
+  /// rectangle areas end it, and its set of seen states guards against a
+  /// cycle. Only the failover rebalancer (plan/rebalance.cpp) turns them
+  /// off, so that every push it applies lowers VoC.
   bool allowEqualVoC = true;
 };
 

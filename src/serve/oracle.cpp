@@ -215,7 +215,7 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
   return answer;
 }
 
-PlanResponse Oracle::finishResponse(const CanonicalKey& key, PlanAnswer answer,
+PlanResponse Oracle::finishResponse(std::string keyText, PlanAnswer answer,
                                     bool hit, bool coalesced,
                                     const PlanCallOptions& call,
                                     double latencySeconds,
@@ -235,7 +235,7 @@ PlanResponse Oracle::finishResponse(const CanonicalKey& key, PlanAnswer answer,
   response.cacheHit = hit;
   response.coalesced = coalesced;
   response.latencySeconds = latencySeconds;
-  response.key = key.text;
+  response.key = std::move(keyText);
   if (call.deadline.expired()) {
     response.deadlineExceeded = true;
     // The caller must never see a post-deadline answer without a mark. The
@@ -268,13 +268,15 @@ PlanResponse Oracle::finishResponse(const CanonicalKey& key, PlanAnswer answer,
 PlanResponse Oracle::plan(const PlanRequest& req,
                           const PlanCallOptions& call) {
   Stopwatch timer;
-  const CanonicalKey key = canonicalize(req);
+  CanonicalKey key = canonicalize(req);
 
   // Cache hits are served unconditionally: they cost microseconds and are
-  // exactly what admission control is trying to protect.
+  // exactly what admission control is trying to protect. Each return below
+  // hands the key text on to its response; nothing reads the key after.
   if (std::optional<PlanAnswer> cached = cache_.tryGet(key))
-    return finishResponse(key, *std::move(cached), /*hit=*/true,
-                          /*coalesced=*/false, call, timer.seconds());
+    return finishResponse(std::move(key.text), *std::move(cached),
+                          /*hit=*/true, /*coalesced=*/false, call,
+                          timer.seconds());
 
   AdmissionController::Permit permit(admission_, call.deadline);
   if (!permit.admitted()) {
@@ -287,7 +289,7 @@ PlanResponse Oracle::plan(const PlanRequest& req,
                               : ShedReason::kAdmissionTimeout;
     response.deadlineExceeded = call.deadline.expired();
     response.latencySeconds = timer.seconds();
-    response.key = key.text;
+    response.key = std::move(key.text);
     return response;
   }
 
@@ -319,13 +321,13 @@ PlanResponse Oracle::plan(const PlanRequest& req,
     spent.requestCancel();
     PlanAnswer answer = solveCanonical(key, spent, /*consultBreaker=*/false,
                                        /*consultAtlas=*/true);
-    return finishResponse(key, std::move(answer), /*hit=*/false,
-                          /*coalesced=*/true, call, timer.seconds(),
-                          /*freshFallback=*/true);
+    return finishResponse(std::move(key.text), std::move(answer),
+                          /*hit=*/false, /*coalesced=*/true, call,
+                          timer.seconds(), /*freshFallback=*/true);
   }
 
-  return finishResponse(key, outcome.answer, outcome.hit, outcome.coalesced,
-                        call, timer.seconds());
+  return finishResponse(std::move(key.text), outcome.answer, outcome.hit,
+                        outcome.coalesced, call, timer.seconds());
 }
 
 PlanAnswer Oracle::solveUncached(const PlanRequest& req) const {

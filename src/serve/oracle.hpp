@@ -272,8 +272,9 @@ class Oracle {
   /// Builds the response for a non-shed answer: latency, lateness marking,
   /// degradation counters, per-source accounting. `freshFallback` marks the
   /// coalesced-timeout path whose answer is a fresh solve, not the
-  /// leader's — it classifies by the answer, not as a cache serve.
-  PlanResponse finishResponse(const CanonicalKey& key, PlanAnswer answer,
+  /// leader's — it classifies by the answer, not as a cache serve. The
+  /// response takes `keyText`, the request's canonical key text.
+  PlanResponse finishResponse(std::string keyText, PlanAnswer answer,
                               bool hit, bool coalesced,
                               const PlanCallOptions& call,
                               double latencySeconds,

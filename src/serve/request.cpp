@@ -1,26 +1,70 @@
 #include "serve/request.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "model/models.hpp"
+#include "support/check.hpp"
+#include "support/csv.hpp"
 #include "support/fnv.hpp"
 
 namespace pushpart {
 
 namespace {
 
-/// Rounds to 6 significant decimals via text so the canonical ratio stored
-/// in the key struct is exactly the value the key text spells out (float
-/// noise from ratio division cannot split otherwise-equal cache entries).
-double roundForKey(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return std::strtod(buf, nullptr);
-}
+/// Spells a plan key in place. Any key fits: n has at most 7 digits, a
+/// speed at most 16 characters, the budget 11 and the seed 20. text() copies
+/// it out in one allocation of its exact size, so a response that keeps the
+/// text keeps no slack.
+class KeySpeller {
+ public:
+  void put(std::string_view s) {
+    PUSHPART_CHECK(s.size() <=
+                   static_cast<std::size_t>(std::end(buf_) - end_));
+    end_ = std::copy(s.begin(), s.end(), end_);
+  }
+  void put(char c) { put(std::string_view(&c, 1)); }
+
+  template <typename Int>
+  void putInt(Int v) {
+    end_ = std::to_chars(end_, std::end(buf_), v).ptr;
+  }
+
+  /// Rounds a canonical speed (finite, at least 1) to 6 significant
+  /// decimals via text, so the value stored in the key struct is exactly the
+  /// value the key spells out (float noise from ratio division cannot split
+  /// otherwise-equal cache entries), and puts that spelling. to_chars with a
+  /// precision writes what printf's "%.6g" writes in the C locale, and
+  /// from_chars parses it correctly rounded, as strtod does. The digits
+  /// spell the value as formatNumber would, except where "%.6g" switches to
+  /// an exponent for an integer formatNumber prints in full.
+  double putRounded(double v) {
+    char* const start = end_;
+    end_ = std::to_chars(start, std::end(buf_), v, std::chars_format::general,
+                         6)
+               .ptr;
+    double rounded = 0.0;
+    std::from_chars(start, end_, rounded);
+    if (rounded >= 1e6 && rounded == std::floor(rounded)) {
+      end_ = start;
+      put(formatNumber(rounded));
+    }
+    return rounded;
+  }
+
+  std::string text() const {
+    return std::string(buf_, static_cast<std::size_t>(end_ - buf_));
+  }
+
+ private:
+  char buf_[256];
+  char* end_ = buf_;
+};
 
 }  // namespace
 
@@ -59,13 +103,6 @@ CanonicalKey canonicalize(const PlanRequest& req) {
       canon.star.hub = Proc::R;
   }
 
-  // Scale-free speeds: fix s = 1 (the paper's normalization), then round so
-  // 6:3:3 and 2:1:1 produce byte-identical keys.
-  canon.ratio = canon.ratio.normalized();
-  canon.ratio.p = roundForKey(canon.ratio.p);
-  canon.ratio.r = roundForKey(canon.ratio.r);
-  canon.ratio.s = 1.0;
-
   // The hub only matters on a star network.
   if (canon.topology == Topology::kFullyConnected) canon.star.hub = Proc::P;
 
@@ -75,18 +112,35 @@ CanonicalKey canonicalize(const PlanRequest& req) {
     canon.searchSeed = 0;
   }
 
-  CanonicalKey key;
-  key.request = canon;
-  key.text = "plan/v1|n=" + std::to_string(canon.n) +
-             "|ratio=" + canon.ratio.str() +
-             "|algo=" + algoName(canon.algo) +
-             "|topo=" + topologyName(canon.topology) +
-             "|hub=" + std::string(1, procName(canon.star.hub)) +
-             "|tier=" + planTierName(canon.tier) +
-             "|runs=" + std::to_string(canon.searchRuns) +
-             "|seed=" + std::to_string(canon.searchSeed);
-  key.hash = fnv1a(key.text);
-  return key;
+  // Scale-free speeds: fix s = 1 (the paper's normalization), then round so
+  // 6:3:3 and 2:1:1 produce byte-identical keys. The key is spelled in one
+  // buffer as it is rounded.
+  canon.ratio = canon.ratio.normalized();
+  KeySpeller key;
+  key.put("plan/v1|n=");
+  key.putInt(canon.n);
+  key.put("|ratio=");
+  canon.ratio.p = key.putRounded(canon.ratio.p);
+  key.put(":");
+  canon.ratio.r = key.putRounded(canon.ratio.r);
+  key.put(":1|algo=");
+  key.put(algoName(canon.algo));
+  key.put("|topo=");
+  key.put(topologyName(canon.topology));
+  key.put("|hub=");
+  key.put(procName(canon.star.hub));
+  key.put("|tier=");
+  key.put(planTierName(canon.tier));
+  key.put("|runs=");
+  key.putInt(canon.searchRuns);
+  key.put("|seed=");
+  key.putInt(canon.searchSeed);
+
+  CanonicalKey out;
+  out.request = canon;
+  out.text = key.text();
+  out.hash = fnv1a(out.text);
+  return out;
 }
 
 }  // namespace pushpart

@@ -29,11 +29,6 @@ class EventQueue {
     heap_.push(Event{time, seq_++, std::move(cb)});
   }
 
-  /// Schedules `cb` `delay` seconds from now (delay >= 0).
-  void scheduleAfter(double delay, Callback cb) {
-    schedule(now_ + delay, std::move(cb));
-  }
-
   /// Executes the earliest pending event. Returns false when none remain.
   bool step() {
     if (heap_.empty()) return false;

@@ -1,7 +1,7 @@
 #include "support/csv.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 
 #include "support/check.hpp"
@@ -66,15 +66,17 @@ void CsvWriter::emit(const std::vector<std::string>& fields) {
 std::string formatNumber(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  // Integers up to 2^53 print exactly without a decimal point.
-  if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
+  // to_chars with a precision writes what printf writes in the C locale:
+  // integers up to 2^53 as "%.0f", exactly and without a decimal point, the
+  // rest as "%.6g".
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  const std::to_chars_result out =
+      v == std::floor(v) && std::fabs(v) < 9.0e15
+          ? std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed,
+                          0)
+          : std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, 6);
+  return std::string(buf, out.ptr);
 }
 
 }  // namespace pushpart

@@ -47,7 +47,6 @@ TEST(DriftOptionsTest, ValidateRejectsDegenerateKnobs) {
 
 TEST(DriftMonitorTest, FreshWithNoPlanAdopted) {
   const DriftMonitor monitor(optionsWithGap(5.0));
-  EXPECT_FALSE(monitor.hasPlan());
   const DriftVerdict verdict = monitor.evaluate(Ratio{5, 2, 1});
   EXPECT_FALSE(verdict.stale);
   EXPECT_EQ(verdict.reason, DriftReason::kNoPlan);

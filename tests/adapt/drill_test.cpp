@@ -36,7 +36,6 @@ TEST(RunDriftDrillTest, QuietScenarioScoresEveryPhaseWithNoReplans) {
   EXPECT_EQ(report.stats.replans, 0u);
   EXPECT_EQ(report.stats.invalidations, 0u);
   EXPECT_NEAR(report.regretFactor(), 1.0, 0.02);
-  EXPECT_TRUE(report.allReconverged());  // vacuously: no windows
   for (const DriftPhaseRecord& record : report.records) {
     EXPECT_GT(record.servedCost, 0.0);
     EXPECT_GT(record.bestCost, 0.0);

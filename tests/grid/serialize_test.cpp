@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <exception>
+#include <iostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "grid/builder.hpp"
+#include "shapes/candidates.hpp"
 #include "support/rng.hpp"
 #include "verify/generators.hpp"
 #include "verify/invariants.hpp"
+#include "../support/mutants.hpp"
 
 namespace pushpart {
 namespace {
@@ -91,6 +97,13 @@ TEST(SerializeTest, NonNumericOrJunkSizeLineRejected) {
   EXPECT_NE(loadErrorMessage("pushpart-partition v1\nn 3 junk\nPPP\n")
                 .find("trailing junk"),
             std::string::npos);
+  // Only the spelling savePartition writes reads: one space, plain digits.
+  for (const char* size : {"n  3", "n\t3", "n 03", "n +3", " n 3"})
+    EXPECT_NE(loadErrorMessage(std::string("pushpart-partition v1\n") + size +
+                               "\nPPP\nPPP\nPPP\n")
+                  .find("bad size line"),
+              std::string::npos)
+        << size;
 }
 
 TEST(SerializeTest, WrongRowLengthNamesTheRow) {
@@ -107,7 +120,7 @@ TEST(SerializeTest, TruncatedGridNamesTheShortfall) {
 }
 
 TEST(SerializeTest, CrlfAndTrailingBlanksAccepted) {
-  std::stringstream ss("pushpart-partition v1\nn 2\nPR\r\nPP \n");
+  std::stringstream ss("pushpart-partition v1\nn 2 \r\nPR\r\nPP \n");
   const auto q = loadPartition(ss);
   EXPECT_EQ(q.n(), 2);
   EXPECT_EQ(q.at(0, 1), Proc::R);
@@ -185,6 +198,65 @@ TEST(SerializePropertyTest, AnyTruncationInsideTheGridIsRejected) {
     EXPECT_THROW(loadPartition(truncated), std::runtime_error)
         << "cut at " << cut;
   }
+}
+
+/// The first `lines` lines of `text`, each without the trailing '\r',
+/// spaces and tabs the loader ignores, newline-terminated.
+std::string leadingLines(const std::string& text, long long lines) {
+  std::istringstream is(text);
+  std::string out, line;
+  for (long long i = 0; i < lines && std::getline(is, line); ++i) {
+    while (!line.empty() &&
+           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t'))
+      line.pop_back();
+    out += line + '\n';
+  }
+  return out;
+}
+
+TEST(SerializeTest, MutationSweepThrowsOrLoadsWhatTheMutantSpells) {
+  // Every single-bit flip, byte deletion, duplication and truncation, and
+  // every dropped or duplicated line of a saved candidate. loadPartition
+  // must either throw std::runtime_error, and nothing else, or return a
+  // grid whose saved text is the mutant's magic line, size line and n rows,
+  // up to the trailing whitespace the loader ignores; lines after the grid
+  // are not read. The format carries no checksum: 'P' and 'R', and 'R' and
+  // 'S', are one bit apart in ASCII, so a flipped cell can load a
+  // different, valid grid, and a duplicated row shifts the rows below it
+  // and pushes the last one out. The sweep counts those loads rather than
+  // hide them.
+  const Partition q =
+      makeCandidate(CandidateShape::kSquareRectangle, 12, Ratio{5, 2, 1});
+  std::ostringstream os;
+  savePartition(q, os);
+  const std::string text = os.str();
+  const std::vector<std::string> mutants = testing_mutants::mutantsOf(text);
+  EXPECT_EQ(mutants.size(), 2041u);
+  std::size_t refused = 0, sameGrid = 0, otherGrid = 0, bad = 0;
+  for (const std::string& mutant : mutants) {
+    std::istringstream in(mutant);
+    try {
+      const Partition back = loadPartition(in);
+      std::ostringstream saved;
+      savePartition(back, saved);
+      if (saved.str() != leadingLines(mutant, back.n() + 2)) {
+        if (bad++ == 0)
+          ADD_FAILURE() << "loaded a grid the mutant does not spell:\n"
+                        << mutant;
+      } else {
+        ++(back == q ? sameGrid : otherGrid);
+      }
+    } catch (const std::runtime_error&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      if (bad++ == 0) ADD_FAILURE() << "threw " << e.what() << ":\n" << mutant;
+    }
+  }
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(refused + sameGrid + otherGrid, mutants.size());
+  std::cout << mutants.size() << " mutants: " << refused << " refused, "
+            << sameGrid << " load the saved grid, " << otherGrid
+            << " load another grid\n";
 }
 
 }  // namespace

@@ -2,9 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "model/models.hpp"
+#include "support/fnv.hpp"
+#include "support/rng.hpp"
 
 namespace pushpart {
 namespace {
@@ -202,6 +214,169 @@ TEST(CanonicalizeTest, CanonicalRatioIsIdempotent) {
   EXPECT_EQ(once.text, twice.text);
   EXPECT_EQ(once.request.ratio, twice.request.ratio);
   EXPECT_EQ(once.hash, twice.hash);
+}
+
+// --- The key against its printf formulation ---------------------------------
+// canonicalize() rounds and spells the key with <charconv>. Every cached,
+// persisted and ring-routed key depends on its bytes, so they are pinned to
+// the formulation they replaced, kept here as the reference: "%.6g" through
+// snprintf and strtod back for the rounding, and the key concatenated from
+// std::to_string and a printf formatNumber.
+
+std::string printfFormatNumber(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 9.0e15)
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  else
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+double printfRound(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return std::strtod(buf, nullptr);
+}
+
+CanonicalKey printfCanonicalize(const PlanRequest& req) {
+  PlanRequest canon = req;
+  if (canon.ratio.r < canon.ratio.s) {
+    std::swap(canon.ratio.r, canon.ratio.s);
+    if (canon.star.hub == Proc::R)
+      canon.star.hub = Proc::S;
+    else if (canon.star.hub == Proc::S)
+      canon.star.hub = Proc::R;
+  }
+  canon.ratio = canon.ratio.normalized();
+  canon.ratio.p = printfRound(canon.ratio.p);
+  canon.ratio.r = printfRound(canon.ratio.r);
+  canon.ratio.s = 1.0;
+  if (canon.topology == Topology::kFullyConnected) canon.star.hub = Proc::P;
+  if (canon.tier == PlanTier::kFast) {
+    canon.searchRuns = 0;
+    canon.searchSeed = 0;
+  }
+  CanonicalKey key;
+  key.request = canon;
+  key.text = "plan/v1|n=" + std::to_string(canon.n) +
+             "|ratio=" + printfFormatNumber(canon.ratio.p) + ":" +
+             printfFormatNumber(canon.ratio.r) + ":" +
+             printfFormatNumber(canon.ratio.s) +
+             "|algo=" + algoName(canon.algo) +
+             "|topo=" + topologyName(canon.topology) +
+             "|hub=" + std::string(1, procName(canon.star.hub)) +
+             "|tier=" + planTierName(canon.tier) +
+             "|runs=" + std::to_string(canon.searchRuns) +
+             "|seed=" + std::to_string(canon.searchSeed);
+  key.hash = fnv1a(key.text);
+  return key;
+}
+
+/// Empty when `req` canonicalizes exactly as the reference does: the same
+/// request (ratio compared bit for bit), text and hash.
+std::string keyMismatch(const PlanRequest& req) {
+  const CanonicalKey got = canonicalize(req);
+  const CanonicalKey want = printfCanonicalize(req);
+  const auto bits = [](const Ratio& r) {
+    return std::array<std::uint64_t, 3>{std::bit_cast<std::uint64_t>(r.p),
+                                        std::bit_cast<std::uint64_t>(r.r),
+                                        std::bit_cast<std::uint64_t>(r.s)};
+  };
+  const PlanRequest& g = got.request;
+  const PlanRequest& w = want.request;
+  if (bits(g.ratio) != bits(w.ratio) || g.n != w.n || g.algo != w.algo ||
+      g.topology != w.topology || g.star.hub != w.star.hub ||
+      g.tier != w.tier || g.searchRuns != w.searchRuns ||
+      g.searchSeed != w.searchSeed || got.text != want.text ||
+      got.hash != want.hash)
+    return "request " + req.ratio.str() + " n=" + std::to_string(req.n) +
+           ": got " + got.text + ", want " + want.text;
+  return "";
+}
+
+TEST(CanonicalKeyBytesTest, EdgeValuesMatchThePrintfFormulation) {
+  // Rounding boundaries ("%.6g" carries 999999.5 up to 1e+06, which the key
+  // spells in full), halfway cases, the exponent-form integers on both sides
+  // of 9e15, and a quotient that overflows to inf.
+  const std::vector<double> edges = {
+      1.0,        1.0000004999, 1.0000005,  1.0000005001, 7.0 / 3.0,
+      10.0 / 3.0, 17.52136752,  99999.95,   123456.5,     999999.4,
+      999999.5,   999999.6,     1e6,        1e6 + 1.0,    1234565.0,
+      2.5e7 / 3.0, 9e15 - 2.0,  9e15,       9e15 + 2.0,   9007199254740993.0,
+      1e20,       1.0e300,      std::numeric_limits<double>::max()};
+  const std::vector<double> scales = {1.0, 3.0, 1.3, 1e-300, 0.1};
+  int checked = 0;
+  for (const double p : edges)
+    for (const double r : edges) {
+      if (r > p) continue;
+      for (const double s : scales) {
+        PlanRequest req;
+        req.ratio = Ratio{p * s, r * s, s};
+        if (!req.ratio.valid() || !std::isfinite(req.ratio.p)) continue;
+        EXPECT_EQ(keyMismatch(req), "");
+        std::swap(req.ratio.r, req.ratio.s);
+        EXPECT_EQ(keyMismatch(req), "");
+        checked += 2;
+      }
+    }
+  PlanRequest overflow;
+  overflow.ratio = Ratio{1e300, 1.0, 1e-300};  // p/s overflows to inf
+  EXPECT_EQ(keyMismatch(overflow), "");
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(CanonicalKeyBytesTest, RandomRequestsMatchThePrintfFormulation) {
+  // Speeds spread over e^±20 in both R/S orders, with every algorithm,
+  // topology, hub and tier, and random budgets and seeds.
+  Rng rng(20260923);
+  int mismatches = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    PlanRequest req;
+    req.n = static_cast<int>(rng.chance(0.5) ? rng.range(1, 4096)
+                                             : rng.range(1, kMaxModelN));
+    const double a = std::exp(rng.real() * 40.0 - 20.0);
+    const double b = std::exp(rng.real() * 40.0 - 20.0);
+    const double top = std::max(a, b);
+    req.ratio = Ratio{rng.chance(0.1) ? top : top * std::exp(rng.real() * 20.0),
+                      a, b};
+    req.algo = kAllAlgos[rng.below(kAllAlgos.size())];
+    req.topology = rng.chance(0.5) ? Topology::kStar : Topology::kFullyConnected;
+    req.star.hub = kAllProcs[rng.below(kAllProcs.size())];
+    req.tier = rng.chance(0.5) ? PlanTier::kSearch : PlanTier::kFast;
+    req.searchRuns = static_cast<int>(rng.range(1, 1'000'000));
+    req.searchSeed = rng();
+    const std::string mismatch = keyMismatch(req);
+    if (!mismatch.empty() && ++mismatches <= 5) ADD_FAILURE() << mismatch;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CanonicalKeyBytesTest, PinnedKeysAndHashes) {
+  // A rounded, rescaled tier-A request (CI checks the same key at the CLI)
+  // and a tier-B request whose rounded P is an integer past 1e6.
+  PlanRequest fast;
+  fast.n = 90;
+  fast.ratio = Ratio{22.7777777, 4.4, 1.3};
+  fast.algo = Algo::kSCO;
+  const CanonicalKey a = canonicalize(fast);
+  EXPECT_EQ(a.text,
+            "plan/v1|n=90|ratio=17.5214:3.38462:1|algo=SCO|"
+            "topo=fully-connected|hub=P|tier=fast|runs=0|seed=0");
+  EXPECT_EQ(a.hash, 0x00017f995e3a98e3ull);
+
+  PlanRequest search;
+  search.n = 90;
+  search.ratio = Ratio{2.5e7, 3, 3};
+  search.tier = PlanTier::kSearch;
+  search.searchRuns = 2;
+  search.searchSeed = 1;
+  const CanonicalKey b = canonicalize(search);
+  EXPECT_EQ(b.text,
+            "plan/v1|n=90|ratio=8333330:1:1|algo=SCB|topo=fully-connected|"
+            "hub=P|tier=search|runs=2|seed=1");
+  EXPECT_EQ(b.hash, 0xac3875d5275aca9bull);
 }
 
 }  // namespace

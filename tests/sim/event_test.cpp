@@ -33,7 +33,7 @@ TEST(EventQueueTest, CallbacksMayScheduleMoreEvents) {
   std::vector<double> times;
   q.schedule(1.0, [&] {
     times.push_back(q.now());
-    q.scheduleAfter(0.5, [&] { times.push_back(q.now()); });
+    q.schedule(q.now() + 0.5, [&] { times.push_back(q.now()); });
   });
   q.run();
   ASSERT_EQ(times.size(), 2u);

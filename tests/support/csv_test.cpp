@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace pushpart {
 namespace {
@@ -107,6 +113,45 @@ TEST(FormatNumberTest, SpecialValues) {
   EXPECT_EQ(formatNumber(std::numeric_limits<double>::quiet_NaN()), "nan");
   EXPECT_EQ(formatNumber(std::numeric_limits<double>::infinity()), "inf");
   EXPECT_EQ(formatNumber(-std::numeric_limits<double>::infinity()), "-inf");
+}
+
+TEST(FormatNumberTest, MatchesPrintf) {
+  // formatNumber writes with <charconv>; its bytes must stay those of the
+  // printf formulation it replaced ("%.0f" for integers below 9e15, "%.6g"
+  // otherwise): CSV rows, tables, Ratio::str() and the plan keys' large
+  // speeds are spelled with it.
+  const auto printfForm = [](double v) -> std::string {
+    if (std::isnan(v)) return "nan";
+    if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+    char buf[40];
+    if (v == std::floor(v) && std::fabs(v) < 9.0e15)
+      std::snprintf(buf, sizeof(buf), "%.0f", v);
+    else
+      std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 0.5, -0.5, 1e-50, 9e15 - 1.0, 9e15, 9e15 + 2.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min()};
+  Rng rng(7);
+  for (int i = 0; i < 100'000; ++i) {
+    const double sign = rng.chance(0.5) ? -1.0 : 1.0;
+    // Magnitudes from 1e-50 to 1e50, and integers from 1 to 1e17, which
+    // straddles the 9e15 switch from "%.0f" to "%.6g".
+    values.push_back(sign * std::pow(10.0, rng.real() * 100.0 - 50.0));
+    values.push_back(sign * std::round(std::pow(10.0, rng.real() * 17.0)));
+  }
+  for (std::int64_t k = -1000; k <= 1000; ++k)
+    values.push_back(9e15 + 2.0 * static_cast<double>(k));
+  int mismatches = 0;
+  for (const double v : values)
+    if (formatNumber(v) != printfForm(v) && ++mismatches <= 5)
+      ADD_FAILURE() << formatNumber(v) << " vs " << printfForm(v);
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace
