@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       opts.machine = machine;
       opts.verify = true;
       const ExecResult r = runParallelMMM(Algo::kSCB, q, opts);
-      allVerified = allVerified && r.maxAbsError < 1e-9;
+      allVerified = allVerified && r.verified && r.maxAbsError == 0.0;
       if (shape == CandidateShape::kSquareCorner) scComm = r.commSeconds;
       if (shape == CandidateShape::kBlockRectangle) brComm = r.commSeconds;
       char err[32];

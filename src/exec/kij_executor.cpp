@@ -243,14 +243,12 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
 
   // --- Verification ------------------------------------------------------
   if (options.verify) {
-    Rng checkRng(options.seed);
-    const Matrix refA = randomMatrix(n, checkRng);
-    const Matrix refB = randomMatrix(n, checkRng);
-    // The naive reference in one row band per worker: the workers have
-    // joined, so the check runs on as many threads as the product did. It
-    // stays bit-identical to multiplySerial and shares no code with the
-    // tiled kernel.
-    const Matrix ref = multiplySerialBanded(refA, refB, kNumProcs);
+    // The register-blocked reference in one row band per worker, on the
+    // same a and b the workers read: they are const, so the check multiplies
+    // exactly the product's inputs. The workers have joined, so it runs on
+    // as many threads as the product did. It is bit-identical to
+    // multiplySerial and shares no code with the tiled kernel.
+    const Matrix ref = multiplySerialBanded(a, b, kNumProcs);
     result.maxAbsError = maxAbsDiff(c, ref);
     result.verified = true;
   }

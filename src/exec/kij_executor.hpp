@@ -12,8 +12,11 @@
 // with the same column bounds) and computes them in 4 × 8 register tiles
 // over ascending blocks of 256 pivots; full tiles read their operands packed
 // contiguously. Every C element sums its n products in ascending k starting
-// from 0.0, as multiplySerial does, so the result is bit-identical to the
-// serial reference it is verified against. This is the repo's "real
+// from 0.0, as multiplySerial does, so the result is bit-identical to it.
+// The check recomputes the product from the same inputs with
+// multiplySerialBanded, a register-blocked reference that shares no code
+// with the tiles and also equals multiplySerial bit for bit, and compares
+// every element. This is the repo's "real
 // execution" substrate for the Fig. 14 analogue (bench/exec_mmm): wall-clock
 // times of Square-Corner vs Block-Rectangle under genuine threads, real
 // floating-point work and real sleep-based heterogeneity.
@@ -31,7 +34,9 @@ namespace pushpart {
 
 struct ExecOptions {
   Machine machine;          ///< ratio → per-thread throttle; α, T_send → comm phase.
-  bool verify = true;       ///< Check against multiplySerial (costs an O(N³) run).
+  /// Check every element against multiplySerialBanded on the same inputs,
+  /// which equals multiplySerial bit for bit (an O(N³) run on three threads).
+  bool verify = true;
   std::uint64_t seed = 1;   ///< Input matrix seed.
   /// Work quantum between throttle charges, in MAC operations. Charges land
   /// on register-tile boundaries: a worker charges after the first tile

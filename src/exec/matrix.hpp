@@ -1,9 +1,10 @@
 // Dense row-major matrices and a serial reference multiply.
 //
-// The executor (exec/kij_executor.hpp) validates its parallel result
-// element-for-element against multiplySerial — the ground truth the paper's
-// testbed got from ATLAS — computed in row bands on several threads
-// (multiplySerialBanded), which changes no bit of it.
+// multiplySerial, the plain kij loop, is the ground truth the paper's testbed
+// got from ATLAS. The executor (exec/kij_executor.hpp) validates its
+// parallel result element for element against multiplySerialBanded, which
+// computes the same product in row bands on several threads with C held in
+// registers, and changes no bit of it.
 #pragma once
 
 #include <cstddef>
@@ -45,12 +46,15 @@ Matrix randomMatrix(int n, Rng& rng);
 Matrix multiplySerial(const Matrix& a, const Matrix& b);
 
 /// multiplySerial split into `bands` row bands, one thread each (the caller
-/// computes the first). Every band runs the same naive kij loop over its
-/// rows, so each element still sums its products in ascending k from 0.0
-/// and the result is bit-identical to multiplySerial.
+/// computes the first). Each band computes its rows in 4 × 4 blocks of C
+/// held in registers across all n pivots, reading B from a packed 4-column
+/// panel; leftover rows and the last n mod 4 columns take narrower loops.
+/// Each element still sums its products in ascending k from 0.0, so the
+/// result is bit-identical to multiplySerial.
 Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands);
 
-/// Largest absolute elementwise difference.
+/// Largest absolute elementwise difference; NaN when any difference is NaN,
+/// so a NaN in either matrix never reads as a match.
 double maxAbsDiff(const Matrix& x, const Matrix& y);
 
 }  // namespace pushpart

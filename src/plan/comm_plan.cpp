@@ -13,11 +13,22 @@ std::vector<PivotTransfers> buildElementPlanRange(const Partition& q,
   PUSHPART_CHECK_MSG(firstPivot >= 0 && firstPivot <= n,
                      "firstPivot " << firstPivot << " outside [0, " << n
                                    << "]");
+  // At any pivot, row i's A element goes to the c_i − 1 owners of row i
+  // other than the one holding it, and column j's B element to c_j − 1
+  // owners, so every pivot sends Σ_i (c_i − 1) and Σ_j (c_j − 1) elements.
+  std::size_t aPerPivot = 0;
+  std::size_t bPerPivot = 0;
+  for (int line = 0; line < n; ++line) {
+    aPerPivot += static_cast<std::size_t>(q.procsInRow(line) - 1);
+    bPerPivot += static_cast<std::size_t>(q.procsInCol(line) - 1);
+  }
   std::vector<PivotTransfers> plan;
   plan.reserve(static_cast<std::size_t>(n - firstPivot));
   for (int k = firstPivot; k < n; ++k) {
     PivotTransfers step;
     step.pivot = k;
+    step.aColumn.reserve(aPerPivot);
+    step.bRow.reserve(bPerPivot);
     // A(i, k): needed by every processor computing C cells in row i.
     for (int i = 0; i < n; ++i) {
       const Proc owner = q.at(i, k);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -63,14 +66,17 @@ TEST(MultiplySerialTest, SizeMismatchRejected) {
 }
 
 TEST(MultiplySerialTest, BandedReferenceIsBitIdentical) {
-  // Three bands as the executor's check uses, plus more bands than rows;
-  // n = 1 and 2 leave some bands empty. Equality is exact, not a tolerance.
-  for (int n : {1, 2, 3, 7, 64, 129}) {
+  // One band, three as the executor's check uses, and five; n = 1 and 2
+  // leave some bands empty. The sizes cover every n mod 4 (the last
+  // partial column panel), band heights that are not multiples of 4 (the
+  // leftover rows) and n = 512, whose 4 KiB row stride aliases in cache.
+  // Equality is exact, not a tolerance.
+  for (int n : {1, 2, 3, 4, 5, 7, 8, 64, 129, 130, 131, 512}) {
     Rng rng(static_cast<std::uint64_t>(n));
     const Matrix a = randomMatrix(n, rng);
     const Matrix b = randomMatrix(n, rng);
     const Matrix serial = multiplySerial(a, b);
-    for (int bands : {3, 5}) {
+    for (int bands : {1, 3, 5}) {
       const Matrix banded = multiplySerialBanded(a, b, bands);
       for (int i = 0; i < n; ++i)
         for (int j = 0; j < n; ++j)
@@ -86,6 +92,19 @@ TEST(MaxAbsDiffTest, FindsWorstEntry) {
   y.at(1, 0) = 0.25;
   y.at(0, 1) = -0.5;
   EXPECT_DOUBLE_EQ(maxAbsDiff(x, y), 0.5);
+}
+
+TEST(MaxAbsDiffTest, NaNIsNeverAMatch) {
+  // A NaN in either operand, at the first cell or an interior one, must
+  // not read as a difference of 0 (std::max would keep the running worst).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [i, j] : {std::pair{0, 0}, std::pair{1, 2}})
+    for (bool inX : {true, false}) {
+      Matrix x(3, 0.5), y(3, 0.5);
+      (inX ? x : y).at(i, j) = nan;
+      EXPECT_TRUE(std::isnan(maxAbsDiff(x, y)))
+          << "NaN at (" << i << "," << j << ") in " << (inX ? "x" : "y");
+    }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
@@ -79,6 +81,51 @@ TEST(CommPlanTest, RandomPartitionsVerify) {
   for (int trial = 0; trial < 6; ++trial) {
     const auto q = randomPartition(16, Ratio{4, 2, 1}, rng);
     EXPECT_TRUE(verifyElementPlan(q, buildElementPlan(q)));
+  }
+}
+
+/// Checks the plan of the pivots [firstPivot, N) of `q` line by line: row
+/// i's A element goes to the c_i − 1 owners of row i other than the one
+/// holding it, and column j's B element to c_j − 1 owners, whatever the
+/// pivot. So every pivot sends the same two totals, and over the full plan
+/// N times their sum is Eq. 1's Volume of Communication.
+void expectLineCountTotals(const Partition& q, int firstPivot) {
+  std::size_t aWant = 0;
+  std::size_t bWant = 0;
+  for (int line = 0; line < q.n(); ++line) {
+    aWant += static_cast<std::size_t>(q.procsInRow(line) - 1);
+    bWant += static_cast<std::size_t>(q.procsInCol(line) - 1);
+  }
+  const auto plan = buildElementPlanRange(q, firstPivot);
+  std::int64_t total = 0;
+  for (const PivotTransfers& step : plan) {
+    EXPECT_EQ(step.aColumn.size(), aWant) << "pivot " << step.pivot;
+    EXPECT_EQ(step.bRow.size(), bWant) << "pivot " << step.pivot;
+    total += static_cast<std::int64_t>(step.size());
+  }
+  const auto pivots = static_cast<std::int64_t>(q.n() - firstPivot);
+  EXPECT_EQ(total, pivots * static_cast<std::int64_t>(aWant + bWant));
+  if (firstPivot == 0) {
+    EXPECT_EQ(total, q.volumeOfCommunication());
+  }
+}
+
+TEST(CommPlanTest, EveryPivotSendsTheLineCountTotals) {
+  for (CandidateShape shape : kAllCandidates)
+    for (const char* text : {"2:1:1", "5:2:1", "10:1:1"}) {
+      const Ratio ratio = Ratio::parse(text);
+      if (!candidateFeasible(shape, 30, ratio)) continue;
+      SCOPED_TRACE(std::string(candidateName(shape)) + " at " + text);
+      expectLineCountTotals(makeCandidate(shape, 30, ratio), 0);
+    }
+  Rng rng(18);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto q = randomPartition(16, Ratio{4, 2, 1}, rng);
+    for (int firstPivot : {0, 1, 7, 15, 16}) {
+      SCOPED_TRACE("random trial " + std::to_string(trial) +
+                   ", first pivot " + std::to_string(firstPivot));
+      expectLineCountTotals(q, firstPivot);
+    }
   }
 }
 
