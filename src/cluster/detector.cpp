@@ -55,9 +55,4 @@ NodeHealth FailureDetector::observe(int node, double now) {
   return next;
 }
 
-double FailureDetector::lastHeartbeatAt(int node) const {
-  PUSHPART_CHECK(node >= 0 && node < nodeCount());
-  return nodes_[static_cast<std::size_t>(node)].lastHeartbeat;
-}
-
 }  // namespace pushpart

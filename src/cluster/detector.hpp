@@ -71,7 +71,6 @@ class FailureDetector {
   /// suspicion/confirmation/recovery edges. Returns the new health.
   NodeHealth observe(int node, double now);
 
-  double lastHeartbeatAt(int node) const;
   int nodeCount() const { return static_cast<int>(nodes_.size()); }
 
   struct Counters {

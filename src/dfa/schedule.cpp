@@ -1,6 +1,5 @@
 #include "dfa/schedule.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "support/check.hpp"
@@ -45,16 +44,6 @@ Schedule Schedule::full(int owners) {
   for (Proc p : slowOwners(owners))
     for (Direction d : kAllDirections) out.slots.push_back({p, d});
   return out;
-}
-
-std::vector<Direction> Schedule::directionsFor(Proc p) const {
-  std::vector<Direction> dirs;
-  for (const auto& slot : slots) {
-    if (slot.active != p) continue;
-    if (std::find(dirs.begin(), dirs.end(), slot.dir) == dirs.end())
-      dirs.push_back(slot.dir);
-  }
-  return dirs;
 }
 
 std::string Schedule::str() const {

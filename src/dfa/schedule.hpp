@@ -39,9 +39,6 @@ struct Schedule {
   /// beautify-style full sweeps and tests.
   static Schedule full(int owners = kNumProcs);
 
-  /// The directions slot list mentions for `p` (deduplicated, stable order).
-  std::vector<Direction> directionsFor(Proc p) const;
-
   /// Human-readable, e.g. "R:Down R:Left S:Up" (owner ids in place of the
   /// letters past S).
   std::string str() const;

@@ -1,19 +1,57 @@
 // Communication metrics over a partition (paper Eqs. 1 and 6).
 //
-// Header-only templates over the O(1) counter API that Partition,
-// BitPartition (which forwards to its grid's counters) and LineCounts share,
-// so they evaluate any of the three: the directed pair volumes the five
-// performance models route (they sum to the Eq. 1 VoC, and a sender's row
-// sums to its send volume d_X), the rectangle tests of the beautify pass and
-// the bulk-overlap element count.
+// Header-only templates over the counter API that Partition, BitPartition
+// (which forwards to its grid's counters) and LineCounts share, so they
+// evaluate any of the three: the directed pair volumes the five performance
+// models route (they sum to the Eq. 1 VoC, and a sender's row sums to its
+// send volume d_X), the rectangle tests of the beautify pass and the
+// bulk-overlap element count. The line sums walk LineGroups: a LineCounts'
+// runs, or a grid's single lines, so they are written once for all three.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
+#include "grid/line_counts.hpp"
 #include "grid/partition.hpp"
 
 namespace pushpart {
+
+/// One axis of a state as groups of consecutive equal lines, in line order.
+/// A Partition or BitPartition lists each line as a group of one, read from
+/// its O(1) line counters; LineCounts lists its runs (the specialization
+/// below). A sum over the groups adds each group's term times its length.
+template <typename Q>
+class LineGroups {
+ public:
+  LineGroups(const Q& q, Axis axis) : q_(q), axis_(axis) {}
+  int size() const { return q_.n(); }
+  LineRun operator[](int k) const {
+    LineRun line{k, k + 1, {}};
+    for (Proc p : kAllProcs)
+      line.count[procSlot(p)] =
+          axis_ == Axis::kRows ? q_.rowCount(p, k) : q_.colCount(p, k);
+    return line;
+  }
+
+ private:
+  const Q& q_;
+  Axis axis_;
+};
+
+template <>
+class LineGroups<LineCounts> {
+ public:
+  LineGroups(const LineCounts& q, Axis axis) : runs_(q.runs(axis)) {}
+  int size() const { return static_cast<int>(runs_.size()); }
+  const LineRun& operator[](int g) const {
+    return runs_[static_cast<std::size_t>(g)];
+  }
+
+ private:
+  const std::vector<LineRun>& runs_;
+};
 
 /// Directed per-pair communication volumes under kij semantics.
 /// pairVolumes(q)[s][r] = elements processor s must send to processor r:
@@ -21,22 +59,22 @@ namespace pushpart {
 /// need it as the A(i,k)-pivot) or, separately, in column j (as the
 /// B(k,j)-pivot) — both uses counted, matching Eq. 1:
 ///   Σ_{s≠r} pairVolumes[s][r] == q.volumeOfCommunication().
-/// Diagonal entries are zero. Indexed by procIndex().
-/// O(N · kNumProcs²).
+/// Diagonal entries are zero. Indexed by procIndex(). One pass over each
+/// axis's line groups.
 template <typename Q>
 std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> pairVolumes(
     const Q& q) {
   std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> v{};
-  const int n = q.n();
-  for (Proc s : kAllProcs) {
-    for (Proc r : kAllProcs) {
-      if (s == r) continue;
-      std::int64_t total = 0;
-      for (int i = 0; i < n; ++i)
-        if (q.rowHas(r, i)) total += q.rowCount(s, i);
-      for (int j = 0; j < n; ++j)
-        if (q.colHas(r, j)) total += q.colCount(s, j);
-      v[procSlot(s)][procSlot(r)] = total;
+  for (Axis axis : {Axis::kRows, Axis::kCols}) {
+    const LineGroups<Q> groups(q, axis);
+    for (int g = 0; g < groups.size(); ++g) {
+      const LineRun& lines = groups[g];
+      for (Proc s : kAllProcs) {
+        const std::int64_t sent =
+            static_cast<std::int64_t>(lines.len()) * lines.count[procSlot(s)];
+        for (Proc r : kAllProcs)
+          if (r != s && lines.has(r)) v[procSlot(s)][procSlot(r)] += sent;
+      }
     }
   }
   return v;
@@ -93,17 +131,20 @@ bool isAsymptoticallyRectangular(const Q& q, Proc x) {
 /// bulk overlap (SCO/PCO): C(i,j) owned by X such that X owns *every* element
 /// of pivot row i and pivot column j it needs — i.e. rows i and columns j
 /// fully owned by X. Every cell of a full row is X's, so the count is
-/// (#rows X fully owns) × (#columns X fully owns). O(N).
+/// (#rows X fully owns) × (#columns X fully owns). One pass over each axis's
+/// line groups.
 template <typename Q>
 std::int64_t overlapElements(const Q& q, Proc x) {
-  const int n = q.n();
-  std::int64_t fullRows = 0;
-  std::int64_t fullCols = 0;
-  for (int k = 0; k < n; ++k) {
-    if (q.rowCount(x, k) == n) ++fullRows;
-    if (q.colCount(x, k) == n) ++fullCols;
-  }
-  return fullRows * fullCols;
+  const auto fullLines = [&](Axis axis) {
+    const LineGroups<Q> groups(q, axis);
+    std::int64_t full = 0;
+    for (int g = 0; g < groups.size(); ++g) {
+      const LineRun& lines = groups[g];
+      if (lines.count[procSlot(x)] == q.n()) full += lines.len();
+    }
+    return full;
+  };
+  return fullLines(Axis::kRows) * fullLines(Axis::kCols);
 }
 
 }  // namespace pushpart

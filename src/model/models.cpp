@@ -60,6 +60,8 @@ ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
                      "invalid machine ratio " << machine.ratio.str());
   const int n = q.n();
   const double tsend = machine.sendElementSeconds;
+  const LineGroups<Partition> rows(q, Axis::kRows);
+  const LineGroups<Partition> cols(q, Axis::kCols);
 
   double maxStep = 0.0;
   for (Proc x : kAllProcs)
@@ -73,7 +75,7 @@ ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
     const int blockEnd = std::min(n, k + blockSize);
     std::int64_t blockVolume = 0;
     for (int p = k; p < blockEnd; ++p)
-      blockVolume += detail::pioStepVolume(q, p, topology, star);
+      blockVolume += detail::pioStepVolume(n, rows[p], cols[p], topology, star);
     const double blockComm = tsend * static_cast<double>(blockVolume);
     // This block's exchange overlaps the *previous* block's compute.
     total += std::max(blockComm, maxStep * prevBlockSteps);

@@ -22,9 +22,10 @@
 // count relayed elements twice; parallel per-processor volumes charge the
 // hub with the forwarded traffic.
 //
-// evalModel reads only the counter API shared by Partition and LineCounts
-// (per-owner line counts, totals, c_i and c_j), so tier A ranks the
-// candidate shapes from their O(N) line counts without painting a grid.
+// evalModel reads only per-owner totals and the line groups of
+// grid/metrics.hpp (per-owner line counts, hence c_i and c_j), so tier A
+// ranks the candidate shapes from LineCounts' few runs without painting a
+// grid: its sums do not grow with N, except PIO's one add per pivot.
 #pragma once
 
 #include <algorithm>
@@ -69,20 +70,19 @@ CommVolumes routedVolumes(
     const std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>& v,
     Topology topology, StarConfig star);
 
-/// Elements moved at PIO pivot step k: N(c_k_row − 1) + N(c_k_col − 1) (Eq.
+/// Elements moved at a PIO pivot step whose pivot row holds `row`'s counts
+/// and whose pivot column holds `col`'s: N(c_row − 1) + N(c_col − 1) (Eq.
 /// 9). Under a star, spoke-owned pivot elements relayed to the other spoke
 /// are charged a second crossing (upper bound: every spoke pivot element
 /// forwarded).
-template <typename Q>
-std::int64_t pioStepVolume(const Q& q, int k, Topology topology,
-                           StarConfig star) {
-  const auto n = static_cast<std::int64_t>(q.n());
-  std::int64_t volume =
-      n * (q.procsInRow(k) - 1) + n * (q.procsInCol(k) - 1);
+inline std::int64_t pioStepVolume(std::int64_t n, const LineRun& row,
+                                  const LineRun& col, Topology topology,
+                                  StarConfig star) {
+  std::int64_t volume = n * (row.procs() - 1) + n * (col.procs() - 1);
   if (topology == Topology::kStar) {
     for (Proc x : kSlowProcs) {
       if (x == star.hub) continue;
-      volume += q.rowCount(x, k) + q.colCount(x, k);
+      volume += row.count[procSlot(x)] + col.count[procSlot(x)];
     }
   }
   return volume;
@@ -90,10 +90,12 @@ std::int64_t pioStepVolume(const Q& q, int k, Topology topology,
 
 }  // namespace detail
 
-/// Evaluates the Eq. 2–9 model for `algo` on `q` — a Partition, or any state
-/// with its read-only counter API, such as LineCounts. The partition's
-/// element counts drive computation time; its row/column occupancy drives
-/// communication. `machine.ratio` supplies processor speeds. O(N).
+/// Evaluates the Eq. 2–9 model for `algo` on `q` — a Partition, a
+/// BitPartition or a LineCounts. The partition's element counts drive
+/// computation time; its row/column occupancy drives communication.
+/// `machine.ratio` supplies processor speeds. The sums walk line groups
+/// (one per line of a grid, one per run of a LineCounts); PIO adds once per
+/// pivot besides.
 template <typename Q>
 ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
                       Topology topology = Topology::kFullyConnected,
@@ -160,19 +162,31 @@ ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
       break;
     case Algo::kPIO: {
       // Per-step comm: pivot row/column k changes owner mix per k (Eq. 9).
+      // Pivot k reads row k and column k, so the pivots up to the nearer
+      // end of their row group and column group share one step volume.
+      // They still add one at a time, in pivot order: adding v L times is
+      // not adding L·v in floating point.
+      const LineGroups<Q> rows(q, Axis::kRows);
+      const LineGroups<Q> cols(q, Axis::kCols);
       double total = 0.0;
-      for (int k = 0; k < n; ++k) {
+      double comm = 0.0;
+      for (int k = 0, r = 0, c = 0; k < n;) {
+        const LineRun& row = rows[r];
+        const LineRun& col = cols[c];
+        const int end = std::min(row.end, col.end);
         const double stepComm =
-            tsend *
-            static_cast<double>(detail::pioStepVolume(q, k, topology, star));
-        if (k == 0) {
-          total += stepComm;  // priming send
-        } else {
-          total += std::max(stepComm, maxStep);
+            tsend * static_cast<double>(
+                        detail::pioStepVolume(n, row, col, topology, star));
+        const double paced = std::max(stepComm, maxStep);
+        for (; k < end; ++k) {
+          total += k == 0 ? stepComm : paced;  // k = 0: the priming send
+          comm += stepComm;
         }
-        result.commSeconds += stepComm;
+        if (row.end == end) ++r;
+        if (col.end == end) ++c;
       }
       total += maxStep;  // the drain step computes the final pivot
+      result.commSeconds = comm;
       result.compSeconds = maxStep * n;
       result.execSeconds = total;
       break;

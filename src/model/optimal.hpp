@@ -23,8 +23,9 @@ struct RankedCandidate {
 /// All feasible candidates at integer granularity n, ranked by modeled
 /// execution time (ascending — best first). machine.ratio supplies the
 /// processor speeds and must match the shapes being compared. Each shape is
-/// modeled from its candidateLines — the painted grid's exact counters —
-/// in O(n). n above kMaxModelN fails a PUSHPART_CHECK.
+/// modeled from its candidateLines — the painted grid's exact counters, in
+/// at most nine runs per axis — in time that does not grow with n, apart
+/// from PIO's one add per pivot. n above kMaxModelN fails a PUSHPART_CHECK.
 std::vector<RankedCandidate> rankCandidates(
     Algo algo, int n, const Machine& machine,
     Topology topology = Topology::kFullyConnected, StarConfig star = {});

@@ -33,8 +33,9 @@
 // the far lane end (a partial column filled bottom-up), and an element
 // count: a stack of full lines plus one partial line. makeCandidate paints
 // the bands into a Partition. candidateLines turns the same bands into
-// per-owner row and column counts in O(N) (P takes the rest of each line),
-// which is all the models read; tier A ranks from those.
+// per-owner row and column counts (P takes the rest of each line), stored
+// as at most nine runs of equal lines per axis, which is all the models
+// read; tier A ranks from those.
 #pragma once
 
 #include <array>
@@ -90,8 +91,9 @@ bool candidateFeasible(CandidateShape shape, int n, const Ratio& ratio);
 Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio);
 
 /// The same shape as makeCandidate, seen only through its line counts:
-/// every counter the models read equals the painted grid's, at O(N) time and
-/// memory instead of O(N²). Throws std::invalid_argument when infeasible.
+/// every counter the models read equals the painted grid's. Its four
+/// rectangles leave at most nine runs per axis, so time and memory do not
+/// grow with N. Throws std::invalid_argument when infeasible.
 LineCounts candidateLines(CandidateShape shape, int n, const Ratio& ratio);
 
 /// The optimal corner split for the Rectangle-Corner shape: R's share of the

@@ -61,11 +61,6 @@ bool FaultInjector::aliveAt(Proc p, double t) const {
   return !(plan_.death && plan_.death->proc == p && t >= plan_.death->at);
 }
 
-std::optional<double> FaultInjector::deathTime(Proc p) const {
-  if (plan_.death && plan_.death->proc == p) return plan_.death->at;
-  return std::nullopt;
-}
-
 double FaultInjector::alphaFactorAt(double t) const {
   double f = 1.0;
   for (const LatencySpike& s : plan_.spikes)
@@ -146,15 +141,6 @@ bool ClusterFaultInjector::killedAt(int node, double t) const {
     if (!k.rejoinAt || t < *k.rejoinAt) return true;
   }
   return false;
-}
-
-std::optional<double> ClusterFaultInjector::rejoinTime(int node) const {
-  std::optional<double> earliest;
-  for (const NodeKill& k : plan_.kills)
-    if (k.node == node && k.rejoinAt &&
-        (!earliest || *k.rejoinAt < *earliest))
-      earliest = *k.rejoinAt;
-  return earliest;
 }
 
 bool ClusterFaultInjector::flappedDownAt(int node, double t) const {

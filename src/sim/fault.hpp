@@ -186,9 +186,6 @@ class FaultInjector {
   /// True when `p` has not died by time `t`.
   bool aliveAt(Proc p, double t) const;
 
-  /// Death instant of `p`, if the plan kills it.
-  std::optional<double> deathTime(Proc p) const;
-
   /// Product of the α inflation factors of all spikes active at `t`.
   double alphaFactorAt(double t) const;
   /// Product of the β inflation factors of all spikes active at `t`.
@@ -219,9 +216,6 @@ class ClusterFaultInjector {
 
   /// True when a NodeKill has `node` dead at `t` (killed, not yet rejoined).
   bool killedAt(int node, double t) const;
-
-  /// Earliest rejoin instant scheduled for `node`, if a kill has one.
-  std::optional<double> rejoinTime(int node) const;
 
   /// True when a flap window has `node` in a down phase at `t`.
   bool flappedDownAt(int node, double t) const;

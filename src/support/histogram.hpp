@@ -40,10 +40,6 @@ class LatencyHistogram {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
-
-    double meanSeconds() const {
-      return count == 0 ? 0.0 : sumSeconds / static_cast<double>(count);
-    }
   };
   Snapshot snapshot() const;
 

@@ -56,12 +56,6 @@ bool RatioInterval::contains(const Ratio& candidate) const {
   return c.p >= lo.p && c.p <= hi.p && c.r >= lo.r && c.r <= hi.r;
 }
 
-bool RatioInterval::nearTie() const {
-  const bool prOverlap = lo.p <= hi.r && lo.r <= hi.p;
-  const bool rsStraddle = lo.r <= 1.0 && 1.0 <= hi.r;
-  return prOverlap || rsStraddle;
-}
-
 RatioInterval inferRatioInterval(const Partition& q) {
   RatioInterval interval;
   interval.mid = inferRatio(q);  // shares the R/S > 0 precondition check

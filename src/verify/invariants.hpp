@@ -67,12 +67,6 @@ struct RatioInterval {
   /// True when `candidate` (normalized onto the s == 1 scale) lies inside
   /// the interval — the partition is consistent with that ratio.
   bool contains(const Ratio& candidate) const;
-
-  /// True when the counts cannot certify the canonical strict ordering:
-  /// the p and r intervals overlap, or the r interval straddles 1. A
-  /// near-tie warns consumers (e.g. a RatioEstimator cross-check) that the
-  /// inferred ordering may be a rounding artifact.
-  bool nearTie() const;
 };
 
 /// Interval-carrying companion of inferRatio: bounds from the floor-and-

@@ -49,20 +49,6 @@ TEST(ScheduleTest, RandomSchedulesVary) {
   EXPECT_GT(seen.size(), 50u);
 }
 
-TEST(ScheduleTest, DirectionsForDeduplicates) {
-  Schedule s;
-  s.slots = {{Proc::R, Direction::Down},
-             {Proc::S, Direction::Up},
-             {Proc::R, Direction::Down},
-             {Proc::R, Direction::Left}};
-  const auto dirs = s.directionsFor(Proc::R);
-  ASSERT_EQ(dirs.size(), 2u);
-  EXPECT_EQ(dirs[0], Direction::Down);
-  EXPECT_EQ(dirs[1], Direction::Left);
-  EXPECT_EQ(s.directionsFor(Proc::S).size(), 1u);
-  EXPECT_TRUE(s.directionsFor(Proc::P).empty());
-}
-
 TEST(ScheduleTest, StrFormat) {
   Schedule s;
   s.slots = {{Proc::R, Direction::Down}, {Proc::S, Direction::Left}};

@@ -161,9 +161,7 @@ TEST(FaultInjectorTest, DeathSemantics) {
   EXPECT_FALSE(injector.aliveAt(Proc::R, 5.0));
   EXPECT_FALSE(injector.aliveAt(Proc::R, 100.0));
   EXPECT_TRUE(injector.aliveAt(Proc::P, 100.0));
-  ASSERT_TRUE(injector.deathTime(Proc::R).has_value());
-  EXPECT_DOUBLE_EQ(*injector.deathTime(Proc::R), 5.0);
-  EXPECT_FALSE(injector.deathTime(Proc::S).has_value());
+  EXPECT_TRUE(injector.aliveAt(Proc::S, 100.0));
 }
 
 TEST(FaultInjectorTest, SpikeFactorsMultiplyInsideWindows) {
@@ -604,9 +602,6 @@ TEST(ClusterFaultInjectorTest, KillWindowCoversKillToRejoin) {
   EXPECT_TRUE(injector.killedAt(1, 4.999));
   EXPECT_FALSE(injector.killedAt(1, 5.0));  // rejoined
   EXPECT_FALSE(injector.killedAt(0, 3.0));  // other nodes untouched
-  ASSERT_TRUE(injector.rejoinTime(1).has_value());
-  EXPECT_DOUBLE_EQ(*injector.rejoinTime(1), 5.0);
-  EXPECT_FALSE(injector.rejoinTime(0).has_value());
 }
 
 TEST(ClusterFaultInjectorTest, PermanentKillNeverRejoins) {
@@ -615,7 +610,6 @@ TEST(ClusterFaultInjectorTest, PermanentKillNeverRejoins) {
   ClusterFaultInjector injector(plan, 2);
   EXPECT_TRUE(injector.killedAt(0, 1.0));
   EXPECT_TRUE(injector.killedAt(0, 1e9));
-  EXPECT_FALSE(injector.rejoinTime(0).has_value());
 }
 
 TEST(ClusterFaultInjectorTest, FlapAlternatesUpThenDownEachPeriod) {

@@ -15,7 +15,7 @@ TEST(LatencyHistogramTest, EmptyReportsZero) {
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.p99, 0.0);
-  EXPECT_EQ(s.meanSeconds(), 0.0);
+  EXPECT_EQ(s.sumSeconds, 0.0);
 }
 
 TEST(LatencyHistogramTest, PercentileWithinBucketResolution) {

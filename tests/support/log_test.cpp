@@ -80,7 +80,6 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch sw;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GE(sw.seconds(), 0.015);
-  EXPECT_GE(sw.millis(), 15.0);
 }
 
 TEST(StopwatchTest, ResetRestartsClock) {

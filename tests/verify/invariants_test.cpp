@@ -74,17 +74,6 @@ TEST(RatioIntervalTest, ExcludesDecisivelyDifferentRatios) {
   EXPECT_TRUE(interval.contains(Ratio{10, 4, 2}));
 }
 
-TEST(RatioIntervalTest, NearTieFlagsIndistinguishableOrderings) {
-  Rng rng(13);
-  // r == s: the counts cannot certify which slow processor is R, so the r
-  // interval must straddle 1.
-  const Partition tied = randomPartition(12, Ratio{2, 1, 1}, rng);
-  EXPECT_TRUE(inferRatioInterval(tied).nearTie());
-  // A decisively ordered ratio at the same n is not a near-tie.
-  const Partition apart = randomPartition(12, Ratio{5, 2, 1}, rng);
-  EXPECT_FALSE(inferRatioInterval(apart).nearTie());
-}
-
 // Cross-check with the adaptive loop's estimator: telemetry generated at the
 // partition's own ratio must yield a canonical estimate inside the interval
 // the partition's counts pin down.
