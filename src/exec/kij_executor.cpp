@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/kernels.hpp"
 #include "exec/throttle.hpp"
 #include "grid/metrics.hpp"
 #include "grid/rect.hpp"
@@ -17,10 +18,11 @@ namespace pushpart {
 
 namespace {
 
-/// Register tile of the kernel, and the pivot block the tiles of one
-/// rectangle sweep before moving on to the next block.
-constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileCols = 8;
+using kernels::kTileCols;
+using kernels::kTileRows;
+
+/// The pivot block the register tiles of one rectangle sweep before moving
+/// on to the next block.
 constexpr std::size_t kBlockK = 256;
 
 /// The cells `x` owns as disjoint rectangles: the maximal runs of x along
@@ -57,12 +59,14 @@ std::vector<Rect> ownedRects(const Partition& q, Proc x) {
   return done;
 }
 
-/// C += A·B over one pivot block for a full kTileRows × kTileCols tile
-/// whose operands are packed pivot-major: ap[k][r] = A(i + r, k0 + k) and
-/// bp[k][x] = B(k0 + k, j + x). `c` points at the tile's top-left element
-/// of C, whose rows are n apart. The accumulators stay in registers.
-void fullTile(const double* ap, const double* bp, std::size_t kc, double* c,
-              std::size_t n) {
+/// C += A·B over one pivot block for a full tile, as declared for
+/// kernels::fullTileBaseline. The accumulators stay in registers. Both
+/// entries below inline this one body, so the AVX2 build performs the same
+/// operations in the same order.
+[[gnu::always_inline]] inline void fullTileBody(const double* ap,
+                                                const double* bp,
+                                                std::size_t kc, double* c,
+                                                std::size_t n) {
   double acc[kTileRows][kTileCols];
   for (std::size_t r = 0; r < kTileRows; ++r)
     for (std::size_t x = 0; x < kTileCols; ++x) acc[r][x] = c[r * n + x];
@@ -135,7 +139,8 @@ void multiplyRect(const Matrix& a, const Matrix& b, Matrix& c,
         const std::size_t cols = std::min(kTileCols, col1 - j);
         double* ct = cData + i * n + j;
         if (rows == kTileRows && cols == kTileCols)
-          fullTile(aPack.data(), bPack.data() + (j - col0) * kc, kc, ct, n);
+          kernels::fullTile(aPack.data(), bPack.data() + (j - col0) * kc,
+                            kc, ct, n);
         else
           edgeTile(aData + i * n, bData + j, ct, n, rows, cols, k0, k1);
         afterTile(static_cast<std::int64_t>(rows * cols * kc));
@@ -168,6 +173,20 @@ double commPhaseSeconds(
 }
 
 }  // namespace
+
+void kernels::fullTileBaseline(const double* ap, const double* bp,
+                               std::size_t kc, double* c, std::size_t n) {
+  fullTileBody(ap, bp, kc, c, n);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void kernels::fullTileAvx2(const double* ap,
+                                                   const double* bp,
+                                                   std::size_t kc, double* c,
+                                                   std::size_t n) {
+  fullTileBody(ap, bp, kc, c, n);
+}
+#endif
 
 ExecResult runParallelMMM(Algo algo, const Partition& q,
                           const ExecOptions& options) {

@@ -11,8 +11,11 @@
 // its cells into rectangles (maximal row runs merged down consecutive rows
 // with the same column bounds) and computes them in 4 × 8 register tiles
 // over ascending blocks of 256 pivots; full tiles read their operands packed
-// contiguously. Every C element sums its n products in ascending k starting
-// from 0.0, as multiplySerial does, so the result is bit-identical to it.
+// contiguously, through the baseline or the AVX2 build of one kernel body,
+// chosen once per process from the CPU (exec/kernels.hpp). Every C element
+// sums its n products in ascending k starting from 0.0, as multiplySerial
+// does, with no fused multiply-add in either build, so the result is
+// bit-identical to it.
 // The check recomputes the product from the same inputs with
 // multiplySerialBanded, a register-blocked reference that shares no code
 // with the tiles and also equals multiplySerial bit for bit, and compares

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/kernels.hpp"
 #include "support/check.hpp"
 
 namespace pushpart {
@@ -35,15 +36,34 @@ void multiplyRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
 /// Side of the reference's register block, and width of its B panel.
 constexpr std::size_t kBlock = 4;
 
+/// acc += A(i.., k)·B(k, j..) for pivots [k0, k1) of one kBlock × kBlock
+/// block: `ai` points at the block's first row of A (rows n apart), `bp` at
+/// the packed panel. A function rather than a lambda, so that it can be
+/// always_inline into both entries' builds.
+[[gnu::always_inline]] inline void addPivots(double (&acc)[kBlock][kBlock],
+                                             const double* ai,
+                                             const double* bp, std::size_t n,
+                                             std::size_t k0, std::size_t k1) {
+  for (std::size_t k = k0; k < k1; ++k)
+    for (std::size_t r = 0; r < kBlock; ++r) {
+      const double aik = ai[r * n + k];
+      for (std::size_t x = 0; x < kBlock; ++x)
+        acc[r][x] += aik * bp[k * kBlock + x];
+    }
+}
+
 /// Rows [rowBegin, rowEnd) of C = A·B with C held in registers: each
 /// kBlock × kBlock block of C sums all n pivots in 16 accumulators, reading
 /// A's rows in place and B's columns from a kBlock-wide panel packed
 /// pivot-major, once per panel. Leftover rows take a 1 × kBlock loop on the
 /// same panel and the last n mod kBlock columns a scalar loop. Every element
 /// sums a(i,k)·b(k,j) over ascending k from 0.0, as multiplySerial does,
-/// so the rows equal its bit for bit.
-void referenceRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
-                   int rowEnd) {
+/// so the rows equal its bit for bit. Both entries below inline this one
+/// body.
+[[gnu::always_inline]] inline void referenceRowsBody(const Matrix& a,
+                                                     const Matrix& b,
+                                                     Matrix& c, int rowBegin,
+                                                     int rowEnd) {
   const auto n = static_cast<std::size_t>(a.n());
   const auto row0 = static_cast<std::size_t>(rowBegin);
   const auto row1 = static_cast<std::size_t>(rowEnd);
@@ -63,20 +83,12 @@ void referenceRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
     for (; i < blockRowsEnd; i += kBlock) {
       const double* ai = aData + i * n;
       double acc[kBlock][kBlock] = {};
-      const auto addPivots = [&](std::size_t k0, std::size_t k1) {
-        for (std::size_t k = k0; k < k1; ++k)
-          for (std::size_t r = 0; r < kBlock; ++r) {
-            const double aik = ai[r * n + k];
-            for (std::size_t x = 0; x < kBlock; ++x)
-              acc[r][x] += aik * bp[k * kBlock + x];
-          }
-      };
       // Two pivots per step: GCC then vectorizes each pivot across the
       // block's columns instead of pairing pivots through lane shuffles,
       // and the block ran about 1.4 times as fast.
       std::size_t k = 0;
-      for (; k + 2 <= n; k += 2) addPivots(k, k + 2);
-      addPivots(k, n);
+      for (; k + 2 <= n; k += 2) addPivots(acc, ai, bp, n, k, k + 2);
+      addPivots(acc, ai, bp, n, k, n);
       for (std::size_t r = 0; r < kBlock; ++r)
         for (std::size_t x = 0; x < kBlock; ++x)
           cData[(i + r) * n + j + x] = acc[r][x];
@@ -105,6 +117,21 @@ void referenceRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
 
 }  // namespace
 
+void kernels::referenceRowsBaseline(const Matrix& a, const Matrix& b,
+                                    Matrix& c, int rowBegin, int rowEnd) {
+  referenceRowsBody(a, b, c, rowBegin, rowEnd);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void kernels::referenceRowsAvx2(const Matrix& a,
+                                                        const Matrix& b,
+                                                        Matrix& c,
+                                                        int rowBegin,
+                                                        int rowEnd) {
+  referenceRowsBody(a, b, c, rowBegin, rowEnd);
+}
+#endif
+
 Matrix multiplySerial(const Matrix& a, const Matrix& b) {
   PUSHPART_CHECK(a.n() == b.n());
   Matrix c(a.n(), 0.0);
@@ -127,9 +154,10 @@ Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands) {
     threads.reserve(static_cast<std::size_t>(bands - 1));
     for (int band = 1; band < bands; ++band)
       threads.emplace_back([&, band] {
-        referenceRows(a, b, c, bandBegin(band), bandBegin(band + 1));
+        kernels::referenceRows(a, b, c, bandBegin(band),
+                               bandBegin(band + 1));
       });
-    referenceRows(a, b, c, 0, bandBegin(1));
+    kernels::referenceRows(a, b, c, 0, bandBegin(1));
   }
   return c;
 }

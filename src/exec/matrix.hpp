@@ -4,7 +4,9 @@
 // got from ATLAS. The executor (exec/kij_executor.hpp) validates its
 // parallel result element for element against multiplySerialBanded, which
 // computes the same product in row bands on several threads with C held in
-// registers, and changes no bit of it.
+// registers, and changes no bit of it. multiplySerial is compiled for the
+// baseline ISA only, so the chain of equalities ends in a loop that no AVX2
+// build rewrites.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +51,9 @@ Matrix multiplySerial(const Matrix& a, const Matrix& b);
 /// computes the first). Each band computes its rows in 4 × 4 blocks of C
 /// held in registers across all n pivots, reading B from a packed 4-column
 /// panel; leftover rows and the last n mod 4 columns take narrower loops.
-/// Each element still sums its products in ascending k from 0.0, so the
+/// Each band runs the baseline or the AVX2 build of one body, chosen once
+/// per process from the CPU (exec/kernels.hpp). Each element still sums its
+/// products in ascending k from 0.0, with no fused multiply-add, so the
 /// result is bit-identical to multiplySerial.
 Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands);
 

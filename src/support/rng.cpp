@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
@@ -28,35 +24,6 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  PUSHPART_CHECK(bound > 0);
-  // Lemire 2019: multiply-shift with rejection for exact uniformity.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   PUSHPART_CHECK(lo <= hi);
   const auto span =
@@ -64,11 +31,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   // span == 0 means the full 64-bit range [INT64_MIN, INT64_MAX].
   const std::uint64_t draw = (span == 0) ? (*this)() : below(span);
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + draw);
-}
-
-double Rng::real() {
-  // 53 high bits -> uniform double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::chance(double p) {
