@@ -57,6 +57,9 @@ class Partition {
   /// Owner of cell (i, j).
   Proc at(int i, int j) const { return cells_[index(i, j)]; }
 
+  /// The owners of row i's N cells, left to right (read-only).
+  const Proc* row(int i) const { return cells_.data() + index(i, 0); }
+
   /// Reassigns cell (i, j) to owner `p`, updating all counters.
   void set(int i, int j, Proc p);
 

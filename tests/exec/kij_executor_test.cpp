@@ -168,19 +168,28 @@ TEST(KijExecutorTest, ThrottlingSlowsWallClock) {
 TEST(KijExecutorTest, RatioSizedPartitionBalancesThrottledWorkers) {
   // When the partition matches the speed ratio, per-worker busy times divide
   // by speed and all throttled wall times roughly agree — heterogeneity
-  // works as designed. n = 480 makes the run last ~0.1 s, so one scheduler
-  // slice on a loaded machine cannot flip the comparison (at n = 160 the
-  // whole run took ~2 ms).
+  // works as designed. n = 960 makes a run last over 0.1 s with the AVX2
+  // tile (n = 480 took ~17 ms), and the median of three runs drops a run
+  // that one scheduler slice on a loaded machine has flipped.
   const Ratio ratio{4, 2, 1};
-  const auto q = makeCandidate(CandidateShape::kBlockRectangle, 480, ratio);
+  const auto q = makeCandidate(CandidateShape::kBlockRectangle, 960, ratio);
   auto opts = fastOptions(ratio);
   opts.verify = false;
-  const auto result = runParallelMMM(Algo::kPCB, q, opts);
+  std::vector<double> pRuns, sRuns;
+  for (int run = 0; run < 3; ++run) {
+    const auto result = runParallelMMM(Algo::kPCB, q, opts);
+    pRuns.push_back(result.computeSeconds[procSlot(Proc::P)]);
+    sRuns.push_back(result.computeSeconds[procSlot(Proc::S)]);
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[1];
+  };
   // P does 4/7 of the work at full speed; S does 1/7 at quarter speed.
   // Busy (pure compute) time of P should be ≈ 4× S's; allow generous noise
   // margin (sub-second timings on a shared machine).
-  const double pBusy = result.computeSeconds[procSlot(Proc::P)];
-  const double sBusy = result.computeSeconds[procSlot(Proc::S)];
+  const double pBusy = median(pRuns);
+  const double sBusy = median(sRuns);
   EXPECT_GT(pBusy, sBusy * 1.5);
 }
 

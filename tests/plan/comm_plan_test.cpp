@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "grid/builder.hpp"
 #include "shapes/candidates.hpp"
@@ -96,11 +97,17 @@ void expectLineCountTotals(const Partition& q, int firstPivot) {
     aWant += static_cast<std::size_t>(q.procsInRow(line) - 1);
     bWant += static_cast<std::size_t>(q.procsInCol(line) - 1);
   }
+  auto elements = [](const std::vector<BlockTransfer>& blocks) {
+    std::size_t sum = 0;
+    for (const BlockTransfer& t : blocks)
+      sum += static_cast<std::size_t>(t.count);
+    return sum;
+  };
   const auto plan = buildElementPlanRange(q, firstPivot);
   std::int64_t total = 0;
   for (const PivotTransfers& step : plan) {
-    EXPECT_EQ(step.aColumn.size(), aWant) << "pivot " << step.pivot;
-    EXPECT_EQ(step.bRow.size(), bWant) << "pivot " << step.pivot;
+    EXPECT_EQ(elements(step.aColumn), aWant) << "pivot " << step.pivot;
+    EXPECT_EQ(elements(step.bRow), bWant) << "pivot " << step.pivot;
     total += static_cast<std::int64_t>(step.size());
   }
   const auto pivots = static_cast<std::int64_t>(q.n() - firstPivot);

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -240,6 +247,43 @@ TEST(PersistTest, PublishIntoAMissingDirectoryThrowsAndCreatesNothing) {
   std::filesystem::remove_all(dir);
   EXPECT_THROW(publishFile(dir + "/file", "bytes\n"), std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(PersistTest, ShortWriteFailsAndKeepsTheOldFile) {
+  // A child process whose file-size limit is below the payload: its first
+  // write() returns short, the retry fails with EFBIG (SIGXFSZ ignored), and
+  // publishFile must throw before the rename. The child reports through its
+  // exit code: 0 for the expected error, 1 for another message, 2 when the
+  // publish succeeded, 3 when the limit could not be set.
+  const std::string path = ::testing::TempDir() + "/pushpart_persist_short";
+  publishFile(path, "old bytes\n");
+  const std::string payload(300, 'x');
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    limit.rlim_cur = 100;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    try {
+      publishFile(path, payload);
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      const bool expected =
+          what.find("cannot write " + path + ".tmp") != std::string::npos &&
+          what.find(std::strerror(EFBIG)) != std::string::npos;
+      ::_exit(expected ? 0 : 1);
+    }
+    ::_exit(2);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(readFile(path), "old bytes\n");
+  std::filesystem::remove(path);
 }
 
 TEST(PersistTest, FailedRenameRemovesTheTmpFile) {

@@ -979,11 +979,11 @@ int cmdCommPlan(const Flags& flags) {
     CsvWriter csv(flags.str("csv", ""),
                   {"pivot", "kind", "i", "j", "from", "to"});
     for (const auto& step : plan) {
-      for (const auto& t : step.aColumn)
+      for (const auto& t : step.aElements())
         csv.row({std::to_string(step.pivot), "A", std::to_string(t.i),
                  std::to_string(t.j), std::string(1, procName(t.from)),
                  std::string(1, procName(t.to))});
-      for (const auto& t : step.bRow)
+      for (const auto& t : step.bElements())
         csv.row({std::to_string(step.pivot), "B", std::to_string(t.i),
                  std::to_string(t.j), std::string(1, procName(t.from)),
                  std::string(1, procName(t.to))});
