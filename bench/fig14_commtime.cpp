@@ -64,11 +64,12 @@ int main(int argc, char** argv) {
     simOpts.machine = machine;
     if (candidateFeasible(CandidateShape::kSquareCorner, gridN, ratio)) {
       const auto q = makeCandidate(CandidateShape::kSquareCorner, gridN, ratio);
-      scGrid = commSeconds(Algo::kSCB, q, machine) * scale;
+      scGrid = evalModel(Algo::kSCB, q, machine).commSeconds * scale;
       scSim = simulateMMM(Algo::kSCB, q, simOpts).commSeconds * scale;
     }
     const auto br = makeCandidate(CandidateShape::kBlockRectangle, gridN, ratio);
-    const double brGrid = commSeconds(Algo::kSCB, br, machine) * scale;
+    const double brGrid =
+        evalModel(Algo::kSCB, br, machine).commSeconds * scale;
     const double brSim = simulateMMM(Algo::kSCB, br, simOpts).commSeconds * scale;
 
     if (std::isfinite(scClosed) && scClosed < brClosed && crossover < 0)

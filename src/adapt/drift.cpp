@@ -17,12 +17,9 @@ DriftMonitor::DriftMonitor(DriftOptions options) : options_(std::move(options)) 
   options_.validate();
 }
 
-void DriftMonitor::adopt(CandidateShape shape, const Ratio& plannedRatio,
-                         std::int64_t voc) {
+void DriftMonitor::adopt(CandidateShape shape, const Ratio& plannedRatio) {
   shape_ = shape;
-  plannedRatio_ = plannedRatio;
-  plannedCounts_ = plannedRatio.elementCounts(options_.n);
-  plannedVoc_ = voc;
+  frozen_ = candidateLines(shape, options_.n, plannedRatio);
   plannedI_ = plannedJ_ = -1;
   if (options_.atlas) {
     int i = -1, j = -1;
@@ -31,25 +28,31 @@ void DriftMonitor::adopt(CandidateShape shape, const Ratio& plannedRatio,
       plannedJ_ = j;
     }
   }
-  hasPlan_ = true;
 }
 
 double DriftMonitor::frozenCost(
     const std::array<double, kNumProcs>& logicalSpeed) const {
-  // Serial bulk communication + barrier + slowest-role compute: the SCB
-  // closed form evaluated on the plan's frozen counts. Each owned C element
-  // costs n multiply-accumulates.
-  double comm = options_.machine.sendElementSeconds *
-                static_cast<double>(plannedVoc_);
-  double comp = 0.0;
-  for (Proc x : kAllProcs) {
-    const double speed = logicalSpeed[procSlot(x)];
+  for (double speed : logicalSpeed)
     if (!(speed > 0.0)) return std::numeric_limits<double>::infinity();
-    const double macs = static_cast<double>(plannedCounts_[procSlot(x)]) *
-                        static_cast<double>(options_.n);
-    comp = std::max(comp, options_.machine.baseFlopSeconds * macs / speed);
-  }
-  return comm + comp;
+  // Roles fastest first; the stable sort keeps P ahead on ties. The role
+  // at rank k is priced as the model's owner of rank k.
+  std::array<Proc, kNumProcs> byRank = {Proc::P, Proc::R, Proc::S};
+  std::stable_sort(byRank.begin(), byRank.end(), [&](Proc a, Proc b) {
+    return logicalSpeed[procSlot(a)] > logicalSpeed[procSlot(b)];
+  });
+  std::array<Proc, kNumProcs> label{};
+  for (int rank = 0; rank < kNumProcs; ++rank)
+    label[procSlot(byRank[static_cast<std::size_t>(rank)])] =
+        ownerOfRank(rank, kNumProcs);
+  Machine machine = options_.machine;
+  machine.ratio = Ratio{logicalSpeed[procSlot(byRank[0])],
+                        logicalSpeed[procSlot(byRank[1])],
+                        logicalSpeed[procSlot(byRank[2])]};
+  StarConfig star = options_.star;
+  star.hub = label[procSlot(star.hub)];
+  return evalModel(options_.algo, frozen_->relabeled(label), machine,
+                   options_.topology, star)
+      .execSeconds;
 }
 
 DriftVerdict DriftMonitor::evaluate(const Ratio& canonicalEstimate) const {
@@ -62,7 +65,7 @@ DriftVerdict DriftMonitor::evaluate(
     const Ratio& canonicalEstimate,
     const std::array<double, kNumProcs>& logicalSpeed) const {
   DriftVerdict verdict;
-  if (!hasPlan_) return verdict;  // kNoPlan, fresh
+  if (!frozen_) return verdict;  // kNoPlan, fresh
   verdict.bestShape = shape_;
 
   const PlanAtlas* atlas = options_.atlas.get();
@@ -84,7 +87,7 @@ DriftVerdict DriftMonitor::evaluate(
   }
 
   // Re-cost the frozen plan at the estimated speeds against the best
-  // achievable plan there (both on the same closed-form structure).
+  // achievable plan there, both through evalModel.
   const Machine atEstimate = [&] {
     Machine m = options_.machine;
     m.ratio = canonicalEstimate;

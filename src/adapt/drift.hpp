@@ -19,21 +19,23 @@
 //      boundary-hugging ratio can hop cells all day without tripping this
 //      (that, plus the session's hysteresis, is the anti-thrash story).
 //   3. Re-cost gap (the fallback, and the only step when no atlas is
-//      loaded). Cost the *frozen* plan — its actual element counts and VoC,
-//      solved for the old ratio — at the estimated speeds, against the best
-//      achievable plan at the estimate (model/optimal.hpp). Stale when the
-//      gap exceeds staleGapPct. This is the predicate that catches
+//      loaded). Price the *frozen* plan — the served shape's candidateLines
+//      at the ratio it was solved for — at the estimated speeds, against
+//      the best achievable plan at the estimate (model/optimal.hpp). Stale
+//      when the gap exceeds staleGapPct. This is the predicate that catches
 //      same-winner share drift: the shape may still win, but the shares are
 //      wrong.
 //
-// The frozen-plan cost uses the SCB closed form (serial bulk communication
-// + slowest-processor compute) — the same structure selectOptimal models —
-// so the gap compares like against like.
+// Both sides are evalModel (model/models.hpp) under the session's
+// algorithm, topology and star hub, so the gap compares like against like
+// and reads exactly 0 at the planned ratio. evalModel needs P to be the
+// fastest, so the frozen plan's owners and the hub are first relabeled by
+// each role's current speed rank (ties keep P first).
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "atlas/atlas.hpp"
 #include "grid/ratio.hpp"
@@ -44,8 +46,9 @@
 namespace pushpart {
 
 struct DriftOptions {
-  /// Re-cost granularity and machine constants (machine.ratio is ignored —
-  /// the estimate supplies per-evaluation speeds).
+  /// Re-cost granularity, the session's model (algo, topology, star) and
+  /// machine constants (machine.ratio is ignored — the estimate supplies
+  /// per-evaluation speeds).
   int n = 96;
   Algo algo = Algo::kSCB;
   Topology topology = Topology::kFullyConnected;
@@ -105,11 +108,10 @@ class DriftMonitor {
  public:
   explicit DriftMonitor(DriftOptions options);
 
-  /// Records the plan the session just started executing: its shape, the
-  /// canonical ratio it was solved for (element shares follow from it), and
-  /// its measured VoC.
-  void adopt(CandidateShape shape, const Ratio& plannedRatio,
-             std::int64_t voc);
+  /// Records the plan the session just started executing: its canonical
+  /// shape and the canonical ratio it was solved for. The frozen plan is
+  /// candidateLines(shape, n, plannedRatio).
+  void adopt(CandidateShape shape, const Ratio& plannedRatio);
 
   /// Judges the adopted plan at the estimated speeds. `canonicalEstimate`
   /// is the estimator's sorted ratio (P_r >= R_r >= S_r = 1);
@@ -128,16 +130,13 @@ class DriftMonitor {
   const DriftOptions& options() const { return options_; }
 
  private:
-  /// Frozen-plan cost at the given logical speeds: serial bulk comm of the
-  /// plan's VoC plus the slowest role's compute time.
+  /// The frozen plan's modeled time with each role at its logical speed;
+  /// infinite when a speed is not positive.
   double frozenCost(const std::array<double, kNumProcs>& logicalSpeed) const;
 
   DriftOptions options_;
-  bool hasPlan_ = false;
   CandidateShape shape_ = CandidateShape::kSquareCorner;
-  Ratio plannedRatio_{2, 1, 1};
-  std::array<std::int64_t, kNumProcs> plannedCounts_{};
-  std::int64_t plannedVoc_ = 0;
+  std::optional<LineCounts> frozen_;  ///< Empty until a plan is adopted.
   int plannedI_ = -1;  ///< Atlas cell the plan's ratio maps to (-1 none).
   int plannedJ_ = -1;
 };

@@ -60,22 +60,6 @@ void DriftScenarioOptions::validate() const {
 
 namespace {
 
-/// The drill's single cost yardstick: serial bulk communication of the
-/// plan's VoC plus the slowest processor's compute time, at *absolute*
-/// speeds. Served and omniscient costs both go through here, so regret is a
-/// like-for-like ratio.
-double scbCost(const Machine& constants, std::int64_t voc,
-               const std::array<std::int64_t, kNumProcs>& counts,
-               const std::array<double, kNumProcs>& speed, int n) {
-  double comp = 0.0;
-  for (Proc x : kAllProcs) {
-    const std::size_t i = procSlot(x);
-    const double macs = static_cast<double>(counts[i]) * static_cast<double>(n);
-    comp = std::max(comp, constants.baseFlopSeconds * macs / speed[i]);
-  }
-  return constants.sendElementSeconds * static_cast<double>(voc) + comp;
-}
-
 /// Multiplicative reflection into [lo, hi] (steps are small relative to the
 /// band, so one bounce suffices).
 double reflect(double v, double lo, double hi) {
@@ -147,25 +131,21 @@ DriftDrillReport runDriftDrill(Oracle& oracle,
         rec.trueSpeed[i] = options.deadSpeedFloorFraction * fastestAlive;
     }
 
-    // Omniscient per-phase oracle: re-select the optimum at the exact true
-    // speeds and cost it with the drill's yardstick.
-    const Ratio truth = sortedRatio(rec.trueSpeed);
+    // Omniscient per-phase oracle: the optimum's modeled time at the exact
+    // true speeds.
     Machine atTruth = constants;
-    atTruth.ratio = truth;
+    atTruth.ratio = sortedRatio(rec.trueSpeed);
     const RankedCandidate best =
         selectOptimal(options.algo, options.n, atTruth,
                       sessionOptions.base.topology, sessionOptions.base.star);
-    {
-      // counts/speeds in logical role order: P fastest, R middle, S slowest.
-      const std::array<double, kNumProcs> speedByRole = {
-          truth.r, truth.s, truth.p};  // procSlot order R, S, P
-      rec.bestShape = best.shape;
-      rec.bestCost = scbCost(constants, best.voc, truth.elementCounts(options.n),
-                             speedByRole, options.n);
-    }
+    rec.bestShape = best.shape;
+    rec.bestCost = best.model.execSeconds;
 
-    // The served plan at the true speeds: frozen counts and VoC, each
-    // logical role running on the physical node the session assigned it.
+    // The served plan at the true speeds, each logical role running on the
+    // physical node the session assigned it. The simulator partitions by
+    // *logical* role, so its machine carries the per-role effective speeds;
+    // the model prices the served shape on the same machine, and the
+    // emitted sample is remapped back to physical nodes below.
     const PlanAnswer served = session.current().answer;
     const std::array<Proc, kNumProcs> order = session.planOrder();
     std::array<double, kNumProcs> speedByRole{};
@@ -173,17 +153,6 @@ DriftDrillReport runDriftDrill(Oracle& oracle,
       speedByRole[procSlot(kRoles[rank])] =
           rec.trueSpeed[procSlot(order[rank])];
     const Ratio plannedRatio = session.plannedRatio();
-    rec.servedShape = served.shape;
-    rec.servedCost =
-        scbCost(constants, served.voc, plannedRatio.elementCounts(options.n),
-                speedByRole, options.n);
-
-    // Execute one phase of the served plan through the simulator to produce
-    // the telemetry the session feeds on. The sim partitions by *logical*
-    // role, so its machine carries the per-role effective speeds and the
-    // emitted sample is remapped back to physical nodes below.
-    PhaseSample logical;
-    bool captured = false;
     SimOptions sim;
     sim.machine = constants;
     sim.machine.ratio = Ratio{speedByRole[procSlot(Proc::P)],
@@ -191,6 +160,17 @@ DriftDrillReport runDriftDrill(Oracle& oracle,
                               speedByRole[procSlot(Proc::S)]};
     sim.topology = sessionOptions.base.topology;
     sim.star = sessionOptions.base.star;
+    rec.servedShape = served.shape;
+    rec.servedCost =
+        evalModel(options.algo,
+                  candidateLines(served.shape, options.n, plannedRatio),
+                  sim.machine, sim.topology, sim.star)
+            .execSeconds;
+
+    // Execute one phase of the served plan through the simulator to produce
+    // the telemetry the session feeds on.
+    PhaseSample logical;
+    bool captured = false;
     sim.telemetry = [&](const PhaseSample& s) {
       logical = s;
       captured = true;

@@ -16,10 +16,11 @@
 //      session's planOrder, stamps ground-truth death (standing in for the
 //      cluster failure detector of src/cluster), and feeds it to the
 //      AdaptiveSession on a FakeClock advanced phaseSeconds per phase,
-//   4. scores the phase: the served plan's frozen counts and VoC costed at
-//      the true speeds, against an omniscient per-phase oracle that
-//      re-selects the optimal shape at the exact true speeds — both sides
-//      through the same SCB closed form, so regret compares like with like.
+//   4. scores the phase: the served shape at its planned ratio, priced by
+//      evalModel (model/models.hpp) on the per-role machine of step 2,
+//      against an omniscient per-phase oracle that re-selects the optimal
+//      shape at the exact true speeds — both sides under the drill's own
+//      algorithm and topology, so regret compares like with like.
 //
 // The self-checks (bench/drift_loadgen fails the run on any of them):
 //   * cumulative regret Σ servedCost / Σ omniscientCost stays within
@@ -98,9 +99,9 @@ struct DriftPhaseRecord {
   DriftReason reason = DriftReason::kNoPlan;
   bool replanned = false;
   CandidateShape servedShape = CandidateShape::kSquareCorner;
-  double servedCost = 0.0;     ///< Frozen plan at true speeds (SCB form).
+  double servedCost = 0.0;     ///< Frozen plan's modeled time at true speeds.
   CandidateShape bestShape = CandidateShape::kSquareCorner;
-  double bestCost = 0.0;       ///< Omniscient per-phase optimum, same form.
+  double bestCost = 0.0;       ///< Omniscient per-phase optimum, same model.
 };
 
 /// One fault window's recovery verdict.

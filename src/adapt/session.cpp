@@ -64,7 +64,7 @@ void AdaptiveSession::adoptLocked(const PlanResponse& response,
   current_ = response;
   plannedRatio_ = canonicalRatio;
   planOrder_ = order;
-  monitor_.adopt(response.answer.shape, canonicalRatio, response.answer.voc);
+  monitor_.adopt(response.answer.shape, canonicalRatio);
   started_ = true;
 }
 

@@ -9,8 +9,8 @@
 
 #include "exec/kernels.hpp"
 #include "exec/throttle.hpp"
-#include "grid/metrics.hpp"
 #include "grid/rect.hpp"
+#include "model/models.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
 
@@ -149,29 +149,6 @@ void multiplyRect(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-/// Emulated communication duration for the chosen schedule: one Hockney
-/// start-up plus every directed pair volume in series (SCB), or the busiest
-/// sender's volume (PCB).
-double commPhaseSeconds(
-    Algo algo,
-    const std::array<std::array<std::int64_t, kNumProcs>, kNumProcs>& v,
-    const Machine& m) {
-  if (algo == Algo::kSCB) {
-    std::int64_t total = 0;
-    for (const auto& row : v)
-      for (std::int64_t x : row) total += x;
-    return m.transferSeconds(total);
-  }
-  // PCB: per-sender volumes move in parallel.
-  double worst = 0.0;
-  for (Proc s : kAllProcs) {
-    std::int64_t mine = 0;
-    for (Proc r : kAllProcs) mine += v[procSlot(s)][procSlot(r)];
-    worst = std::max(worst, m.transferSeconds(mine));
-  }
-  return worst;
-}
-
 }  // namespace
 
 void kernels::fullTileBaseline(const double* ap, const double* bp,
@@ -209,10 +186,9 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
   Stopwatch wall;
 
   // --- Communication phase (emulated) -----------------------------------
-  const auto v = pairVolumes(q);
-  for (const auto& row : v)
-    for (std::int64_t x : row) result.commElements += x;
-  result.commSeconds = commPhaseSeconds(algo, v, options.machine);
+  result.commElements = q.volumeOfCommunication();
+  result.commSeconds = evalModel(algo, q, options.machine).commSeconds +
+                       options.machine.alphaSeconds;
 
   // --- Barrier, then parallel computation -------------------------------
   const double maxSpeed = options.machine.ratio.p;

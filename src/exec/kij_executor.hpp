@@ -3,10 +3,10 @@
 // Three worker threads stand in for the paper's three cluster nodes: each
 // computes exactly the C elements its processor owns in the partition, at a
 // speed emulated by a duty-cycle throttle (exec/throttle.hpp), after an
-// emulated communication phase. That phase is accounted, not slept: one
-// Hockney start-up α plus the partition's directed pair volumes at T_send
-// per element, all of them in series for SCB and the busiest sender's for
-// PCB, which is evalModel's comm term plus α. The phase is fault-free;
+// emulated communication phase. That phase is accounted, not slept: it is
+// evalModel's comm term (model/models.hpp) plus one Hockney start-up α,
+// i.e. the partition's directed pair volumes at T_send per element, all of
+// them in series for SCB and the busiest sender's for PCB. It is fault-free;
 // faults are studied in the simulator (sim/mmm_sim.hpp). Each worker splits
 // its cells into rectangles (maximal row runs merged down consecutive rows
 // with the same column bounds) and computes them in 4 × 8 register tiles

@@ -39,26 +39,10 @@ std::optional<FamilyRanked> bestFamilyCandidate(Algo algo, int n,
                                                 FamilySet selection,
                                                 Topology topology,
                                                 StarConfig star) {
-  // Streaming min — the full sort above is unnecessary for serving.
-  const std::int64_t bound = vocLowerBound(n, machine.ratio);
-  std::optional<FamilyRanked> best;
-  builtinFamilies().forEach(
-      n, machine.ratio, selection, [&](const FamilyCandidate& c) {
-        FamilyRanked r;
-        r.family = c.family;
-        r.name = c.name;
-        r.shape = c.shape;
-        r.model = evalModel(algo, c.partition, machine, topology, star);
-        r.voc = c.partition.volumeOfCommunication();
-        r.gapPct = optimalityGapPct(r.voc, bound);
-        const bool wins =
-            !best || r.model.execSeconds < best->model.execSeconds ||
-            (r.model.execSeconds == best->model.execSeconds &&
-             (r.family < best->family ||
-              (r.family == best->family && r.name < best->name)));
-        if (wins) best = std::move(r);
-      });
-  return best;
+  auto ranked =
+      rankFamilyCandidates(algo, n, machine, selection, topology, star);
+  if (ranked.empty()) return std::nullopt;
+  return std::move(ranked.front());
 }
 
 }  // namespace pushpart

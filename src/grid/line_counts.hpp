@@ -95,7 +95,30 @@ class LineCounts {
     return static_cast<std::int64_t>(n_) * (lineOwners - 2 * n_);
   }
 
+  /// The same lines with every cell of owner x given to label[procSlot(x)];
+  /// `label` must be a permutation of the owners.
+  LineCounts relabeled(const std::array<Proc, kNumProcs>& label) const {
+    PUSHPART_CHECK_MSG(label[0] != label[1] && label[0] != label[2] &&
+                           label[1] != label[2],
+                       "relabel is not a permutation of the owners");
+    LineCounts out = *this;
+    for (auto* runs : {&out.rows_, &out.cols_})
+      for (LineRun& run : *runs) run.count = permuted(run.count, label);
+    out.total_ = permuted(total_, label);
+    return out;
+  }
+
  private:
+  template <typename T>
+  static std::array<T, kNumProcs> permuted(
+      const std::array<T, kNumProcs>& byOwner,
+      const std::array<Proc, kNumProcs>& label) {
+    std::array<T, kNumProcs> out{};
+    for (Proc x : kAllProcs)
+      out[procSlot(label[procSlot(x)])] = byOwner[procSlot(x)];
+    return out;
+  }
+
   /// Moves `cells` cells of every line in [begin, end) from P to x.
   static void take(std::vector<LineRun>& runs, int begin, int end, Proc x,
                    int cells) {

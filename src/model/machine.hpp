@@ -33,12 +33,6 @@ struct Machine {
   /// Relative processor speeds.
   Ratio ratio{2, 1, 1};
 
-  /// Hockney transfer time for `elements` matrix elements in one message.
-  double transferSeconds(std::int64_t elements) const {
-    return alphaSeconds +
-           sendElementSeconds * static_cast<double>(elements);
-  }
-
   /// Seconds for processor x to perform `macs` multiply-accumulates.
   double computeSeconds(Proc x, std::int64_t macs) const {
     return baseFlopSeconds * static_cast<double>(macs) / ratio.speed(x);

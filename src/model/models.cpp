@@ -47,9 +47,21 @@ CommVolumes routedVolumes(
 
 }  // namespace detail
 
-double commSeconds(Algo algo, const Partition& q, const Machine& machine,
-                   Topology topology, StarConfig star) {
-  return evalModel(algo, q, machine, topology, star).commSeconds;
+ModelResult bulkResult(Algo algo, double commSeconds,
+                       const ComputeLoads& loads) {
+  PUSHPART_CHECK_MSG(algo != Algo::kPIO, "PIO has no bulk combine");
+  ModelResult result;
+  result.commSeconds = commSeconds;
+  if (algo == Algo::kSCB || algo == Algo::kPCB) {
+    result.compSeconds = loads.full;
+    result.execSeconds = commSeconds + loads.full;
+  } else {
+    result.overlapSeconds = loads.overlap;
+    result.compSeconds = loads.remainder;
+    result.execSeconds =
+        std::max(commSeconds, loads.overlap) + loads.remainder;
+  }
+  return result;
 }
 
 ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
@@ -63,9 +75,7 @@ ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
   const LineGroups<Partition> rows(q, Axis::kRows);
   const LineGroups<Partition> cols(q, Axis::kCols);
 
-  double maxStep = 0.0;
-  for (Proc x : kAllProcs)
-    maxStep = std::max(maxStep, machine.computeSeconds(x, q.count(x)));
+  const double maxStep = computeLoads(q, machine).step;
 
   ModelResult result;
   double total = 0.0;

@@ -26,6 +26,12 @@
 // grid/metrics.hpp (per-owner line counts, hence c_i and c_j), so tier A
 // ranks the candidate shapes from LineCounts' few runs without painting a
 // grid: its sums do not grow with N, except PIO's one add per pivot.
+//
+// This header is the one place where counts become seconds. The simulator
+// (sim/mmm_sim.hpp) takes the max_X terms from computeLoads and its
+// fault-free bulk finish from bulkResult, so at α = 0 it equals the model;
+// the executor's comm phase is evalModel's comm term plus α; the drift loop
+// (src/adapt) prices frozen and best plans with evalModel.
 #pragma once
 
 #include <algorithm>
@@ -90,6 +96,40 @@ inline std::int64_t pioStepVolume(std::int64_t n, const LineRun& row,
 
 }  // namespace detail
 
+/// The slowest owner's computation loads of a partition on a machine: the
+/// max_X terms of Eqs. 2–9. Each owned C element takes N MACs.
+struct ComputeLoads {
+  double full = 0.0;       ///< All owned elements (SCB/PCB).
+  double overlap = 0.0;    ///< Elements with local pivots (SCO/PCO o_X).
+  double remainder = 0.0;  ///< The rest (SCO/PCO rem_X).
+  double step = 0.0;       ///< One pivot step, one MAC per element (PIO).
+};
+
+/// computeLoads of `q` — a Partition, a BitPartition or a LineCounts — at
+/// `machine.ratio`'s speeds.
+template <typename Q>
+ComputeLoads computeLoads(const Q& q, const Machine& machine) {
+  const std::int64_t n = q.n();
+  ComputeLoads loads;
+  for (Proc x : kAllProcs) {
+    const std::int64_t owned = q.count(x);
+    const std::int64_t local = overlapElements(q, x);
+    loads.full = std::max(loads.full, machine.computeSeconds(x, owned * n));
+    loads.overlap =
+        std::max(loads.overlap, machine.computeSeconds(x, local * n));
+    loads.remainder = std::max(loads.remainder,
+                               machine.computeSeconds(x, (owned - local) * n));
+    loads.step = std::max(loads.step, machine.computeSeconds(x, owned));
+  }
+  return loads;
+}
+
+/// The bulk algorithms' combine of a communication time with the compute
+/// loads: comm + full behind a barrier (SCB, PCB), or max(comm, overlap) +
+/// remainder (SCO, PCO). PIO interleaves per pivot and has none.
+ModelResult bulkResult(Algo algo, double commSeconds,
+                       const ComputeLoads& loads);
+
 /// Evaluates the Eq. 2–9 model for `algo` on `q` — a Partition, a
 /// BitPartition or a LineCounts. The partition's element counts drive
 /// computation time; its row/column occupancy drives communication.
@@ -104,102 +144,49 @@ ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
   PUSHPART_CHECK_MSG(machine.ratio.valid(),
                      "invalid machine ratio " << machine.ratio.str());
   const int n = q.n();
-  const detail::CommVolumes vol =
-      detail::routedVolumes(pairVolumes(q), topology, star);
   const double tsend = machine.sendElementSeconds;
-
-  // Per-processor computation loads: each owned C element takes N MACs.
-  std::array<double, kNumProcs> compFull{};   // all owned elements
-  std::array<double, kNumProcs> compOverlap{};
-  std::array<double, kNumProcs> compRemainder{};
-  std::array<double, kNumProcs> compOneStep{};  // one pivot step (PIO)
-  for (Proc x : kAllProcs) {
-    const auto xi = procSlot(x);
-    const std::int64_t owned = q.count(x);
-    compFull[xi] = machine.computeSeconds(x, owned * n);
-    const std::int64_t local = overlapElements(q, x);
-    compOverlap[xi] = machine.computeSeconds(x, local * n);
-    compRemainder[xi] = machine.computeSeconds(x, (owned - local) * n);
-    compOneStep[xi] = machine.computeSeconds(x, owned);
+  const ComputeLoads loads = computeLoads(q, machine);
+  if (algo != Algo::kPIO) {
+    const detail::CommVolumes vol =
+        detail::routedVolumes(pairVolumes(q), topology, star);
+    double comm = 0.0;
+    if (algo == Algo::kSCB || algo == Algo::kSCO)
+      comm = tsend * static_cast<double>(vol.serialTotal);
+    else
+      for (auto d : vol.perProc)
+        comm = std::max(comm, tsend * static_cast<double>(d));
+    return bulkResult(algo, comm, loads);
   }
-  const double maxFull = *std::max_element(compFull.begin(), compFull.end());
-  const double maxOverlap =
-      *std::max_element(compOverlap.begin(), compOverlap.end());
-  const double maxRemainder =
-      *std::max_element(compRemainder.begin(), compRemainder.end());
-  const double maxStep =
-      *std::max_element(compOneStep.begin(), compOneStep.end());
 
-  const double serialComm =
-      tsend * static_cast<double>(vol.serialTotal);
-  double parallelComm = 0.0;
-  for (auto d : vol.perProc)
-    parallelComm = std::max(parallelComm, tsend * static_cast<double>(d));
-
+  // PIO. Per-step comm: pivot row/column k changes owner mix per k (Eq. 9).
+  // Pivot k reads row k and column k, so the pivots up to the nearer end of
+  // their row group and column group share one step volume. They still add
+  // one at a time, in pivot order: adding v L times is not adding L·v in
+  // floating point.
+  const LineGroups<Q> rows(q, Axis::kRows);
+  const LineGroups<Q> cols(q, Axis::kCols);
   ModelResult result;
-  switch (algo) {
-    case Algo::kSCB:
-      result.commSeconds = serialComm;
-      result.compSeconds = maxFull;
-      result.execSeconds = serialComm + maxFull;
-      break;
-    case Algo::kPCB:
-      result.commSeconds = parallelComm;
-      result.compSeconds = maxFull;
-      result.execSeconds = parallelComm + maxFull;
-      break;
-    case Algo::kSCO:
-      result.commSeconds = serialComm;
-      result.overlapSeconds = maxOverlap;
-      result.compSeconds = maxRemainder;
-      result.execSeconds = std::max(serialComm, maxOverlap) + maxRemainder;
-      break;
-    case Algo::kPCO:
-      result.commSeconds = parallelComm;
-      result.overlapSeconds = maxOverlap;
-      result.compSeconds = maxRemainder;
-      result.execSeconds = std::max(parallelComm, maxOverlap) + maxRemainder;
-      break;
-    case Algo::kPIO: {
-      // Per-step comm: pivot row/column k changes owner mix per k (Eq. 9).
-      // Pivot k reads row k and column k, so the pivots up to the nearer
-      // end of their row group and column group share one step volume.
-      // They still add one at a time, in pivot order: adding v L times is
-      // not adding L·v in floating point.
-      const LineGroups<Q> rows(q, Axis::kRows);
-      const LineGroups<Q> cols(q, Axis::kCols);
-      double total = 0.0;
-      double comm = 0.0;
-      for (int k = 0, r = 0, c = 0; k < n;) {
-        const LineRun& row = rows[r];
-        const LineRun& col = cols[c];
-        const int end = std::min(row.end, col.end);
-        const double stepComm =
-            tsend * static_cast<double>(
-                        detail::pioStepVolume(n, row, col, topology, star));
-        const double paced = std::max(stepComm, maxStep);
-        for (; k < end; ++k) {
-          total += k == 0 ? stepComm : paced;  // k = 0: the priming send
-          comm += stepComm;
-        }
-        if (row.end == end) ++r;
-        if (col.end == end) ++c;
-      }
-      total += maxStep;  // the drain step computes the final pivot
-      result.commSeconds = comm;
-      result.compSeconds = maxStep * n;
-      result.execSeconds = total;
-      break;
+  double total = 0.0;
+  for (int k = 0, r = 0, c = 0; k < n;) {
+    const LineRun& row = rows[r];
+    const LineRun& col = cols[c];
+    const int end = std::min(row.end, col.end);
+    const double stepComm =
+        tsend * static_cast<double>(
+                    detail::pioStepVolume(n, row, col, topology, star));
+    const double paced = std::max(stepComm, loads.step);
+    for (; k < end; ++k) {
+      total += k == 0 ? stepComm : paced;  // k = 0: the priming send
+      result.commSeconds += stepComm;
     }
+    if (row.end == end) ++r;
+    if (col.end == end) ++c;
   }
+  total += loads.step;  // the drain step computes the final pivot
+  result.compSeconds = loads.step * n;
+  result.execSeconds = total;
   return result;
 }
-
-/// Communication seconds only (the Fig. 14 quantity) — the comm term of the
-/// chosen algorithm's model.
-double commSeconds(Algo algo, const Partition& q, const Machine& machine,
-                   Topology topology = Topology::kFullyConnected,
-                   StarConfig star = {});
 
 /// Blocked PIO (paper §II: data is sent "a row and a column — or k rows and
 /// columns — at a time"): pivots are grouped into blocks of `blockSize`;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "grid/metrics.hpp"
+#include "model/models.hpp"
 #include "plan/rebalance.hpp"
 #include "support/check.hpp"
 
@@ -53,33 +54,6 @@ PairVolumes pivotVolumes(const Partition& q, int begin, int end) {
           if (q.at(k, j) == s && q.colHas(r, j)) ++volume;  // B(k,j) pivots
       }
   return out;
-}
-
-struct CompLoads {
-  double full[kNumProcs];       // all owned elements, N MACs each
-  double overlap[kNumProcs];    // fully-local elements
-  double remainder[kNumProcs];  // full − overlap
-  double oneStep[kNumProcs];    // one MAC per owned element
-  double maxFull = 0, maxOverlap = 0, maxRemainder = 0, maxStep = 0;
-};
-
-CompLoads computeLoads(const Partition& q, const Machine& m) {
-  CompLoads loads{};
-  const int n = q.n();
-  for (Proc x : kAllProcs) {
-    const auto xi = procSlot(x);
-    const std::int64_t owned = q.count(x);
-    const std::int64_t local = overlapElements(q, x);
-    loads.full[xi] = m.computeSeconds(x, owned * n);
-    loads.overlap[xi] = m.computeSeconds(x, local * n);
-    loads.remainder[xi] = m.computeSeconds(x, (owned - local) * n);
-    loads.oneStep[xi] = m.computeSeconds(x, owned);
-    loads.maxFull = std::max(loads.maxFull, loads.full[xi]);
-    loads.maxOverlap = std::max(loads.maxOverlap, loads.overlap[xi]);
-    loads.maxRemainder = std::max(loads.maxRemainder, loads.remainder[xi]);
-    loads.maxStep = std::max(loads.maxStep, loads.oneStep[xi]);
-  }
-  return loads;
 }
 
 /// Aggregate verdict of one reliable communication phase.
@@ -154,7 +128,7 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
   Network net(events, options.machine, options.topology, options.star,
               injector);
   const Machine& m = options.machine;
-  const CompLoads loads = computeLoads(q, m);
+  const ComputeLoads loads = computeLoads(q, m);
   const int n = q.n();
 
   const bool hasDeath = options.faults.death.has_value();
@@ -205,7 +179,7 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
   if (algo == Algo::kPIO) {
     PUSHPART_CHECK(options.pioBlockSize >= 1);
     Partition cur = q;
-    CompLoads curLoads = loads;
+    ComputeLoads curLoads = loads;
     double t = 0.0;
     int prevBlockSteps = 0;
     bool failedOver = false;
@@ -215,7 +189,7 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
         // Finish the owed previous-block computation, then fail over from
         // the current pivot: refetch the lost panels and let the remaining
         // loop iterations replay pivots [k, n) under the new partition.
-        const double pending = t + curLoads.maxStep * prevBlockSteps;
+        const double pending = t + curLoads.step * prevBlockSteps;
         const double tDet =
             std::max(pending, deathAt + options.retry.timeoutSeconds);
         auto reb = startFailover(tDet, k, cur);
@@ -253,11 +227,11 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
         t = std::max(t, block.done);
         continue;
       }
-      t = std::max(block.done, t + curLoads.maxStep * prevBlockSteps);
+      t = std::max(block.done, t + curLoads.step * prevBlockSteps);
       prevBlockSteps = blockEnd - k;
       k = blockEnd;
     }
-    t += curLoads.maxStep * prevBlockSteps;
+    t += curLoads.step * prevBlockSteps;
     if (hasDeath && !failedOver && deathAt < t) {
       // Death during the final drain: all pivot data was exchanged, but the
       // dead processor's C contributions are lost. Failover at pivot n:
@@ -282,7 +256,7 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
     double nicBusy = 0.0;
     for (double b : net.stats().nicBusySeconds) nicBusy += b;
     result.commSeconds = nicBusy;
-    result.compSeconds = curLoads.maxStep * n;
+    result.compSeconds = curLoads.step * n;
     result.execSeconds = t;
     result.network = net.stats();
     return result;
@@ -290,7 +264,6 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
 
   // --- Bulk algorithms (SCB/PCB/SCO/PCO) --------------------------------
   const bool serialFamily = algo == Algo::kSCB || algo == Algo::kSCO;
-  const bool overlapFamily = algo == Algo::kSCO || algo == Algo::kPCO;
   const auto messages = chunkedMessages(pairVolumes(q), options.chunksPerPair);
   const PhaseOutcome comm =
       serialFamily
@@ -299,18 +272,12 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
   result.commSeconds = comm.done;
   if (comm.abandoned) return failAt(comm.done);
 
-  const double idealFinish =
-      overlapFamily ? std::max(comm.done, loads.maxOverlap) + loads.maxRemainder
-                    : comm.done + loads.maxFull;
-
-  if (!hasDeath || (!comm.peerDead && deathAt >= idealFinish)) {
-    if (overlapFamily) {
-      result.overlapSeconds = loads.maxOverlap;
-      result.compSeconds = loads.maxRemainder;
-    } else {
-      result.compSeconds = loads.maxFull;
-    }
-    result.execSeconds = idealFinish;
+  // The fault-free finish is the model's combine of the simulated comm.
+  const ModelResult ideal = bulkResult(algo, comm.done, loads);
+  if (!hasDeath || (!comm.peerDead && deathAt >= ideal.execSeconds)) {
+    result.overlapSeconds = ideal.overlapSeconds;
+    result.compSeconds = ideal.compSeconds;
+    result.execSeconds = ideal.execSeconds;
     result.network = net.stats();
     return result;
   }
@@ -323,9 +290,8 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
       std::max(comm.done, deathAt + options.retry.timeoutSeconds);
   // Progress pivot under the barrier view of the compute phase.
   int kStar = n;
-  if (loads.maxFull > 0.0) {
-    const double f =
-        std::clamp((tDet - comm.done) / loads.maxFull, 0.0, 1.0);
+  if (loads.full > 0.0) {
+    const double f = std::clamp((tDet - comm.done) / loads.full, 0.0, 1.0);
     kStar = std::min(n, static_cast<int>(static_cast<double>(n) * f));
   }
   auto reb = startFailover(tDet, kStar, q);

@@ -7,9 +7,11 @@
 // computation at the ratio-scaled speeds. Unlike the closed-form models
 // (model/models.hpp) it accounts for per-message latency α, per-transfer
 // chunking, NIC serialization and star store-and-forward — the effects a
-// real cluster adds on top of Eqs. 2–9. With α = 0 and one chunk per
-// transfer the simulation collapses to the analytic model (asserted in
-// tests/sim/mmm_sim_test.cpp).
+// real cluster adds on top of Eqs. 2–9. Computation is the model's own: the
+// slowest owner's loads come from computeLoads, and a fault-free bulk run
+// finishes at bulkResult of its simulated comm time. So with α = 0 and one
+// chunk per transfer the simulation collapses to the analytic model
+// (asserted in tests/sim/mmm_sim_test.cpp).
 #pragma once
 
 #include "grid/partition.hpp"

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <stdexcept>
 
 #include "model/optimal.hpp"
+#include "../support/algo_print.hpp"
 
 namespace pushpart {
 namespace {
@@ -25,7 +27,7 @@ CandidateShape adoptOptimalAt(DriftMonitor& monitor, const Ratio& ratio) {
   const RankedCandidate best =
       selectOptimal(monitor.options().algo, monitor.options().n, machine,
                     monitor.options().topology, monitor.options().star);
-  monitor.adopt(best.shape, ratio, best.voc);
+  monitor.adopt(best.shape, ratio);
   return best.shape;
 }
 
@@ -52,17 +54,28 @@ TEST(DriftMonitorTest, FreshWithNoPlanAdopted) {
   EXPECT_EQ(verdict.reason, DriftReason::kNoPlan);
 }
 
-TEST(DriftMonitorTest, FreshAtThePlannedRatio) {
-  DriftMonitor monitor(optionsWithGap(5.0));
+// --- Every algorithm: the re-cost is the session's own model ---------------
+
+DriftOptions optionsFor(Algo algo) {
+  DriftOptions options = optionsWithGap(5.0);
+  options.algo = algo;
+  return options;
+}
+
+class DriftMonitorAlgoTest : public ::testing::TestWithParam<Algo> {};
+
+TEST_P(DriftMonitorAlgoTest, FreshAtThePlannedRatio) {
+  DriftMonitor monitor(optionsFor(GetParam()));
   adoptOptimalAt(monitor, Ratio{5, 2, 1});
   const DriftVerdict verdict = monitor.evaluate(Ratio{5, 2, 1});
   EXPECT_FALSE(verdict.stale);
   EXPECT_EQ(verdict.reason, DriftReason::kRecostOk);
-  EXPECT_NEAR(verdict.gapPct, 0.0, 1.0);  // only integer-rounding slack
+  // The frozen plan and the best plan are one plan priced by one model.
+  EXPECT_EQ(verdict.gapPct, 0.0);
 }
 
-TEST(DriftMonitorTest, RecostGapFlagsShareDriftWithoutAnAtlas) {
-  DriftMonitor monitor(optionsWithGap(5.0));
+TEST_P(DriftMonitorAlgoTest, RecostGapFlagsShareDriftWithoutAnAtlas) {
+  DriftMonitor monitor(optionsFor(GetParam()));
   adoptOptimalAt(monitor, Ratio{2, 1, 1});
   // The platform now runs at 10:3:1 — the frozen 2:1:1 shares starve P.
   const DriftVerdict verdict = monitor.evaluate(Ratio{10, 3, 1});
@@ -71,8 +84,8 @@ TEST(DriftMonitorTest, RecostGapFlagsShareDriftWithoutAnAtlas) {
   EXPECT_GT(verdict.gapPct, 5.0);
 }
 
-TEST(DriftMonitorTest, LogicalSpeedsOverrideTheCanonicalComponents) {
-  DriftMonitor monitor(optionsWithGap(5.0));
+TEST_P(DriftMonitorAlgoTest, LogicalSpeedsOverrideTheCanonicalComponents) {
+  DriftMonitor monitor(optionsFor(GetParam()));
   adoptOptimalAt(monitor, Ratio{5, 2, 1});
   // Same canonical estimate, but the node playing P has actually slowed to
   // the middle speed (a relabel the fastest-first sort hides): the frozen
@@ -85,6 +98,41 @@ TEST(DriftMonitorTest, LogicalSpeedsOverrideTheCanonicalComponents) {
   const DriftVerdict aligned =
       monitor.evaluate(Ratio{5, 2, 1}, {/*R=*/2.0, /*S=*/1.0, /*P=*/5.0});
   EXPECT_FALSE(aligned.stale);
+  EXPECT_EQ(aligned.gapPct, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryAlgo, DriftMonitorAlgoTest,
+                         ::testing::ValuesIn(kAllAlgos),
+                         ::testing::PrintToStringParamName());
+
+TEST(DriftMonitorTest, ScbGapsAreUnchangedBitForBit) {
+  // SCB re-cost gaps at n = 96, recorded as hexfloats from the closed form
+  // the monitor used before it priced plans through evalModel. Four cases
+  // put the P role below another role, so the owner relabel runs.
+  struct Case {
+    Ratio planned;
+    Ratio estimate;
+    std::array<double, kNumProcs> logical;  // R, S, P
+    double gapPct;
+  };
+  const Case cases[] = {
+      {{5, 2, 1}, {5, 2, 1}, {2, 1, 5}, 0x0p+0},
+      {{2, 1, 1}, {10, 3, 1}, {3, 1, 10}, 0x1.b193146052fcap+6},
+      {{5, 2, 1}, {5, 2, 1}, {5, 1, 2}, 0x1.390b21642c858p+6},
+      {{3, 1, 1}, {4, 2, 1}, {4, 2, 1}, 0x1.58f8c0e3ac344p+7},
+      {{7, 3, 1}, {6, 2.5, 1}, {2.5, 1, 6}, 0x1.5436f45bded6p+0},
+      {{10, 1, 1}, {8, 1.5, 1}, {1.5, 1, 8}, 0x1.18d7a8c3f7348p-1},
+      {{4, 4, 1}, {4.2, 3.9, 1}, {3.9, 1, 4.2}, 0x1.3496303760e36p+1},
+      {{5, 2, 1}, {5.5, 2.2, 1}, {1, 2.2, 5.5}, 0x1.d1dc9f230cb0ep+5},
+      {{2, 2, 1}, {3, 2, 1}, {3, 1, 2}, 0x1.d6d555555554dp+3},
+      {{1, 1, 1}, {1.3, 1.1, 1}, {1.1, 1.3, 1}, 0x1.3615f02319d1fp+3},
+  };
+  for (const Case& c : cases) {
+    DriftMonitor monitor(optionsWithGap(5.0));
+    adoptOptimalAt(monitor, c.planned);
+    EXPECT_EQ(monitor.evaluate(c.estimate, c.logical).gapPct, c.gapPct)
+        << c.planned.str() << " at " << c.estimate.str();
+  }
 }
 
 TEST(DriftMonitorTest, NonPositiveLogicalSpeedIsInfinitelyStale) {

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "../support/algo_print.hpp"
+
 namespace pushpart {
 namespace {
 
@@ -24,15 +26,19 @@ TEST(DriftScenarioOptionsTest, ValidateRejectsWanderBoundsThatReorderP) {
   EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 
-TEST(RunDriftDrillTest, QuietScenarioScoresEveryPhaseWithNoReplans) {
+class RunDriftDrillAlgoTest : public ::testing::TestWithParam<Algo> {};
+
+TEST_P(RunDriftDrillAlgoTest, QuietScenarioScoresEveryPhaseWithNoReplans) {
   DriftScenarioOptions options;
   options.phases = 40;
+  options.algo = GetParam();
   options.wanderStep = 0.0;  // constant speeds, no faults
   Oracle oracle(OracleOptions{});
   const DriftDrillReport report = runDriftDrill(oracle, options);
 
   ASSERT_EQ(report.records.size(), 40u);
   EXPECT_TRUE(report.windows.empty());
+  EXPECT_EQ(report.stats.staleVerdicts, 0u);
   EXPECT_EQ(report.stats.replans, 0u);
   EXPECT_EQ(report.stats.invalidations, 0u);
   EXPECT_NEAR(report.regretFactor(), 1.0, 0.02);
@@ -42,6 +48,10 @@ TEST(RunDriftDrillTest, QuietScenarioScoresEveryPhaseWithNoReplans) {
     EXPECT_GE(record.servedCost, record.bestCost * 0.999);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryAlgo, RunDriftDrillAlgoTest,
+                         ::testing::ValuesIn(kAllAlgos),
+                         ::testing::PrintToStringParamName());
 
 TEST(RunDriftDrillTest, SlowWindowTriggersReplanAndReconverges) {
   DriftScenarioOptions options;

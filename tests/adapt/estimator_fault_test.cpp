@@ -45,7 +45,7 @@ TEST(EstimatorFaultTest, ThrottleWindowCrossesThresholdAndRecovers) {
   const RankedCandidate best =
       selectOptimal(driftOptions.algo, driftOptions.n, machine,
                     driftOptions.topology, driftOptions.star);
-  monitor.adopt(best.shape, plannedRatio, best.voc);
+  monitor.adopt(best.shape, plannedRatio);
 
   RatioEstimator estimator;
   FakeClock clock;

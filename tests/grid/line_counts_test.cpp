@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "grid/metrics.hpp"
 #include "model/models.hpp"
+#include "shapes/candidates.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "../support/line_runs.hpp"
@@ -148,6 +151,32 @@ TEST(LineCountsTest, WholeGridStaysOneRun) {
   EXPECT_EQ(lines.runs(Axis::kRows)[0].count[procSlot(Proc::S)], n);
   EXPECT_EQ(lines.count(Proc::P), 0);
   EXPECT_EQ(lines.volumeOfCommunication(), 0);
+}
+
+TEST(LineCountsTest, RelabeledMatchesThePaintedGridRelabeledCellByCell) {
+  const int n = 30;
+  const Ratio ratio{5, 2, 1};
+  std::array<Proc, kNumProcs> label = kAllProcs;  // R, S, P: sorted
+  int permutations = 0;
+  do {
+    for (CandidateShape shape : kAllCandidates) {
+      if (!candidateFeasible(shape, n, ratio)) continue;
+      const Partition painted = makeCandidate(shape, n, ratio);
+      Partition want(n);
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+          want.set(i, j, label[procSlot(painted.at(i, j))]);
+      SCOPED_TRACE(std::string(candidateName(shape)) + " as " +
+                   procName(label[0]) + procName(label[1]) +
+                   procName(label[2]));
+      expectRunsMatchGrid(candidateLines(shape, n, ratio).relabeled(label),
+                          want);
+    }
+    ++permutations;
+  } while (std::next_permutation(label.begin(), label.end()));
+  EXPECT_EQ(permutations, 6);
+  EXPECT_THROW(LineCounts(n).relabeled({Proc::P, Proc::P, Proc::S}),
+               CheckError);
 }
 
 TEST(LineCountsTest, RectangleOutsideTheGridThrows) {
