@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,12 +20,12 @@ namespace pushpart {
 
 namespace {
 
-using kernels::kTileCols;
-using kernels::kTileRows;
-
-/// The pivot block the register tiles of one rectangle sweep before moving
-/// on to the next block.
+/// The pivot block every tile of one rectangle sweeps before the rectangle
+/// moves on to the next block, and the rows of A packed at a time: a strip
+/// holds kBlockK pivots of tile.rows rows, and a row block's strips stay in
+/// L2 while each B panel, kBlockK × tile.cols, stays in L1.
 constexpr std::size_t kBlockK = 256;
+constexpr std::size_t kBlockRows = 96;
 
 /// The cells `x` owns as disjoint rectangles: the maximal runs of x along
 /// each row, merged down consecutive rows that have the same column bounds.
@@ -59,111 +61,134 @@ std::vector<Rect> ownedRects(const Partition& q, Proc x) {
   return done;
 }
 
-/// C += A·B over one pivot block for a full tile, as declared for
-/// kernels::fullTileBaseline. The accumulators stay in registers. Both
-/// entries below inline this one body, so the AVX2 build performs the same
-/// operations in the same order.
-[[gnu::always_inline]] inline void fullTileBody(const double* ap,
-                                                const double* bp,
-                                                std::size_t kc, double* c,
-                                                std::size_t n) {
-  double acc[kTileRows][kTileCols];
-  for (std::size_t r = 0; r < kTileRows; ++r)
-    for (std::size_t x = 0; x < kTileCols; ++x) acc[r][x] = c[r * n + x];
-  for (std::size_t k = 0; k < kc; ++k)
-    for (std::size_t r = 0; r < kTileRows; ++r) {
-      const double aik = ap[k * kTileRows + r];
-      for (std::size_t x = 0; x < kTileCols; ++x)
-        acc[r][x] += aik * bp[k * kTileCols + x];
+/// C += A·B over kc pivots for one Rows × Cols tile, as declared for
+/// kernels::TileEntry, Lanes doubles per vector op. The accumulators stay in
+/// registers. Every entry below inlines this one body at its build's shape,
+/// so all of them perform the same operations on each element in the same
+/// order.
+template <std::size_t Rows, std::size_t Cols, std::size_t Lanes>
+[[gnu::always_inline]] inline void tileBody(const double* ap,
+                                            const double* bp, std::size_t kc,
+                                            double* c, std::size_t ldc) {
+  using V = kernels::Vec<Lanes>;
+  constexpr std::size_t kVecs = Cols / Lanes;
+  static_assert(Cols % Lanes == 0);
+  static_assert(kBlockRows % Rows == 0);
+  // C's rows and B's vectors pass through locals, and the accumulators are
+  // never addressed: GCC then keeps them in registers.
+  V acc[Rows][kVecs];
+  for (std::size_t r = 0; r < Rows; ++r)
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      V cv;
+      std::memcpy(&cv, c + r * ldc + v * Lanes, sizeof cv);
+      acc[r][v] = cv;
     }
-  for (std::size_t r = 0; r < kTileRows; ++r)
-    for (std::size_t x = 0; x < kTileCols; ++x) c[r * n + x] = acc[r][x];
-}
-
-/// C += A·B over pivots [k0, k1) for a ragged tile at a rectangle's bottom
-/// or right edge (rows <= kTileRows, cols <= kTileCols), read in place: `a`
-/// points at the tile's first row of A, `b` at its first column of B and
-/// `c` at its top-left element of C; rows are n apart.
-void edgeTile(const double* a, const double* b, double* c, std::size_t n,
-              std::size_t rows, std::size_t cols, std::size_t k0,
-              std::size_t k1) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc[kTileCols];
-    for (std::size_t x = 0; x < cols; ++x) acc[x] = c[r * n + x];
-    for (std::size_t k = k0; k < k1; ++k) {
-      const double aik = a[r * n + k];
-      const double* brow = b + k * n;
-      for (std::size_t x = 0; x < cols; ++x) acc[x] += aik * brow[x];
+  for (std::size_t k = 0; k < kc; ++k) {
+    V bk[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v)
+      std::memcpy(&bk[v], bp + k * Cols + v * Lanes, sizeof(V));
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const double aik = ap[k * Rows + r];
+      for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += aik * bk[v];
     }
-    for (std::size_t x = 0; x < cols; ++x) c[r * n + x] = acc[x];
   }
+  for (std::size_t r = 0; r < Rows; ++r)
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      const V cv = acc[r][v];
+      std::memcpy(c + r * ldc + v * Lanes, &cv, sizeof cv);
+    }
 }
 
-/// C += A·B for the cells of `rect`, pivot block by pivot block in
-/// ascending order, one register tile at a time; `afterTile(macs)` runs
-/// after each tile. Each pivot block of B is packed once for the rectangle's
-/// full tile columns, and each row strip of A once for its full tiles.
-/// Every cell continues its sum from C's current value in ascending k, so
-/// from C = 0 the result equals multiplySerial bit for bit.
-template <class AfterTile>
-void multiplyRect(const Matrix& a, const Matrix& b, Matrix& c,
-                  const Rect& rect, AfterTile&& afterTile) {
+}  // namespace
+
+void kernels::tileBaseline(const double* ap, const double* bp,
+                           std::size_t kc, double* c, std::size_t ldc) {
+  tileBody<kBaselineTile.rows, kBaselineTile.cols, 2>(ap, bp, kc, c, ldc);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void kernels::tileAvx2(const double* ap,
+                                               const double* bp,
+                                               std::size_t kc, double* c,
+                                               std::size_t ldc) {
+  tileBody<kAvx2Tile.rows, kAvx2Tile.cols, 4>(ap, bp, kc, c, ldc);
+}
+
+[[gnu::target("avx512f")]] void kernels::tileAvx512f(const double* ap,
+                                                     const double* bp,
+                                                     std::size_t kc,
+                                                     double* c,
+                                                     std::size_t ldc) {
+  tileBody<kAvx512fTile.rows, kAvx512fTile.cols, 8>(ap, bp, kc, c, ldc);
+}
+#endif
+
+void kernels::multiplyPacked(
+    const Matrix& a, const Matrix& b, Matrix& c, const Rect& rect,
+    const Tile& tile, const std::function<void(std::int64_t)>& afterTile) {
   const auto n = static_cast<std::size_t>(c.n());
   const auto row0 = static_cast<std::size_t>(rect.rowBegin);
   const auto row1 = static_cast<std::size_t>(rect.rowEnd);
   const auto col0 = static_cast<std::size_t>(rect.colBegin);
   const auto col1 = static_cast<std::size_t>(rect.colEnd);
-  const std::size_t fullCols = (col1 - col0) / kTileCols * kTileCols;
+  const std::size_t mr = tile.rows;
+  const std::size_t nr = tile.cols;
+  const std::size_t panels = (col1 - col0 + nr - 1) / nr;
   const double* aData = a.data();
   const double* bData = b.data();
   double* cData = c.data();
-  // Pivot-major copies of the full tiles' operands: A's current row strip,
-  // and one kc × kTileCols panel of B per full tile column (panel t at t·kc).
-  std::vector<double> aPack(fullCols > 0 ? kBlockK * kTileRows : 0);
-  std::vector<double> bPack(kBlockK * fullCols);
+  // Pivot-major, zero-padded copies of the tiles' operands: strip s of the
+  // current row block at s·kc·mr, and panel t of the current pivot block of
+  // B at t·kc·nr.
+  const std::size_t stripRows = (row1 - row0 + mr - 1) / mr * mr;
+  std::vector<double> aPack(kBlockK * std::min(kBlockRows, stripRows));
+  std::vector<double> bPack(kBlockK * panels * nr);
+  std::vector<double> edge(mr * nr);  // a ragged tile's C, rows nr apart
   for (std::size_t k0 = 0; k0 < n; k0 += kBlockK) {
-    const std::size_t k1 = std::min(n, k0 + kBlockK);
-    const std::size_t kc = k1 - k0;
-    for (std::size_t t = 0; t < fullCols; t += kTileCols)
+    const std::size_t kc = std::min(n, k0 + kBlockK) - k0;
+    for (std::size_t t = 0; t < panels; ++t) {
+      const std::size_t j = col0 + t * nr;
+      const std::size_t cols = std::min(nr, col1 - j);
+      double* panel = bPack.data() + t * kc * nr;
       for (std::size_t k = 0; k < kc; ++k)
-        for (std::size_t x = 0; x < kTileCols; ++x)
-          bPack[t * kc + k * kTileCols + x] =
-              bData[(k0 + k) * n + col0 + t + x];
-    for (std::size_t i = row0; i < row1; i += kTileRows) {
-      const std::size_t rows = std::min(kTileRows, row1 - i);
-      if (rows == kTileRows && fullCols > 0)
+        for (std::size_t x = 0; x < nr; ++x)
+          panel[k * nr + x] = x < cols ? bData[(k0 + k) * n + j + x] : 0.0;
+    }
+    for (std::size_t i0 = row0; i0 < row1; i0 += kBlockRows) {
+      const std::size_t i1 = std::min(row1, i0 + kBlockRows);
+      const std::size_t strips = (i1 - i0 + mr - 1) / mr;
+      for (std::size_t s = 0; s < strips; ++s) {
+        const std::size_t i = i0 + s * mr;
+        const std::size_t rows = std::min(mr, i1 - i);
+        double* strip = aPack.data() + s * kc * mr;
         for (std::size_t k = 0; k < kc; ++k)
-          for (std::size_t r = 0; r < kTileRows; ++r)
-            aPack[k * kTileRows + r] = aData[(i + r) * n + k0 + k];
-      for (std::size_t j = col0; j < col1; j += kTileCols) {
-        const std::size_t cols = std::min(kTileCols, col1 - j);
-        double* ct = cData + i * n + j;
-        if (rows == kTileRows && cols == kTileCols)
-          kernels::fullTile(aPack.data(), bPack.data() + (j - col0) * kc,
-                            kc, ct, n);
-        else
-          edgeTile(aData + i * n, bData + j, ct, n, rows, cols, k0, k1);
-        afterTile(static_cast<std::int64_t>(rows * cols * kc));
+          for (std::size_t r = 0; r < mr; ++r)
+            strip[k * mr + r] = r < rows ? aData[(i + r) * n + k0 + k] : 0.0;
+      }
+      for (std::size_t t = 0; t < panels; ++t) {
+        const std::size_t j = col0 + t * nr;
+        const std::size_t cols = std::min(nr, col1 - j);
+        const double* panel = bPack.data() + t * kc * nr;
+        for (std::size_t s = 0; s < strips; ++s) {
+          const std::size_t i = i0 + s * mr;
+          const std::size_t rows = std::min(mr, i1 - i);
+          const double* strip = aPack.data() + s * kc * mr;
+          double* ct = cData + i * n + j;
+          if (rows == mr && cols == nr) {
+            tile.run(strip, panel, kc, ct, n);
+          } else {
+            for (std::size_t r = 0; r < rows; ++r)
+              std::copy_n(ct + r * n, cols, edge.data() + r * nr);
+            tile.run(strip, panel, kc, edge.data(), nr);
+            for (std::size_t r = 0; r < rows; ++r)
+              std::copy_n(edge.data() + r * nr, cols, ct + r * n);
+          }
+          afterTile(static_cast<std::int64_t>(rows * cols * kc));
+        }
       }
     }
   }
 }
-
-}  // namespace
-
-void kernels::fullTileBaseline(const double* ap, const double* bp,
-                               std::size_t kc, double* c, std::size_t n) {
-  fullTileBody(ap, bp, kc, c, n);
-}
-
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] void kernels::fullTileAvx2(const double* ap,
-                                                   const double* bp,
-                                                   std::size_t kc, double* c,
-                                                   std::size_t n) {
-  fullTileBody(ap, bp, kc, c, n);
-}
-#endif
 
 ExecResult runParallelMMM(Algo algo, const Partition& q,
                           const ExecOptions& options) {
@@ -192,6 +217,7 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
 
   // --- Barrier, then parallel computation -------------------------------
   const double maxSpeed = options.machine.ratio.p;
+  const kernels::Tile& tile = kernels::tile();
   std::array<std::thread, kNumProcs> workers;
   std::array<double, kNumProcs> busy{};
   std::array<double, kNumProcs> emulatedBusy{};  // incl. throttle sleeps
@@ -203,14 +229,16 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
       Stopwatch total;
       Stopwatch quantum;  // pure-compute time since the last charge
       std::int64_t macsSinceCharge = 0;
+      const std::function<void(std::int64_t)> afterTile =
+          [&](std::int64_t macs) {
+            macsSinceCharge += macs;
+            if (macsSinceCharge < options.quantumMacs) return;
+            throttle.charge(quantum.seconds());
+            quantum.reset();  // charge() slept; restart the compute clock
+            macsSinceCharge = 0;
+          };
       for (const Rect& rect : rects)
-        multiplyRect(a, b, c, rect, [&](std::int64_t macs) {
-          macsSinceCharge += macs;
-          if (macsSinceCharge < options.quantumMacs) return;
-          throttle.charge(quantum.seconds());
-          quantum.reset();  // charge() slept; restart the compute clock
-          macsSinceCharge = 0;
-        });
+        kernels::multiplyPacked(a, b, c, rect, tile, afterTile);
       emulatedBusy[xi] = total.seconds();
       busy[xi] = emulatedBusy[xi] - throttle.sleptSeconds();
     });

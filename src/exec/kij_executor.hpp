@@ -9,13 +9,15 @@
 // them in series for SCB and the busiest sender's for PCB. It is fault-free;
 // faults are studied in the simulator (sim/mmm_sim.hpp). Each worker splits
 // its cells into rectangles (maximal row runs merged down consecutive rows
-// with the same column bounds) and computes them in 4 × 8 register tiles
-// over ascending blocks of 256 pivots; full tiles read their operands packed
-// contiguously, through the baseline or the AVX2 build of one kernel body,
-// chosen once per process from the CPU (exec/kernels.hpp). Every C element
-// sums its n products in ascending k starting from 0.0, as multiplySerial
-// does, with no fused multiply-add in either build, so the result is
-// bit-identical to it.
+// with the same column bounds) and computes them in register tiles over
+// ascending blocks of 256 pivots: per block it packs the rectangle's B
+// columns into tile-wide panels and, 96 rows at a time, A's rows into
+// tile-high strips, both zero-padded, and every tile, full or ragged, runs
+// one kernel body on them (a ragged tile on a local copy of its C). The
+// body's baseline (4 × 4), AVX2 (4 × 8) or AVX-512F (6 × 16) build is
+// chosen once per process from the CPU (exec/kernels.hpp). Every C element sums its n
+// products in ascending k starting from 0.0, as multiplySerial does, with no
+// fused multiply-add in any build, so the result is bit-identical to it.
 // The check recomputes the product from the same inputs with
 // multiplySerialBanded, a register-blocked reference that shares no code
 // with the tiles and also equals multiplySerial bit for bit, and compares
@@ -44,7 +46,7 @@ struct ExecOptions {
   /// Work quantum between throttle charges, in MAC operations. Charges land
   /// on register-tile boundaries: a worker charges after the first tile
   /// that brings its uncharged work to at least this many MACs (a tile is
-  /// at most 4 × 8 × 256 MACs).
+  /// at most 6 × 16 × 256 MACs).
   int quantumMacs = 1 << 15;
   /// When set, the run emits one PhaseSample on completion: per worker, the
   /// MACs it computed and its measured busy time *including* the throttle's

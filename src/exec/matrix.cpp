@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -33,85 +34,81 @@ void multiplyRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
     }
 }
 
-/// Side of the reference's register block, and width of its B panel.
-constexpr std::size_t kBlock = 4;
-
-/// acc += A(i.., k)·B(k, j..) for pivots [k0, k1) of one kBlock × kBlock
-/// block: `ai` points at the block's first row of A (rows n apart), `bp` at
-/// the packed panel. A function rather than a lambda, so that it can be
-/// always_inline into both entries' builds.
-[[gnu::always_inline]] inline void addPivots(double (&acc)[kBlock][kBlock],
-                                             const double* ai,
-                                             const double* bp, std::size_t n,
-                                             std::size_t k0, std::size_t k1) {
-  for (std::size_t k = k0; k < k1; ++k)
-    for (std::size_t r = 0; r < kBlock; ++r) {
-      const double aik = ai[r * n + k];
-      for (std::size_t x = 0; x < kBlock; ++x)
-        acc[r][x] += aik * bp[k * kBlock + x];
-    }
-}
+/// Rows of the reference's register block of C. Each build's block is two
+/// vectors wide, and B's panel as wide as the block.
+constexpr std::size_t kRefRows = 4;
 
 /// Rows [rowBegin, rowEnd) of C = A·B with C held in registers: each
-/// kBlock × kBlock block of C sums all n pivots in 16 accumulators, reading
-/// A's rows in place and B's columns from a kBlock-wide panel packed
-/// pivot-major, once per panel. Leftover rows take a 1 × kBlock loop on the
-/// same panel and the last n mod kBlock columns a scalar loop. Every element
-/// sums a(i,k)·b(k,j) over ascending k from 0.0, as multiplySerial does,
-/// so the rows equal its bit for bit. Both entries below inline this one
-/// body.
+/// kRefRows × 2·Lanes block of C sums all n pivots in 2·kRefRows vector
+/// accumulators, reading A's rows in place and B's columns from a panel
+/// packed pivot-major once per panel, zero-padded past column n; only the
+/// block's columns below n are stored. Leftover rows take a one-row loop on
+/// the same panel. Every element sums a(i,k)·b(k,j) over ascending k from
+/// 0.0, as multiplySerial does, so the rows equal its bit for bit. Every
+/// entry below inlines this one body at its build's vector width.
+template <std::size_t Lanes>
 [[gnu::always_inline]] inline void referenceRowsBody(const Matrix& a,
                                                      const Matrix& b,
                                                      Matrix& c, int rowBegin,
                                                      int rowEnd) {
+  using V = kernels::Vec<Lanes>;
+  constexpr std::size_t kCols = 2 * Lanes;
   const auto n = static_cast<std::size_t>(a.n());
   const auto row0 = static_cast<std::size_t>(rowBegin);
   const auto row1 = static_cast<std::size_t>(rowEnd);
-  const std::size_t blockRowsEnd = row0 + (row1 - row0) / kBlock * kBlock;
-  const std::size_t panelColsEnd = n / kBlock * kBlock;
+  const std::size_t blockRowsEnd = row0 + (row1 - row0) / kRefRows * kRefRows;
   const double* aData = a.data();
   const double* bData = b.data();
   double* cData = c.data();
-  // panel[k·kBlock + x] = B(k, j + x) for the current panel's first column j.
-  std::vector<double> panel(n * kBlock);
-  for (std::size_t j = 0; j < panelColsEnd; j += kBlock) {
+  // panel[k·kCols + x] = B(k, j + x) for the current panel's first column j.
+  std::vector<double> panel(n * kCols);
+  const double* bp = panel.data();
+  for (std::size_t j = 0; j < n; j += kCols) {
+    const std::size_t cols = std::min(kCols, n - j);
     for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t x = 0; x < kBlock; ++x)
-        panel[k * kBlock + x] = bData[k * n + j + x];
-    const double* bp = panel.data();
+      for (std::size_t x = 0; x < kCols; ++x)
+        panel[k * kCols + x] = x < cols ? bData[k * n + j + x] : 0.0;
+    // One block row on its way to C. A block's accumulators leave through
+    // locals, never addressed in place: GCC then keeps them in registers.
+    double row[kCols];
     std::size_t i = row0;
-    for (; i < blockRowsEnd; i += kBlock) {
+    for (; i < blockRowsEnd; i += kRefRows) {
       const double* ai = aData + i * n;
-      double acc[kBlock][kBlock] = {};
-      // Two pivots per step: GCC then vectorizes each pivot across the
-      // block's columns instead of pairing pivots through lane shuffles,
-      // and the block ran about 1.4 times as fast.
-      std::size_t k = 0;
-      for (; k + 2 <= n; k += 2) addPivots(acc, ai, bp, n, k, k + 2);
-      addPivots(acc, ai, bp, n, k, n);
-      for (std::size_t r = 0; r < kBlock; ++r)
-        for (std::size_t x = 0; x < kBlock; ++x)
-          cData[(i + r) * n + j + x] = acc[r][x];
+      V lo[kRefRows] = {};
+      V hi[kRefRows] = {};
+      for (std::size_t k = 0; k < n; ++k) {
+        V bLo, bHi;
+        std::memcpy(&bLo, bp + k * kCols, sizeof bLo);
+        std::memcpy(&bHi, bp + k * kCols + Lanes, sizeof bHi);
+        for (std::size_t r = 0; r < kRefRows; ++r) {
+          const double aik = ai[r * n + k];
+          lo[r] += aik * bLo;
+          hi[r] += aik * bHi;
+        }
+      }
+      for (std::size_t r = 0; r < kRefRows; ++r) {
+        const V rowLo = lo[r];
+        const V rowHi = hi[r];
+        std::memcpy(row, &rowLo, sizeof rowLo);
+        std::memcpy(row + Lanes, &rowHi, sizeof rowHi);
+        std::copy_n(row, cols, cData + (i + r) * n + j);
+      }
     }
     for (; i < row1; ++i) {
       const double* ai = aData + i * n;
-      double acc[kBlock] = {};
-      for (std::size_t k = 0; k < n; ++k)
-        for (std::size_t x = 0; x < kBlock; ++x)
-          acc[x] += ai[k] * bp[k * kBlock + x];
-      for (std::size_t x = 0; x < kBlock; ++x) cData[i * n + j + x] = acc[x];
+      V lo = {};
+      V hi = {};
+      for (std::size_t k = 0; k < n; ++k) {
+        V bLo, bHi;
+        std::memcpy(&bLo, bp + k * kCols, sizeof bLo);
+        std::memcpy(&bHi, bp + k * kCols + Lanes, sizeof bHi);
+        lo += ai[k] * bLo;
+        hi += ai[k] * bHi;
+      }
+      std::memcpy(row, &lo, sizeof lo);
+      std::memcpy(row + Lanes, &hi, sizeof hi);
+      std::copy_n(row, cols, cData + i * n + j);
     }
-  }
-  const std::size_t tailCols = n - panelColsEnd;
-  if (tailCols == 0) return;
-  for (std::size_t i = row0; i < row1; ++i) {
-    const double* ai = aData + i * n;
-    double acc[kBlock] = {};
-    for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t x = 0; x < tailCols; ++x)
-        acc[x] += ai[k] * bData[k * n + panelColsEnd + x];
-    for (std::size_t x = 0; x < tailCols; ++x)
-      cData[i * n + panelColsEnd + x] = acc[x];
   }
 }
 
@@ -119,7 +116,7 @@ constexpr std::size_t kBlock = 4;
 
 void kernels::referenceRowsBaseline(const Matrix& a, const Matrix& b,
                                     Matrix& c, int rowBegin, int rowEnd) {
-  referenceRowsBody(a, b, c, rowBegin, rowEnd);
+  referenceRowsBody<2>(a, b, c, rowBegin, rowEnd);
 }
 
 #if defined(__x86_64__)
@@ -128,7 +125,12 @@ void kernels::referenceRowsBaseline(const Matrix& a, const Matrix& b,
                                                         Matrix& c,
                                                         int rowBegin,
                                                         int rowEnd) {
-  referenceRowsBody(a, b, c, rowBegin, rowEnd);
+  referenceRowsBody<4>(a, b, c, rowBegin, rowEnd);
+}
+
+[[gnu::target("avx512f")]] void kernels::referenceRowsAvx512f(
+    const Matrix& a, const Matrix& b, Matrix& c, int rowBegin, int rowEnd) {
+  referenceRowsBody<8>(a, b, c, rowBegin, rowEnd);
 }
 #endif
 

@@ -6,7 +6,7 @@
 // computes the same product in row bands on several threads with C held in
 // registers, and changes no bit of it. multiplySerial is compiled for the
 // baseline ISA only, so the chain of equalities ends in a loop that no AVX2
-// build rewrites.
+// or AVX-512F build rewrites.
 #pragma once
 
 #include <cstddef>
@@ -48,11 +48,12 @@ Matrix randomMatrix(int n, Rng& rng);
 Matrix multiplySerial(const Matrix& a, const Matrix& b);
 
 /// multiplySerial split into `bands` row bands, one thread each (the caller
-/// computes the first). Each band computes its rows in 4 × 4 blocks of C
-/// held in registers across all n pivots, reading B from a packed 4-column
-/// panel; leftover rows and the last n mod 4 columns take narrower loops.
-/// Each band runs the baseline or the AVX2 build of one body, chosen once
-/// per process from the CPU (exec/kernels.hpp). Each element still sums its
+/// computes the first). Each band computes its rows in blocks of C four rows
+/// by two vectors held in registers across all n pivots, reading B from a
+/// packed panel as wide as the block and zero-padded past column n;
+/// leftover rows take a one-row loop. Each band runs the baseline (4 × 4),
+/// AVX2 (4 × 8) or AVX-512F (4 × 16) build of one body, chosen once per
+/// process from the CPU (exec/kernels.hpp). Each element still sums its
 /// products in ascending k from 0.0, with no fused multiply-add, so the
 /// result is bit-identical to multiplySerial.
 Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands);

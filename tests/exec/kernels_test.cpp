@@ -10,17 +10,13 @@
 #include "exec/matrix.hpp"
 #include "support/rng.hpp"
 
-// Every build of the two kernels that this CPU can run, called directly:
-// the end-to-end tests only reach the build avx2Kernels() picks, so on an
-// AVX2 host nothing else runs the baseline entries.
+// Every build of the two kernels that this CPU can run, called directly,
+// and the packed loop driven through each tile build: the end-to-end tests
+// only reach the build the process picks, so on an AVX-512F host nothing
+// else runs the baseline or the AVX2 entries.
 namespace pushpart {
 namespace {
 
-using kernels::kTileCols;
-using kernels::kTileRows;
-
-using TileEntry = void (*)(const double*, const double*, std::size_t,
-                           double*, std::size_t);
 using ReferenceEntry = void (*)(const Matrix&, const Matrix&, Matrix&, int,
                                 int);
 
@@ -30,30 +26,33 @@ std::vector<double> draws(std::size_t count, Rng& rng) {
   return v;
 }
 
-/// One full tile over kc pivots, from a nonzero C whose rows are wider than
-/// the tile, against the scalar ascending-k sum; the cells beside the tile
-/// must not change.
-void expectTileIsBitIdentical(TileEntry entry) {
-  constexpr std::size_t n = kTileCols + 3;  // C's row stride
-  for (std::size_t kc : {1u, 2u, 255u, 256u}) {
-    Rng rng(kc);
-    const std::vector<double> ap = draws(kc * kTileRows, rng);
-    const std::vector<double> bp = draws(kc * kTileCols, rng);
-    const std::vector<double> c0 = draws(kTileRows * n, rng);
-    std::vector<double> want = c0;
-    for (std::size_t r = 0; r < kTileRows; ++r)
-      for (std::size_t x = 0; x < kTileCols; ++x) {
-        double sum = c0[r * n + x];
-        for (std::size_t k = 0; k < kc; ++k)
-          sum += ap[k * kTileRows + r] * bp[k * kTileCols + x];
-        want[r * n + x] = sum;
-      }
-    std::vector<double> got = c0;
-    entry(ap.data(), bp.data(), kc, got.data(), n);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
-              0)
-        << "kc " << kc;
-  }
+/// One tile over kc pivots at the build's own shape, from a nonzero C,
+/// against the scalar ascending-k sum; once with C's rows wider than the
+/// tile, whose cells beside the tile must not change, and once with rows
+/// exactly as wide, as in a ragged tile's local copy.
+void expectTileIsBitIdentical(const kernels::Tile& tile) {
+  const std::size_t mr = tile.rows;
+  const std::size_t nr = tile.cols;
+  for (std::size_t ldc : {nr + 3, nr})
+    for (std::size_t kc : {1u, 2u, 255u, 256u}) {
+      Rng rng(kc);
+      const std::vector<double> ap = draws(kc * mr, rng);
+      const std::vector<double> bp = draws(kc * nr, rng);
+      const std::vector<double> c0 = draws(mr * ldc, rng);
+      std::vector<double> want = c0;
+      for (std::size_t r = 0; r < mr; ++r)
+        for (std::size_t x = 0; x < nr; ++x) {
+          double sum = c0[r * ldc + x];
+          for (std::size_t k = 0; k < kc; ++k)
+            sum += ap[k * mr + r] * bp[k * nr + x];
+          want[r * ldc + x] = sum;
+        }
+      std::vector<double> got = c0;
+      tile.run(ap.data(), bp.data(), kc, got.data(), ldc);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+          << mr << " x " << nr << " tile, kc " << kc << ", row stride " << ldc;
+    }
 }
 
 /// Rows of A·B in one call and in three bands, against multiplySerial.
@@ -79,15 +78,24 @@ void expectReferenceIsBitIdentical(ReferenceEntry entry) {
 }
 
 TEST(KernelEntryTest, BaselineTileIsBitIdentical) {
-  expectTileIsBitIdentical(kernels::fullTileBaseline);
+  expectTileIsBitIdentical(kernels::kBaselineTile);
 }
 
 TEST(KernelEntryTest, Avx2TileIsBitIdentical) {
 #if defined(__x86_64__)
   if (!kernels::avx2Kernels()) GTEST_SKIP() << "this CPU has no AVX2";
-  expectTileIsBitIdentical(kernels::fullTileAvx2);
+  expectTileIsBitIdentical(kernels::kAvx2Tile);
 #else
   GTEST_SKIP() << "the AVX2 entries are built on x86-64 only";
+#endif
+}
+
+TEST(KernelEntryTest, Avx512TileIsBitIdentical) {
+#if defined(__x86_64__)
+  if (!kernels::avx512fKernels()) GTEST_SKIP() << "this CPU has no AVX-512F";
+  expectTileIsBitIdentical(kernels::kAvx512fTile);
+#else
+  GTEST_SKIP() << "the AVX-512F entries are built on x86-64 only";
 #endif
 }
 
@@ -102,6 +110,58 @@ TEST(KernelEntryTest, Avx2ReferenceIsBitIdentical) {
 #else
   GTEST_SKIP() << "the AVX2 entries are built on x86-64 only";
 #endif
+}
+
+TEST(KernelEntryTest, Avx512ReferenceIsBitIdentical) {
+#if defined(__x86_64__)
+  if (!kernels::avx512fKernels()) GTEST_SKIP() << "this CPU has no AVX-512F";
+  expectReferenceIsBitIdentical(kernels::referenceRowsAvx512f);
+#else
+  GTEST_SKIP() << "the AVX-512F entries are built on x86-64 only";
+#endif
+}
+
+// The packed loop over single rectangles of a 301 × 301 product, from C = 0:
+// the rectangle's cells must equal multiplySerial's and every other cell
+// must stay 0.0. n = 301 spans two pivot blocks, and the last rectangle
+// crosses a row block at an offset inside C, with ragged tiles at its bottom
+// and right edges whatever the build's shape.
+TEST(KernelEntryTest, PackedLoopIsBitIdenticalWithEveryBuild) {
+  constexpr int n = 301;
+  Rng rng(30);
+  const Matrix a = randomMatrix(n, rng);
+  const Matrix b = randomMatrix(n, rng);
+  const Matrix serial = multiplySerial(a, b);
+  std::vector<const kernels::Tile*> tiles{&kernels::kBaselineTile};
+#if defined(__x86_64__)
+  if (kernels::avx2Kernels()) tiles.push_back(&kernels::kAvx2Tile);
+  if (kernels::avx512fKernels()) tiles.push_back(&kernels::kAvx512fTile);
+#endif
+  for (const kernels::Tile* tile : tiles) {
+    const int mr = static_cast<int>(tile->rows);
+    const int nr = static_cast<int>(tile->cols);
+    const Rect rects[] = {
+        {0, 1, 0, 1},                        // one cell
+        {10, 15, 20, 20 + nr - 1},           // narrower than a tile
+        {40, 40 + mr + 1, 50, 50 + 2 * nr},  // one row past a strip
+        {7, 110, 3, 40},                     // two row blocks, ragged edges
+    };
+    for (const Rect& rect : rects) {
+      Matrix want(n, 0.0);
+      for (int i = rect.rowBegin; i < rect.rowEnd; ++i)
+        for (int j = rect.colBegin; j < rect.colEnd; ++j)
+          want.at(i, j) = serial.at(i, j);
+      Matrix got(n, 0.0);
+      std::int64_t macs = 0;
+      kernels::multiplyPacked(a, b, got, rect, *tile,
+                              [&macs](std::int64_t m) { macs += m; });
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), sizeof(double) * n * n), 0)
+          << mr << " x " << nr << " tile, rect " << rect;
+      EXPECT_EQ(macs, rect.area() * n)
+          << mr << " x " << nr << " tile, rect " << rect;
+    }
+  }
 }
 
 }  // namespace

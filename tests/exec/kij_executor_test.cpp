@@ -46,7 +46,8 @@ void PrintTo(const BitIdentityCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<BitIdentityCase> bitIdentityCases() {
   std::vector<BitIdentityCase> cases;
-  // n = 301 is ragged against the 4 x 8 tile and spans two pivot blocks.
+  // n = 301 is ragged against the 4 x 8 and 6 x 16 tiles and a 96-row
+  // block, and spans two pivot blocks.
   const Ratio ratio{5, 2, 1};
   for (CandidateShape shape : kAllCandidates) {
     std::string name = candidateName(shape);
