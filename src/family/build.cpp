@@ -103,13 +103,12 @@ bool buildLayeredOnto(Partition& q, Proc base,
     int w0 = 0;
     for (std::size_t m = 0; m < layers[k].size(); ++m) {
       const int w1 = w0 + width[m];
-      if (layers[k][m].owner != base) {
-        const bool ok =
-            rowBands ? carveBox(q, base, layers[k][m].owner, d0, d1, w0, w1,
-                                layers[k][m].count)
-                     : carveBox(q, base, layers[k][m].owner, w0, w1, d0, d1,
-                                layers[k][m].count, /*colMajor=*/true);
-        if (!ok) return false;
+      const LayerMember& member = layers[k][m];
+      if (member.owner != base) {
+        const Rect box = rowBands ? Rect{d0, d1, w0, w1} : Rect{w0, w1, d0, d1};
+        if (q.claim(box, base, member.owner, member.count,
+                    {.columns = !rowBands}) != member.count)
+          return false;
       }
       w0 = w1;
     }

@@ -2,11 +2,11 @@
 //
 // Everything here follows the canonical constructors' discipline
 // (shapes/candidates.cpp): the grid starts fully owned by the *base*
-// owner (the fastest, P at three owners), every other member is carved with
-// its exact element count, and any integer-granularity slack simply stays
-// with the base owner. Builders return false instead of throwing when an
-// integer allotment cannot fit — enumeration skips infeasible specs silently.
-// One set of builders serves every owner count.
+// owner (the fastest, P at three owners), every other member claims its
+// exact element count (Partition::claim), and any integer-granularity slack
+// simply stays with the base owner. Builders return false instead of
+// throwing when an integer allotment cannot fit — enumeration skips
+// infeasible specs silently. One set of builders serves every owner count.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +17,6 @@
 
 namespace pushpart::family_detail {
 
-inline std::int64_t ceilDiv(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
 /// Splits n lines into bands: band k gets at least minLines[k] and the
 /// vector sums to n, with the surplus handed out greedily toward each
 /// band's real-valued target share targetLines[k] (largest deficit first).
@@ -28,36 +24,11 @@ inline std::int64_t ceilDiv(std::int64_t a, std::int64_t b) {
 std::vector<int> allotLines(int n, const std::vector<int>& minLines,
                             const std::vector<double>& targetLines);
 
-/// Claims `count` cells still owned by `base` inside the box
-/// rows [r0, r1) × cols [c0, c1), scanning row-major (or column-major when
-/// `colMajor`). Returns false (leaving a partial carve behind — callers
-/// discard the grid) when the box runs out of base-owned cells.
-inline bool carveBox(Partition& q, Proc base, Proc x, int r0, int r1, int c0,
-                     int c1, std::int64_t count, bool colMajor = false) {
-  std::int64_t remaining = count;
-  if (colMajor) {
-    for (int c = c0; c < c1 && remaining > 0; ++c)
-      for (int r = r0; r < r1 && remaining > 0; ++r)
-        if (q.at(r, c) == base) {
-          q.set(r, c, x);
-          --remaining;
-        }
-  } else {
-    for (int r = r0; r < r1 && remaining > 0; ++r)
-      for (int c = c0; c < c1 && remaining > 0; ++c)
-        if (q.at(r, c) == base) {
-          q.set(r, c, x);
-          --remaining;
-        }
-  }
-  return remaining == 0;
-}
-
 /// Claims `count` base-owned cells from `cells` starting at *cursor,
 /// advancing the cursor past every visited position. Assigning consecutive
-/// segments of one ordered cell list to successive owners is how regions of
-/// any shape (strips, corner squares, L-remainders) are sliced among group
-/// members with exact counts.
+/// segments of one ordered cell list to successive owners is how regions
+/// that are no box (a grid minus a hole, a super-owner's cells) are sliced
+/// among group members with exact counts.
 inline bool carveCells(Partition& q, Proc base, Proc x,
                        const std::vector<std::pair<int, int>>& cells,
                        std::size_t& cursor, std::int64_t count) {

@@ -11,27 +11,17 @@ namespace fd = family_detail;
 
 namespace {
 
-/// Cells of the box rows [r0, r1) x cols [c0, c1) in row- or column-major
-/// order, minus the `hole` box (pass an empty hole for none).
-std::vector<std::pair<int, int>> boxCells(int r0, int r1, int c0, int c1,
-                                          bool rowMajor, int hr0 = 0,
-                                          int hr1 = 0, int hc0 = 0,
-                                          int hc1 = 0) {
+/// The cells of the n×n grid outside `hole`, in row- or column-major order.
+std::vector<std::pair<int, int>> cellsOutside(int n, const Rect& hole,
+                                              bool rowMajor) {
   std::vector<std::pair<int, int>> out;
-  out.reserve(static_cast<std::size_t>(r1 - r0) *
-              static_cast<std::size_t>(c1 - c0));
-  const auto inHole = [&](int r, int c) {
-    return r >= hr0 && r < hr1 && c >= hc0 && c < hc1;
-  };
-  if (rowMajor) {
-    for (int r = r0; r < r1; ++r)
-      for (int c = c0; c < c1; ++c)
-        if (!inHole(r, c)) out.emplace_back(r, c);
-  } else {
-    for (int c = c0; c < c1; ++c)
-      for (int r = r0; r < r1; ++r)
-        if (!inHole(r, c)) out.emplace_back(r, c);
-  }
+  out.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  for (int a = 0; a < n; ++a)
+    for (int b = 0; b < n; ++b) {
+      const int r = rowMajor ? a : b;
+      const int c = rowMajor ? b : a;
+      if (!hole.contains(r, c)) out.emplace_back(r, c);
+    }
   return out;
 }
 
@@ -95,13 +85,13 @@ std::optional<Partition> makeHierPartition(int n, const Ratio& ratio,
       break;
     }
     case GroupPlacement::kRightStrip: {
-      const std::int64_t w = fd::ceilDiv(regionCount, n);
+      const std::int64_t w = ceilDiv(regionCount, n);
       if (w >= n) return std::nullopt;
       c0 = n - static_cast<int>(w);
       break;
     }
     case GroupPlacement::kTopStrip: {
-      const std::int64_t h = fd::ceilDiv(regionCount, n);
+      const std::int64_t h = ceilDiv(regionCount, n);
       if (h >= n) return std::nullopt;
       r1 = static_cast<int>(h);
       break;
@@ -109,18 +99,18 @@ std::optional<Partition> makeHierPartition(int n, const Ratio& ratio,
   }
 
   Partition q(n, Proc::P);
-  // Slice the region into consecutive segments of its cell order.
-  const auto region = boxCells(r0, r1, c0, c1, spec.regionRowMajor);
-  std::size_t cursor = 0;
+  // Slice the region into consecutive segments of its cell order: each
+  // member claims the next P cells of the box.
+  const Rect region{r0, r1, c0, c1};
   for (const Proc p : regionMembers)
-    if (!fd::carveCells(q, Proc::P, p, region, cursor, countOf(p)))
+    if (q.claim(region, Proc::P, p, countOf(p),
+                {.columns = !spec.regionRowMajor}) != countOf(p))
       return std::nullopt;
   // Slice the remainder (rest = everything outside the region box). A
   // member equal to P only advances the cursor — its segment stays P — so
   // the two orders of a {P, X} group place X at opposite ends of the rest.
-  const auto rest =
-      boxCells(0, n, 0, n, spec.restRowMajor, r0, r1, c0, c1);
-  cursor = 0;
+  const auto rest = cellsOutside(n, region, spec.restRowMajor);
+  std::size_t cursor = 0;
   for (const Proc p : restMembers) {
     if (p == Proc::P) {
       cursor += static_cast<std::size_t>(countOf(p));

@@ -36,12 +36,7 @@ Partition scatter(Partition q, std::span<const std::int64_t> counts,
         --remaining;
       }
     }
-    for (int i = 0; i < n && remaining > 0; ++i)
-      for (int j = 0; j < n && remaining > 0; ++j)
-        if (q.at(i, j) == fastest) {
-          q.set(i, j, owner);
-          --remaining;
-        }
+    remaining -= q.claim(Rect{0, n, 0, n}, fastest, owner, remaining);
     PUSHPART_CHECK(remaining == 0);
   }
   return q;
@@ -72,12 +67,9 @@ Partition randomClusteredPartition(int n, const Ratio& ratio, Rng& rng) {
           1 + rng.below(static_cast<std::uint64_t>(maxSide)));
       const int i0 = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
       const int j0 = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-      for (int i = i0; i < std::min(n, i0 + h) && remaining > 0; ++i)
-        for (int j = j0; j < std::min(n, j0 + w) && remaining > 0; ++j)
-          if (q.at(i, j) == Proc::P) {
-            q.set(i, j, x);
-            --remaining;
-          }
+      remaining -= q.claim(
+          Rect{i0, std::min(n, i0 + h), j0, std::min(n, j0 + w)}, Proc::P, x,
+          remaining);
     }
   }
   return q;

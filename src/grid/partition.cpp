@@ -49,6 +49,35 @@ void Partition::swapCells(int i1, int j1, int i2, int j2) {
   set(i2, j2, a);
 }
 
+std::int64_t Partition::claim(const Rect& box, Proc from, Proc to,
+                              std::int64_t count, ClaimOrder order) {
+  const Rect grid{0, n_, 0, n_};
+  PUSHPART_CHECK_MSG(grid.contains(box),
+                     "box " << box << " leaves the grid of n=" << n_);
+  PUSHPART_CHECK_MSG(procIndex(from) < owners_ && procIndex(to) < owners_ &&
+                         from != to,
+                     "cannot claim for owner " << procIndex(to) << " from "
+                                               << procIndex(from) << " of "
+                                               << owners_ << " owners");
+  const int lines = order.columns ? box.width() : box.height();
+  const int cells = order.columns ? box.height() : box.width();
+  const int line0 = order.columns ? box.colBegin : box.rowBegin;
+  const int cell0 = order.columns ? box.rowBegin : box.colBegin;
+  std::int64_t moved = 0;
+  for (int a = 0; a < lines && moved < count; ++a) {
+    const int line = line0 + (order.reverseLines ? lines - 1 - a : a);
+    for (int b = 0; b < cells && moved < count; ++b) {
+      const int cell = cell0 + (order.reverseCells ? cells - 1 - b : b);
+      const int i = order.columns ? cell : line;
+      const int j = order.columns ? line : cell;
+      if (at(i, j) != from) continue;
+      reassign(i, j, from, to);
+      ++moved;
+    }
+  }
+  return moved;
+}
+
 std::int64_t Partition::volumeOfCommunication() const {
   // Eq. 1 with the sums of c_i and c_j kept incrementally:
   //   Σ_i N(c_i − 1) = N·(Σ c_i − N).

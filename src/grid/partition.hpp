@@ -11,6 +11,11 @@
 //     the Volume of Communication (Eq. 1) is an O(1) query,
 //   * lazily-recomputed enclosing rectangles.
 //
+// Builders make a partition the way the paper makes q0 (§VI-A2): all cells
+// start on the fastest owner, and each slower owner takes its exact element
+// count from the fastest owner's cells, through claim() wherever those
+// cells form a box, in the order the builder's shape needs.
+//
 // The grid has an owner count: the paper's three processors by default, or
 // any k ∈ [2, kMaxOwners] for the paper's §XI direction, with the owner ids
 // of grid/proc.hpp (slow owners 0..k−2, the fastest k−1). The push engine
@@ -32,6 +37,15 @@
 #include "support/check.hpp"
 
 namespace pushpart {
+
+/// The order in which Partition::claim visits a box: line by line, the lines
+/// being rows unless `columns`. The lines, and the cells within each line,
+/// run ascending unless reversed.
+struct ClaimOrder {
+  bool columns = false;
+  bool reverseLines = false;
+  bool reverseCells = false;
+};
 
 class Partition {
  public:
@@ -65,6 +79,13 @@ class Partition {
 
   /// Swaps the owners of two cells (no-op if they already match).
   void swapCells(int i1, int j1, int i2, int j2);
+
+  /// Hands `to` the cells of `box` that `from` owns, visited in `order`,
+  /// and stops after `count`. Returns how many moved: fewer than `count`
+  /// when the box runs out of `from`'s cells. Throws CheckError when `box`
+  /// leaves the grid or an owner is out of range or `from` == `to`.
+  std::int64_t claim(const Rect& box, Proc from, Proc to, std::int64_t count,
+                     ClaimOrder order = {});
 
   // --- Occupancy queries (all O(1)) -------------------------------------
 

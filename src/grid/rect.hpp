@@ -1,4 +1,6 @@
-// Axis-aligned integer rectangles (half-open), used for enclosing rectangles.
+// Axis-aligned integer rectangles (half-open), used for enclosing rectangles
+// and for the boxes the builders claim cells in, plus the two integer
+// helpers that size those boxes.
 //
 // The Push operation is defined relative to each processor's *enclosing
 // rectangle* — the tightest axis-aligned box around its elements (paper §II).
@@ -6,10 +8,23 @@
 // colEnd); an empty rectangle has rowBegin == rowEnd == colBegin == colEnd == 0.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <ostream>
 
 namespace pushpart {
+
+/// ⌈a / b⌉ for a ≥ 0 and b > 0: the lines of b cells that hold a cells.
+constexpr std::int64_t ceilDiv(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
+
+/// Side of the near-square holding `count` cells: √count rounded, at least 1.
+inline int squareSide(std::int64_t count) {
+  return std::max(1, static_cast<int>(std::llround(
+                         std::sqrt(static_cast<double>(count)))));
+}
 
 struct Rect {
   int rowBegin = 0;

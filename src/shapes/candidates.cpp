@@ -10,16 +10,6 @@ namespace pushpart {
 
 namespace {
 
-std::int64_t ceilDiv(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
-
-/// Side of the near-square holding `count` cells.
-int squareSide(std::int64_t count) {
-  return std::max<int>(
-      1, static_cast<int>(std::llround(std::sqrt(static_cast<double>(count)))));
-}
-
 /// One edge-aligned band: `count` cells of `owner` laid line by line — rows
 /// when `rowsFirst`, else columns — from line `line0` stepping by `dir`
 /// (+1 or −1), each line spanning lanes [lane0, lane1) of the other axis.
@@ -266,8 +256,7 @@ bool candidateFeasible(CandidateShape shape, int n, const Ratio& ratio) {
 Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio) {
   Partition q(n, Proc::P);
   for (const auto& [owner, r] : shapeRects(shape, n, ratio))
-    for (int i = r.rowBegin; i < r.rowEnd; ++i)
-      for (int j = r.colBegin; j < r.colEnd; ++j) q.set(i, j, owner);
+    q.claim(r, Proc::P, owner, r.area());
   return q;
 }
 

@@ -67,10 +67,11 @@ enum class FourProcShape {
   /// share no rows/columns: side_i + side_j ≤ n for corner-adjacent pairs.
   kCornerSquares = 0,
   /// The three slow owners split a full-width bottom strip side by side
-  /// (the Block-Rectangle generalization). Always feasible.
+  /// (the Block-Rectangle generalization). Feasible when the slow owners'
+  /// ⌈count/n⌉ columns fit side by side; each lane is at least that wide.
   kBlockColumns = 1,
   /// All four owners as full-height column strips — the classical 1-D
-  /// rectangular partition. Always feasible.
+  /// rectangular partition. Feasible under the same column condition.
   kColumnStrips = 2,
 };
 

@@ -147,7 +147,7 @@ std::vector<FamilyPlacement> familyPlacements(int n, std::int64_t count) {
     return out;
   }
   for (int w = 1; w <= n; ++w) {
-    const auto h64 = (count + w - 1) / w;
+    const auto h64 = ceilDiv(count, w);
     if (h64 > n) continue;
     const int h = static_cast<int>(h64);
     const auto fullRows = count / w;
@@ -173,14 +173,6 @@ std::vector<FamilyPlacement> familyPlacements(int n, std::int64_t count) {
     }
   }
   return out;
-}
-
-/// Writes a placement's cells into `q` (row-major fill), owner `p`.
-void paintPlacement(Partition& q, const FamilyPlacement& pl, Proc p) {
-  std::int64_t left = pl.count;
-  for (int r = pl.i0; r < pl.i0 + pl.h && left > 0; ++r)
-    for (int c = pl.j0; c < pl.j0 + pl.w && left > 0; ++c, --left)
-      q.set(r, c, p);
 }
 
 /// Best feasible canonical candidate by grid-measured VoC, as the exhaustive
@@ -300,9 +292,9 @@ SmallNOracleResult smallNOptimalVoc(int n, const Ratio& ratio,
                      "family enumeration found no placement for n="
                          << n << " ratio=" << ratio.str());
   if (bestR != nullptr) {
-    Partition q(n);  // all-P fill
-    paintPlacement(q, *bestR, Proc::R);
-    paintPlacement(q, *bestS, Proc::S);
+    Partition q(n);  // all-P fill; each placement claims its box row-major
+    q.claim(bestR->rect(), Proc::P, Proc::R, bestR->count);
+    q.claim(bestS->rect(), Proc::P, Proc::S, bestS->count);
     PUSHPART_CHECK_MSG(q.volumeOfCommunication() == best,
                        "family VoC mismatch: table " << best << " vs grid "
                            << q.volumeOfCommunication());

@@ -231,6 +231,25 @@ TEST(FamilyEnumerateN, ExactCountsForFourProcs) {
   EXPECT_TRUE(seen.count(FamilyId::kHierarchical));
 }
 
+TEST(FamilyEnumerateN, FourOwnersAtASmallGrid) {
+  // At n = 5 the 8:4:2:1 Block-Columns lanes are 3, 1 and 1 columns wide;
+  // a proportional split without a clamp leaves the slowest owner none.
+  const NSpeeds speeds = NSpeeds::parse("8:4:2:1");
+  const int n = 5;
+  const auto counts = speeds.elementCounts(n);
+  bool blockColumns = false;
+  ASSERT_NO_THROW(builtinFamilies().forEachN(
+      n, speeds, FamilySet::all(), [&](const FamilyCandidate& c) {
+        blockColumns = blockColumns || c.name == "Block-Columns";
+        EXPECT_NO_THROW(c.partition.validateCounters()) << c.name;
+        for (std::size_t x = 0; x < counts.size(); ++x)
+          EXPECT_EQ(c.partition.count(procFromIndex(static_cast<int>(x))),
+                    counts[x])
+              << c.name << " owner " << x;
+      }));
+  EXPECT_TRUE(blockColumns);
+}
+
 TEST(FamilyEnumerateN, TwoProcsServedByCanonicalOnly) {
   NSpeeds speeds;
   speeds.speeds = {3.0, 1.0};

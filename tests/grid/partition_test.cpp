@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exec/kij_executor.hpp"
 #include "grid/bit_partition.hpp"
@@ -141,6 +145,131 @@ TEST(PartitionTest, ValidateCountersPassesAfterRandomMutation) {
     q.set(i, j, p);
   }
   q.validateCounters();
+}
+
+// --- claim: the one way builders hand cells to an owner ------------------
+
+/// The cells of `box` in the order `order` names, spelled out as nested
+/// loops: the claim reference.
+std::vector<std::pair<int, int>> visitOrder(const Rect& box,
+                                            ClaimOrder order) {
+  std::vector<int> rows, cols;
+  for (int i = box.rowBegin; i < box.rowEnd; ++i) rows.push_back(i);
+  for (int j = box.colBegin; j < box.colEnd; ++j) cols.push_back(j);
+  std::vector<int>& lines = order.columns ? cols : rows;
+  std::vector<int>& cells = order.columns ? rows : cols;
+  if (order.reverseLines) std::reverse(lines.begin(), lines.end());
+  if (order.reverseCells) std::reverse(cells.begin(), cells.end());
+  std::vector<std::pair<int, int>> out;
+  for (const int line : lines)
+    for (const int cell : cells)
+      out.emplace_back(order.columns ? cell : line,
+                       order.columns ? line : cell);
+  return out;
+}
+
+std::vector<ClaimOrder> allClaimOrders() {
+  std::vector<ClaimOrder> out;
+  for (const bool columns : {false, true})
+    for (const bool reverseLines : {false, true})
+      for (const bool reverseCells : {false, true})
+        out.push_back({columns, reverseLines, reverseCells});
+  return out;
+}
+
+TEST(PartitionClaimTest, VisitsEachOrderCellByCell) {
+  const Rect box{1, 4, 2, 6};
+  for (const ClaimOrder order : allClaimOrders()) {
+    const std::string name = std::string(order.columns ? "columns" : "rows") +
+                             (order.reverseLines ? " reverseLines" : "") +
+                             (order.reverseCells ? " reverseCells" : "");
+    Partition q(7);
+    for (const auto& [i, j] : visitOrder(box, order)) {
+      ASSERT_EQ(q.claim(box, Proc::P, Proc::R, 1, order), 1) << name;
+      EXPECT_EQ(q.at(i, j), Proc::R) << name << " at (" << i << "," << j << ")";
+      q.validateCounters();
+    }
+    EXPECT_EQ(q.count(Proc::R), box.area()) << name;
+    EXPECT_EQ(q.claim(box, Proc::P, Proc::R, 1, order), 0) << name;
+  }
+}
+
+TEST(PartitionClaimTest, ColumnsFromTheRightEdgeBottomUp) {
+  Partition q(3);
+  const ClaimOrder order{
+      .columns = true, .reverseLines = true, .reverseCells = true};
+  EXPECT_EQ(q.claim(Rect{1, 3, 0, 2}, Proc::P, Proc::S, 3, order), 3);
+  q.validateCounters();
+  // Column 1 bottom-up, then column 0 from the bottom.
+  EXPECT_EQ(toAscii(q), "PPP\n"
+                        "PSP\n"
+                        "SSP");
+}
+
+TEST(PartitionClaimTest, SkipsCellsFromDoesNotOwn) {
+  Partition q = fromAscii(R"(PPPP
+                             PSPP
+                             PPSP
+                             PPPP)");
+  const Rect box{0, 3, 0, 3};
+  EXPECT_EQ(q.claim(box, Proc::P, Proc::R, 100), 7);
+  q.validateCounters();
+  EXPECT_EQ(toAscii(q), "RRRP\n"
+                        "RSRP\n"
+                        "RRSP\n"
+                        "PPPP");
+  // The S cells are no P cells to claim, so a second pass moves nothing.
+  EXPECT_EQ(q.claim(box, Proc::P, Proc::R, 100), 0);
+  // And claiming from S takes exactly those two.
+  EXPECT_EQ(q.claim(box, Proc::S, Proc::R, 100), 2);
+  q.validateCounters();
+}
+
+TEST(PartitionClaimTest, StopsAtCountAndReportsShortfall) {
+  Partition q(5);
+  const Rect box{0, 3, 0, 3};
+  EXPECT_EQ(q.claim(box, Proc::P, Proc::R, 0), 0);
+  EXPECT_EQ(q.claim(box, Proc::P, Proc::R, 5), 5);
+  EXPECT_EQ(q.count(Proc::R), 5);
+  q.validateCounters();
+  // Four P cells are left in the box: a claim of ten moves four.
+  EXPECT_EQ(q.claim(box, Proc::P, Proc::S, 10), 4);
+  EXPECT_EQ(q.count(Proc::S), 4);
+  q.validateCounters();
+  // An empty box moves nothing.
+  EXPECT_EQ(q.claim(Rect::empty(), Proc::P, Proc::R, 3), 0);
+  EXPECT_EQ(q.claim(Rect{2, 2, 0, 5}, Proc::P, Proc::R, 3), 0);
+  EXPECT_EQ(q.count(Proc::R), 5);
+  q.validateCounters();
+}
+
+TEST(PartitionClaimTest, RefusesBoxesOffTheGridAndBadOwners) {
+  Partition q(4);
+  EXPECT_THROW(q.claim(Rect{0, 5, 0, 4}, Proc::P, Proc::R, 1), CheckError);
+  EXPECT_THROW(q.claim(Rect{-1, 2, 0, 2}, Proc::P, Proc::R, 1), CheckError);
+  EXPECT_THROW(q.claim(Rect{0, 2, 3, 5}, Proc::P, Proc::R, 1), CheckError);
+  EXPECT_THROW(q.claim(Rect{0, 4, 0, 4}, Proc::P, procFromIndex(3), 1),
+               CheckError);
+  EXPECT_THROW(q.claim(Rect{0, 4, 0, 4}, procFromIndex(5), Proc::R, 1),
+               CheckError);
+  EXPECT_THROW(q.claim(Rect{0, 4, 0, 4}, Proc::P, Proc::P, 1), CheckError);
+  // A refused claim moves nothing.
+  EXPECT_EQ(q.count(Proc::P), 16);
+  q.validateCounters();
+}
+
+TEST(PartitionClaimTest, ClaimsAmongKOwners) {
+  Partition q(6, 5);
+  const Proc fastest = q.fastest();
+  for (int x = 0; x < 4; ++x)
+    EXPECT_EQ(q.claim(Rect{0, 6, 0, 6}, fastest, procFromIndex(x), 7,
+                      {.reverseLines = x % 2 == 1}),
+              7);
+  q.validateCounters();
+  for (int x = 0; x < 4; ++x) EXPECT_EQ(q.count(procFromIndex(x)), 7);
+  EXPECT_EQ(q.count(fastest), 36 - 28);
+  EXPECT_THROW(q.claim(Rect{0, 6, 0, 6}, fastest, procFromIndex(5), 1),
+               CheckError);
 }
 
 // Parameterised sweep: VoC and rectangles stay consistent across sizes.

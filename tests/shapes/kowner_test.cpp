@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "dfa/dfa.hpp"
 #include "grid/builder.hpp"
@@ -153,6 +154,42 @@ TEST(FourProcShapeTest, ExactCountsForAllShapes) {
           << fourProcShapeName(shape) << " owner " << x;
     q.validateCounters();
   }
+}
+
+TEST(FourProcShapeTest, EveryFeasibleInputBuildsWithExactCounts) {
+  // Small grids are where integer lanes bind: unless each lane end is
+  // clamped, a proportional Block-Columns split leaves a later owner fewer
+  // than ⌈count/n⌉ columns (n = 5 at 8:4:2:1, n = 4 at 4:3:2:1, n = 7 at
+  // 16:8:4:1) and the build throws.
+  int built = 0;
+  for (const char* spec :
+       {"8:4:2:1", "4:3:2:1", "16:8:4:1", "1:1:1:1", "2:1:1:1", "3:2:2:1",
+        "10:9:8:7", "20:2:2:1", "4:1:1:1", "5:4:1:1", "6:3:2:1",
+        "100:3:2:1"}) {
+    const auto speeds = NSpeeds::parse(spec);
+    for (int n = 3; n <= 64; ++n) {
+      const auto counts = speeds.elementCounts(n);
+      for (FourProcShape shape :
+           {FourProcShape::kCornerSquares, FourProcShape::kBlockColumns,
+            FourProcShape::kColumnStrips}) {
+        if (!fourProcFeasible(shape, n, speeds)) continue;
+        const auto where = [&] {
+          return std::string(fourProcShapeName(shape)) + " n=" +
+                 std::to_string(n) + " speeds " + spec;
+        };
+        ASSERT_NO_THROW({
+          const auto q = makeFourProcCandidate(shape, n, speeds);
+          for (int x = 0; x < 4; ++x)
+            EXPECT_EQ(q.count(procFromIndex(x)),
+                      counts[static_cast<std::size_t>(x)])
+                << where() << " owner " << x;
+          q.validateCounters();
+        }) << where();
+        ++built;
+      }
+    }
+  }
+  EXPECT_GT(built, 1000);
 }
 
 TEST(FourProcShapeTest, StripShapesAlwaysFeasible) {
