@@ -76,10 +76,15 @@ struct Tile {
 void tileBaseline(const double* ap, const double* bp, std::size_t kc,
                   double* c, std::size_t ldc);
 
-/// Rows [rowBegin, rowEnd) of C = A·B, each element summed over ascending k
-/// from 0.0; multiplySerialBanded runs one call per band.
-void referenceRowsBaseline(const Matrix& a, const Matrix& b, Matrix& c,
-                           int rowBegin, int rowEnd);
+/// The columns of one chunk of the executor's check: a whole number of
+/// reference panels in every build (4, 8 and 16 columns wide), so no panel
+/// spans two chunks and each column of B is packed once per product.
+inline constexpr int kReferenceChunkCols = 16;
+
+/// Columns [colBegin, colEnd) of C = A·B over all rows, each element summed
+/// over ascending k from 0.0; the executor's check runs one call per chunk.
+void referenceColumnsBaseline(const Matrix& a, const Matrix& b, Matrix& c,
+                              int colBegin, int colEnd);
 
 inline constexpr Tile kBaselineTile{4, 4, tileBaseline};
 
@@ -89,16 +94,17 @@ inline constexpr Tile kBaselineTile{4, 4, tileBaseline};
 [[gnu::target("avx2")]] void tileAvx2(const double* ap, const double* bp,
                                       std::size_t kc, double* c,
                                       std::size_t ldc);
-[[gnu::target("avx2")]] void referenceRowsAvx2(const Matrix& a,
-                                               const Matrix& b, Matrix& c,
-                                               int rowBegin, int rowEnd);
+[[gnu::target("avx2")]] void referenceColumnsAvx2(const Matrix& a,
+                                                  const Matrix& b, Matrix& c,
+                                                  int colBegin, int colEnd);
 [[gnu::target("avx512f")]] void tileAvx512f(const double* ap,
                                             const double* bp, std::size_t kc,
                                             double* c, std::size_t ldc);
-[[gnu::target("avx512f")]] void referenceRowsAvx512f(const Matrix& a,
-                                                     const Matrix& b,
-                                                     Matrix& c, int rowBegin,
-                                                     int rowEnd);
+[[gnu::target("avx512f")]] void referenceColumnsAvx512f(const Matrix& a,
+                                                        const Matrix& b,
+                                                        Matrix& c,
+                                                        int colBegin,
+                                                        int colEnd);
 
 inline constexpr Tile kAvx2Tile{4, 8, tileAvx2};
 inline constexpr Tile kAvx512fTile{6, 16, tileAvx512f};
@@ -114,14 +120,14 @@ inline const Tile& tile() {
 }
 
 /// The reference build picked the same way.
-inline void referenceRows(const Matrix& a, const Matrix& b, Matrix& c,
-                          int rowBegin, int rowEnd) {
+inline void referenceColumns(const Matrix& a, const Matrix& b, Matrix& c,
+                             int colBegin, int colEnd) {
 #if defined(__x86_64__)
   if (avx512fKernels())
-    return referenceRowsAvx512f(a, b, c, rowBegin, rowEnd);
-  if (avx2Kernels()) return referenceRowsAvx2(a, b, c, rowBegin, rowEnd);
+    return referenceColumnsAvx512f(a, b, c, colBegin, colEnd);
+  if (avx2Kernels()) return referenceColumnsAvx2(a, b, c, colBegin, colEnd);
 #endif
-  referenceRowsBaseline(a, b, c, rowBegin, rowEnd);
+  referenceColumnsBaseline(a, b, c, colBegin, colEnd);
 }
 
 /// C += A·B for the cells of `rect` (C, A and B are n × n), pivot block by

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -206,6 +208,7 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
   const Matrix a = randomMatrix(n, rng);
   const Matrix b = randomMatrix(n, rng);
   Matrix c(n, 0.0);
+  Matrix ref(options.verify ? n : 0, 0.0);  // the check's reference
 
   ExecResult result;
   Stopwatch wall;
@@ -215,38 +218,68 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
   result.commSeconds = evalModel(algo, q, options.machine).commSeconds +
                        options.machine.alphaSeconds;
 
-  // --- Barrier, then parallel computation -------------------------------
+  // --- Barrier, then parallel computation, the check beside it ----------
+  // The reference goes in chunks of kReferenceChunkCols columns, all rows
+  // each, handed out by one counter: the calling thread takes chunks as soon
+  // as the workers start, and each worker takes whatever is left once it has
+  // finished its own cells and recorded its busy time and product-done time.
+  // So the check fills the time the throttle and the join leave idle, and
+  // neither the product's span nor any worker's busy time includes it. The
+  // inputs are const, so the check multiplies exactly the product's inputs.
+  constexpr int kChunkCols = kernels::kReferenceChunkCols;
+  const int chunks = options.verify ? (n + kChunkCols - 1) / kChunkCols : 0;
+  std::atomic<int> nextChunk{0};
+  const auto drainCheck = [&] {
+    for (int t; (t = nextChunk++) < chunks;)
+      kernels::referenceColumns(a, b, ref, t * kChunkCols,
+                                std::min(n, (t + 1) * kChunkCols));
+  };
   const double maxSpeed = options.machine.ratio.p;
   const kernels::Tile& tile = kernels::tile();
-  std::array<std::thread, kNumProcs> workers;
   std::array<double, kNumProcs> busy{};
   std::array<double, kNumProcs> emulatedBusy{};  // incl. throttle sleeps
-  for (Proc x : kAllProcs) {
+  std::array<double, kNumProcs> doneAt{};        // product done, on `wall`
+  std::array<std::exception_ptr, kNumProcs> failures;  // rethrown at the join
+  const auto work = [&](Proc x) {
     const auto xi = procSlot(x);
-    workers[xi] = std::thread([&, x, xi] {
-      const auto rects = ownedRects(q, x);
-      Throttle throttle(options.machine.ratio.speed(x) / maxSpeed);
-      Stopwatch total;
-      Stopwatch quantum;  // pure-compute time since the last charge
-      std::int64_t macsSinceCharge = 0;
-      const std::function<void(std::int64_t)> afterTile =
-          [&](std::int64_t macs) {
-            macsSinceCharge += macs;
-            if (macsSinceCharge < options.quantumMacs) return;
-            throttle.charge(quantum.seconds());
-            quantum.reset();  // charge() slept; restart the compute clock
-            macsSinceCharge = 0;
-          };
-      for (const Rect& rect : rects)
-        kernels::multiplyPacked(a, b, c, rect, tile, afterTile);
-      emulatedBusy[xi] = total.seconds();
-      busy[xi] = emulatedBusy[xi] - throttle.sleptSeconds();
-    });
+    const auto rects = ownedRects(q, x);
+    Throttle throttle(options.machine.ratio.speed(x) / maxSpeed);
+    Stopwatch total;
+    Stopwatch quantum;  // pure-compute time since the last charge
+    std::int64_t macsSinceCharge = 0;
+    const std::function<void(std::int64_t)> afterTile =
+        [&](std::int64_t macs) {
+          macsSinceCharge += macs;
+          if (macsSinceCharge < options.quantumMacs) return;
+          throttle.charge(quantum.seconds());
+          quantum.reset();  // charge() slept; restart the compute clock
+          macsSinceCharge = 0;
+        };
+    for (const Rect& rect : rects)
+      kernels::multiplyPacked(a, b, c, rect, tile, afterTile);
+    emulatedBusy[xi] = total.seconds();
+    busy[xi] = emulatedBusy[xi] - throttle.sleptSeconds();
+    doneAt[xi] = wall.seconds();
+    drainCheck();
+  };
+  {
+    // jthreads join on every exit from this block, exceptions included, so
+    // no worker still touches a, b, c or ref once it is left.
+    std::array<std::jthread, kNumProcs> workers;
+    for (Proc x : kAllProcs)
+      workers[procSlot(x)] = std::jthread([&work, &failures, x] {
+        try {
+          work(x);
+        } catch (...) {
+          failures[procSlot(x)] = std::current_exception();
+        }
+      });
+    drainCheck();
   }
-  for (auto& t : workers)
-    if (t.joinable()) t.join();
+  for (const std::exception_ptr& failure : failures)
+    if (failure) std::rethrow_exception(failure);
   result.computeSeconds = busy;
-  result.wallSeconds = wall.seconds();
+  result.wallSeconds = *std::max_element(doneAt.begin(), doneAt.end());
 
   if (options.telemetry) {
     // One phase observation per run. busySeconds includes the throttle's
@@ -266,12 +299,8 @@ ExecResult runParallelMMM(Algo algo, const Partition& q,
 
   // --- Verification ------------------------------------------------------
   if (options.verify) {
-    // The register-blocked reference in one row band per worker, on the
-    // same a and b the workers read: they are const, so the check multiplies
-    // exactly the product's inputs. The workers have joined, so it runs on
-    // as many threads as the product did. It is bit-identical to
-    // multiplySerial and shares no code with the tiled kernel.
-    const Matrix ref = multiplySerialBanded(a, b, kNumProcs);
+    // The reference is bit-identical to multiplySerial and shares no code
+    // with the tiled kernel; the join made both products whole.
     result.maxAbsError = maxAbsDiff(c, ref);
     result.verified = true;
   }

@@ -15,16 +15,22 @@
 // tile-high strips, both zero-padded, and every tile, full or ragged, runs
 // one kernel body on them (a ragged tile on a local copy of its C). The
 // body's baseline (4 × 4), AVX2 (4 × 8) or AVX-512F (6 × 16) build is
-// chosen once per process from the CPU (exec/kernels.hpp). Every C element sums its n
-// products in ascending k starting from 0.0, as multiplySerial does, with no
-// fused multiply-add in any build, so the result is bit-identical to it.
-// The check recomputes the product from the same inputs with
-// multiplySerialBanded, a register-blocked reference that shares no code
+// chosen once per process from the CPU (exec/kernels.hpp). Every C element
+// sums its n products in ascending k starting from 0.0, as multiplySerial
+// does, with no fused multiply-add in any build, so the result is
+// bit-identical to it.
+// The check recomputes the product from the same inputs with a
+// register-blocked reference (kernels::referenceColumns) that shares no code
 // with the tiles and also equals multiplySerial bit for bit, and compares
-// every element. This is the repo's "real
-// execution" substrate for the Fig. 14 analogue (bench/exec_mmm): wall-clock
-// times of Square-Corner vs Block-Rectangle under genuine threads, real
-// floating-point work and real sleep-based heterogeneity.
+// every element. The reference runs beside the product, in chunks of 16
+// columns handed out by one counter: the calling thread takes chunks while
+// the workers compute, and each worker takes what is left once its own cells
+// are done, so the check fills the throttle's idle time and counts neither
+// in the product's wall time nor in any worker's busy time. This is the
+// repo's "real execution" substrate for the Fig. 14 analogue
+// (bench/exec_mmm): wall-clock times of Square-Corner vs Block-Rectangle
+// under genuine threads, real floating-point work and real sleep-based
+// heterogeneity.
 #pragma once
 
 #include <array>
@@ -39,8 +45,10 @@ namespace pushpart {
 
 struct ExecOptions {
   Machine machine;          ///< ratio → per-thread throttle; α, T_send → comm phase.
-  /// Check every element against multiplySerialBanded on the same inputs,
-  /// which equals multiplySerial bit for bit (an O(N³) run on three threads).
+  /// Check every element against a reference product of the same inputs,
+  /// which equals multiplySerial bit for bit. The reference is O(N³) work
+  /// on the calling thread and on each worker once its own cells are done;
+  /// it is not part of wallSeconds or computeSeconds.
   bool verify = true;
   std::uint64_t seed = 1;   ///< Input matrix seed.
   /// Work quantum between throttle charges, in MAC operations. Charges land
@@ -57,7 +65,9 @@ struct ExecOptions {
 };
 
 struct ExecResult {
-  double wallSeconds = 0.0;       ///< Total measured wall time.
+  /// Measured wall time from the comm phase's start until the last worker
+  /// finished its cells: the product's span, without the check.
+  double wallSeconds = 0.0;
   double commSeconds = 0.0;       ///< Emulated comm phase: α + model comm term.
   std::array<double, kNumProcs> computeSeconds{};  ///< Per-worker busy time.
   std::int64_t commElements = 0;  ///< Elements crossing node boundaries.

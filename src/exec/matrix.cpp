@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "exec/kernels.hpp"
@@ -38,40 +36,43 @@ void multiplyRows(const Matrix& a, const Matrix& b, Matrix& c, int rowBegin,
 /// vectors wide, and B's panel as wide as the block.
 constexpr std::size_t kRefRows = 4;
 
-/// Rows [rowBegin, rowEnd) of C = A·B with C held in registers: each
-/// kRefRows × 2·Lanes block of C sums all n pivots in 2·kRefRows vector
-/// accumulators, reading A's rows in place and B's columns from a panel
-/// packed pivot-major once per panel, zero-padded past column n; only the
-/// block's columns below n are stored. Leftover rows take a one-row loop on
-/// the same panel. Every element sums a(i,k)·b(k,j) over ascending k from
-/// 0.0, as multiplySerial does, so the rows equal its bit for bit. Every
-/// entry below inlines this one body at its build's vector width.
+/// Columns [colBegin, colEnd) of C = A·B, over all rows, with C held in
+/// registers: each kRefRows × 2·Lanes block of C sums all n pivots in
+/// 2·kRefRows vector accumulators, reading A's rows in place and B's columns
+/// from a panel packed pivot-major once per panel, zero-padded past colEnd;
+/// only the block's columns below colEnd are stored. The last n mod kRefRows
+/// rows take a one-row loop on the same panel. Every element sums
+/// a(i,k)·b(k,j) over ascending k from 0.0, as multiplySerial does, so the
+/// columns equal its bit for bit. Every entry below inlines this one body at
+/// its build's vector width.
 template <std::size_t Lanes>
-[[gnu::always_inline]] inline void referenceRowsBody(const Matrix& a,
-                                                     const Matrix& b,
-                                                     Matrix& c, int rowBegin,
-                                                     int rowEnd) {
+[[gnu::always_inline]] inline void referenceColumnsBody(const Matrix& a,
+                                                        const Matrix& b,
+                                                        Matrix& c,
+                                                        int colBegin,
+                                                        int colEnd) {
   using V = kernels::Vec<Lanes>;
   constexpr std::size_t kCols = 2 * Lanes;
+  static_assert(kernels::kReferenceChunkCols % kCols == 0);
   const auto n = static_cast<std::size_t>(a.n());
-  const auto row0 = static_cast<std::size_t>(rowBegin);
-  const auto row1 = static_cast<std::size_t>(rowEnd);
-  const std::size_t blockRowsEnd = row0 + (row1 - row0) / kRefRows * kRefRows;
+  const auto col0 = static_cast<std::size_t>(colBegin);
+  const auto col1 = static_cast<std::size_t>(colEnd);
+  const std::size_t blockRowsEnd = n / kRefRows * kRefRows;
   const double* aData = a.data();
   const double* bData = b.data();
   double* cData = c.data();
   // panel[k·kCols + x] = B(k, j + x) for the current panel's first column j.
   std::vector<double> panel(n * kCols);
   const double* bp = panel.data();
-  for (std::size_t j = 0; j < n; j += kCols) {
-    const std::size_t cols = std::min(kCols, n - j);
+  for (std::size_t j = col0; j < col1; j += kCols) {
+    const std::size_t cols = std::min(kCols, col1 - j);
     for (std::size_t k = 0; k < n; ++k)
       for (std::size_t x = 0; x < kCols; ++x)
         panel[k * kCols + x] = x < cols ? bData[k * n + j + x] : 0.0;
     // One block row on its way to C. A block's accumulators leave through
     // locals, never addressed in place: GCC then keeps them in registers.
     double row[kCols];
-    std::size_t i = row0;
+    std::size_t i = 0;
     for (; i < blockRowsEnd; i += kRefRows) {
       const double* ai = aData + i * n;
       V lo[kRefRows] = {};
@@ -94,7 +95,7 @@ template <std::size_t Lanes>
         std::copy_n(row, cols, cData + (i + r) * n + j);
       }
     }
-    for (; i < row1; ++i) {
+    for (; i < n; ++i) {
       const double* ai = aData + i * n;
       V lo = {};
       V hi = {};
@@ -114,23 +115,23 @@ template <std::size_t Lanes>
 
 }  // namespace
 
-void kernels::referenceRowsBaseline(const Matrix& a, const Matrix& b,
-                                    Matrix& c, int rowBegin, int rowEnd) {
-  referenceRowsBody<2>(a, b, c, rowBegin, rowEnd);
+void kernels::referenceColumnsBaseline(const Matrix& a, const Matrix& b,
+                                       Matrix& c, int colBegin, int colEnd) {
+  referenceColumnsBody<2>(a, b, c, colBegin, colEnd);
 }
 
 #if defined(__x86_64__)
-[[gnu::target("avx2")]] void kernels::referenceRowsAvx2(const Matrix& a,
-                                                        const Matrix& b,
-                                                        Matrix& c,
-                                                        int rowBegin,
-                                                        int rowEnd) {
-  referenceRowsBody<4>(a, b, c, rowBegin, rowEnd);
+[[gnu::target("avx2")]] void kernels::referenceColumnsAvx2(const Matrix& a,
+                                                           const Matrix& b,
+                                                           Matrix& c,
+                                                           int colBegin,
+                                                           int colEnd) {
+  referenceColumnsBody<4>(a, b, c, colBegin, colEnd);
 }
 
-[[gnu::target("avx512f")]] void kernels::referenceRowsAvx512f(
-    const Matrix& a, const Matrix& b, Matrix& c, int rowBegin, int rowEnd) {
-  referenceRowsBody<8>(a, b, c, rowBegin, rowEnd);
+[[gnu::target("avx512f")]] void kernels::referenceColumnsAvx512f(
+    const Matrix& a, const Matrix& b, Matrix& c, int colBegin, int colEnd) {
+  referenceColumnsBody<8>(a, b, c, colBegin, colEnd);
 }
 #endif
 
@@ -138,29 +139,6 @@ Matrix multiplySerial(const Matrix& a, const Matrix& b) {
   PUSHPART_CHECK(a.n() == b.n());
   Matrix c(a.n(), 0.0);
   multiplyRows(a, b, c, 0, a.n());
-  return c;
-}
-
-Matrix multiplySerialBanded(const Matrix& a, const Matrix& b, int bands) {
-  PUSHPART_CHECK(a.n() == b.n());
-  PUSHPART_CHECK(bands >= 1);
-  const int n = a.n();
-  Matrix c(n, 0.0);
-  const auto bandBegin = [n, bands](int band) {
-    return static_cast<int>(static_cast<std::int64_t>(n) * band / bands);
-  };
-  {
-    // jthreads join on every exit from this block, exceptions included,
-    // so no band still writes c once it is returned.
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(bands - 1));
-    for (int band = 1; band < bands; ++band)
-      threads.emplace_back([&, band] {
-        kernels::referenceRows(a, b, c, bandBegin(band),
-                               bandBegin(band + 1));
-      });
-    kernels::referenceRows(a, b, c, 0, bandBegin(1));
-  }
   return c;
 }
 

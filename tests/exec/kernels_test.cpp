@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "exec/matrix.hpp"
@@ -55,9 +60,18 @@ void expectTileIsBitIdentical(const kernels::Tile& tile) {
     }
 }
 
-/// Rows of A·B in one call and in three bands, against multiplySerial.
+/// Columns of A·B three ways, each against multiplySerial exactly: over all
+/// columns in one call; in chunks of kReferenceChunkCols columns in shuffled
+/// order; and in chunks drained from one shared counter by four threads at
+/// once, as the executor's check drains them. C starts as NaN, so a cell no
+/// call writes cannot match. The sizes cover n below, at and past one chunk,
+/// every n mod 4 (the last block's leftover rows), a ragged last chunk at
+/// n = 129–131 and 301, and n = 512, whose 4 KiB row stride aliases in cache.
 void expectReferenceIsBitIdentical(ReferenceEntry entry) {
-  for (int n : {1, 2, 3, 4, 5, 7, 8, 64, 129, 130, 131, 512}) {
+  constexpr int kChunk = kernels::kReferenceChunkCols;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int n :
+       {1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 64, 129, 130, 131, 301, 512}) {
     Rng rng(static_cast<std::uint64_t>(n));
     const Matrix a = randomMatrix(n, rng);
     const Matrix b = randomMatrix(n, rng);
@@ -65,15 +79,35 @@ void expectReferenceIsBitIdentical(ReferenceEntry entry) {
     const std::size_t bytes =
         static_cast<std::size_t>(n) * static_cast<std::size_t>(n) *
         sizeof(double);
-    Matrix full(n, 0.0);
-    entry(a, b, full, 0, n);
-    EXPECT_EQ(std::memcmp(full.data(), serial.data(), bytes), 0)
+    const int chunks = (n + kChunk - 1) / kChunk;
+    const auto runChunk = [&](Matrix& c, int t) {
+      entry(a, b, c, t * kChunk, std::min(n, (t + 1) * kChunk));
+    };
+
+    Matrix whole(n, nan);
+    entry(a, b, whole, 0, n);
+    EXPECT_EQ(std::memcmp(whole.data(), serial.data(), bytes), 0)
         << "n " << n << " one call";
-    Matrix banded(n, 0.0);
-    for (int band = 0; band < 3; ++band)
-      entry(a, b, banded, n * band / 3, n * (band + 1) / 3);
-    EXPECT_EQ(std::memcmp(banded.data(), serial.data(), bytes), 0)
-        << "n " << n << " three bands";
+
+    std::vector<int> order(static_cast<std::size_t>(chunks));
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin(), order.end(), rng);
+    Matrix shuffled(n, nan);
+    for (int t : order) runChunk(shuffled, t);
+    EXPECT_EQ(std::memcmp(shuffled.data(), serial.data(), bytes), 0)
+        << "n " << n << " chunks in shuffled order";
+
+    Matrix drained(n, nan);
+    std::atomic<int> next{0};
+    {
+      std::vector<std::jthread> threads;
+      for (int w = 0; w < 4; ++w)
+        threads.emplace_back([&] {
+          for (int t; (t = next.fetch_add(1)) < chunks;) runChunk(drained, t);
+        });
+    }
+    EXPECT_EQ(std::memcmp(drained.data(), serial.data(), bytes), 0)
+        << "n " << n << " chunks drained by four threads";
   }
 }
 
@@ -100,13 +134,18 @@ TEST(KernelEntryTest, Avx512TileIsBitIdentical) {
 }
 
 TEST(KernelEntryTest, BaselineReferenceIsBitIdentical) {
-  expectReferenceIsBitIdentical(kernels::referenceRowsBaseline);
+  expectReferenceIsBitIdentical(kernels::referenceColumnsBaseline);
+}
+
+// The build this CPU picks, through the dispatch the executor's check calls.
+TEST(KernelEntryTest, DispatchedReferenceIsBitIdentical) {
+  expectReferenceIsBitIdentical(kernels::referenceColumns);
 }
 
 TEST(KernelEntryTest, Avx2ReferenceIsBitIdentical) {
 #if defined(__x86_64__)
   if (!kernels::avx2Kernels()) GTEST_SKIP() << "this CPU has no AVX2";
-  expectReferenceIsBitIdentical(kernels::referenceRowsAvx2);
+  expectReferenceIsBitIdentical(kernels::referenceColumnsAvx2);
 #else
   GTEST_SKIP() << "the AVX2 entries are built on x86-64 only";
 #endif
@@ -115,7 +154,7 @@ TEST(KernelEntryTest, Avx2ReferenceIsBitIdentical) {
 TEST(KernelEntryTest, Avx512ReferenceIsBitIdentical) {
 #if defined(__x86_64__)
   if (!kernels::avx512fKernels()) GTEST_SKIP() << "this CPU has no AVX-512F";
-  expectReferenceIsBitIdentical(kernels::referenceRowsAvx512f);
+  expectReferenceIsBitIdentical(kernels::referenceColumnsAvx512f);
 #else
   GTEST_SKIP() << "the AVX-512F entries are built on x86-64 only";
 #endif

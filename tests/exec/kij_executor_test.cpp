@@ -31,9 +31,8 @@ TEST(KijExecutorTest, ResultMatchesSerialReference) {
   const auto result = runParallelMMM(Algo::kSCB, q, fastOptions(ratio));
   EXPECT_TRUE(result.verified);
   // The tiled kernel adds each element's products in ascending k starting
-  // from 0.0, exactly as multiplySerial does; KijExecutorBitIdentityTest
-  // pins the agreement to 0.0.
-  EXPECT_LT(result.maxAbsError, 1e-9);
+  // from 0.0, exactly as multiplySerial does, so the two agree bit for bit.
+  EXPECT_EQ(result.maxAbsError, 0.0);
 }
 
 struct BitIdentityCase {
@@ -89,8 +88,31 @@ TEST(KijExecutorTest, CandidateShapesComputeCorrectly) {
         CandidateShape::kTraditionalRectangle}) {
     const auto q = makeCandidate(shape, 40, ratio);
     const auto result = runParallelMMM(Algo::kPCB, q, fastOptions(ratio));
-    EXPECT_LT(result.maxAbsError, 1e-9) << candidateName(shape);
+    EXPECT_TRUE(result.verified) << candidateName(shape);
+    EXPECT_EQ(result.maxAbsError, 0.0) << candidateName(shape);
   }
+}
+
+// The check runs beside the product but counts neither in its span nor in
+// any worker's busy time. On an all-P partition R and S own no cells, so
+// they finish at once and then drain the check's chunks beside the calling
+// thread; at n = 384 the reference is milliseconds of work. Were the chunks
+// a worker drains counted as its busy time, R's and S's would be a large
+// share of P's.
+TEST(KijExecutorTest, CheckCountsInNeitherBusyTimeNorSpan) {
+  constexpr int n = 384;
+  ExecOptions opts = fastOptions(Ratio{2, 1, 1});
+  std::vector<PhaseSample> samples;
+  opts.telemetry = [&samples](const PhaseSample& s) { samples.push_back(s); };
+  const auto result = runParallelMMM(Algo::kPCB, Partition(n), opts);
+  ASSERT_TRUE(result.verified);
+  EXPECT_EQ(result.maxAbsError, 0.0);
+  const double pBusy = result.computeSeconds[procSlot(Proc::P)];
+  for (Proc x : kSlowProcs)
+    EXPECT_LT(result.computeSeconds[procSlot(x)], 0.1 * pBusy)
+        << procName(x) << " busy, P busy " << pBusy << " s";
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].at, result.wallSeconds);
 }
 
 TEST(KijExecutorTest, CommElementsMatchVoC) {

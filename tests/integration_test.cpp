@@ -88,7 +88,8 @@ TEST(PipelineTest, ModelSimulatorExecutorAgreeOnCommVolume) {
   execOpts.verify = true;
   const ExecResult run = runParallelMMM(Algo::kSCB, q, execOpts);
   EXPECT_EQ(run.commElements, voc);
-  EXPECT_LT(run.maxAbsError, 1e-9);
+  EXPECT_TRUE(run.verified);
+  EXPECT_EQ(run.maxAbsError, 0.0);  // bit-identical to multiplySerial
 }
 
 TEST(PipelineTest, BatchSearchNeverBeatsCandidates) {
