@@ -64,39 +64,4 @@ ModelResult bulkResult(Algo algo, double commSeconds,
   return result;
 }
 
-ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
-                           int blockSize, Topology topology, StarConfig star) {
-  requireThreeOwners(q);
-  PUSHPART_CHECK_MSG(blockSize >= 1, "PIO block size must be positive");
-  PUSHPART_CHECK_MSG(machine.ratio.valid(),
-                     "invalid machine ratio " << machine.ratio.str());
-  const int n = q.n();
-  const double tsend = machine.sendElementSeconds;
-  const LineGroups<Partition> rows(q, Axis::kRows);
-  const LineGroups<Partition> cols(q, Axis::kCols);
-
-  const double maxStep = computeLoads(q, machine).step;
-
-  ModelResult result;
-  double total = 0.0;
-  int k = 0;
-  int prevBlockSteps = 0;  // 0 for the priming block: nothing to overlap
-  while (k < n) {
-    const int blockEnd = std::min(n, k + blockSize);
-    std::int64_t blockVolume = 0;
-    for (int p = k; p < blockEnd; ++p)
-      blockVolume += detail::pioStepVolume(n, rows[p], cols[p], topology, star);
-    const double blockComm = tsend * static_cast<double>(blockVolume);
-    // This block's exchange overlaps the *previous* block's compute.
-    total += std::max(blockComm, maxStep * prevBlockSteps);
-    result.commSeconds += blockComm;
-    prevBlockSteps = blockEnd - k;
-    k = blockEnd;
-  }
-  total += maxStep * prevBlockSteps;  // drain: compute the final block
-  result.compSeconds = maxStep * n;
-  result.execSeconds = total;
-  return result;
-}
-
 }  // namespace pushpart

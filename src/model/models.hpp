@@ -25,7 +25,9 @@
 // evalModel reads only per-owner totals and the line groups of
 // grid/metrics.hpp (per-owner line counts, hence c_i and c_j), so tier A
 // ranks the candidate shapes from LineCounts' few runs without painting a
-// grid: its sums do not grow with N, except PIO's one add per pivot.
+// grid: its sums do not grow with N, except PIO's one add per pivot. PIO
+// has one loop, evalPioBlocked, which prices the paper's "k rows and
+// columns at a time"; evalModel(kPIO) is that loop at k = 1.
 //
 // This header is the one place where counts become seconds. The simulator
 // (sim/mmm_sim.hpp) takes the max_X terms from computeLoads and its
@@ -130,73 +132,87 @@ ComputeLoads computeLoads(const Q& q, const Machine& machine) {
 ModelResult bulkResult(Algo algo, double commSeconds,
                        const ComputeLoads& loads);
 
-/// Evaluates the Eq. 2–9 model for `algo` on `q` — a Partition, a
-/// BitPartition or a LineCounts. The partition's element counts drive
-/// computation time; its row/column occupancy drives communication.
-/// `machine.ratio` supplies processor speeds. The sums walk line groups
-/// (one per line of a grid, one per run of a LineCounts); PIO adds once per
-/// pivot besides.
+/// Blocked PIO (paper §II: data is sent "a row and a column — or k rows and
+/// columns — at a time") on `q` — a Partition, a BitPartition or a
+/// LineCounts. Pivots are grouped into blocks of `blockSize`: block b's data
+/// moves while block b−1 computes, and a block's comm is its pivots' Eq. 9
+/// step volumes summed. blockSize = 1 is the paper's PIO (evalModel(kPIO));
+/// blockSize = N degenerates to SCB (one bulk exchange, then all
+/// computation). Intermediate sizes trade pipelining overlap against fewer,
+/// larger messages. The walk goes a line group at a time, and pivot k reads
+/// row k and column k, so pivots up to the nearer end of their row group
+/// and column group share one step volume; the blocks still close and add
+/// one at a time, in pivot order, since adding v L times is not adding L·v
+/// in floating point.
 template <typename Q>
-ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
-                      Topology topology = Topology::kFullyConnected,
-                      StarConfig star = {}) {
+ModelResult evalPioBlocked(const Q& q, const Machine& machine, int blockSize,
+                           Topology topology = Topology::kFullyConnected,
+                           StarConfig star = {}) {
   requireThreeOwners(q);
+  PUSHPART_CHECK_MSG(blockSize >= 1, "PIO block size must be positive");
   PUSHPART_CHECK_MSG(machine.ratio.valid(),
                      "invalid machine ratio " << machine.ratio.str());
   const int n = q.n();
   const double tsend = machine.sendElementSeconds;
-  const ComputeLoads loads = computeLoads(q, machine);
-  if (algo != Algo::kPIO) {
-    const detail::CommVolumes vol =
-        detail::routedVolumes(pairVolumes(q), topology, star);
-    double comm = 0.0;
-    if (algo == Algo::kSCB || algo == Algo::kSCO)
-      comm = tsend * static_cast<double>(vol.serialTotal);
-    else
-      for (auto d : vol.perProc)
-        comm = std::max(comm, tsend * static_cast<double>(d));
-    return bulkResult(algo, comm, loads);
-  }
-
-  // PIO. Per-step comm: pivot row/column k changes owner mix per k (Eq. 9).
-  // Pivot k reads row k and column k, so the pivots up to the nearer end of
-  // their row group and column group share one step volume. They still add
-  // one at a time, in pivot order: adding v L times is not adding L·v in
-  // floating point.
+  const double step = computeLoads(q, machine).step;
   const LineGroups<Q> rows(q, Axis::kRows);
   const LineGroups<Q> cols(q, Axis::kCols);
   ModelResult result;
   double total = 0.0;
+  std::int64_t blockVolume = 0;
+  int blockSteps = 0;      // pivots in the open block
+  int prevBlockSteps = 0;  // 0 for the priming block: nothing to overlap
   for (int k = 0, r = 0, c = 0; k < n;) {
     const LineRun& row = rows[r];
     const LineRun& col = cols[c];
     const int end = std::min(row.end, col.end);
-    const double stepComm =
-        tsend * static_cast<double>(
-                    detail::pioStepVolume(n, row, col, topology, star));
-    const double paced = std::max(stepComm, loads.step);
+    const std::int64_t volume =
+        detail::pioStepVolume(n, row, col, topology, star);
     for (; k < end; ++k) {
-      total += k == 0 ? stepComm : paced;  // k = 0: the priming send
-      result.commSeconds += stepComm;
+      blockVolume += volume;
+      if (++blockSteps < blockSize && k + 1 < n) continue;
+      // This block's exchange overlaps the previous block's compute.
+      const double blockComm = tsend * static_cast<double>(blockVolume);
+      total += std::max(blockComm, step * prevBlockSteps);
+      result.commSeconds += blockComm;
+      prevBlockSteps = blockSteps;
+      blockVolume = 0;
+      blockSteps = 0;
     }
     if (row.end == end) ++r;
     if (col.end == end) ++c;
   }
-  total += loads.step;  // the drain step computes the final pivot
-  result.compSeconds = loads.step * n;
+  total += step * prevBlockSteps;  // drain: compute the final block
+  result.compSeconds = step * n;
   result.execSeconds = total;
   return result;
 }
 
-/// Blocked PIO (paper §II: data is sent "a row and a column — or k rows and
-/// columns — at a time"): pivots are grouped into blocks of `blockSize`;
-/// block b's data moves while block b−1 computes. blockSize = 1 reproduces
-/// evalModel(kPIO); blockSize = N degenerates to SCB (one bulk exchange,
-/// then all computation). Intermediate sizes trade pipelining overlap
-/// against fewer, larger messages.
-ModelResult evalPioBlocked(const Partition& q, const Machine& machine,
-                           int blockSize,
-                           Topology topology = Topology::kFullyConnected,
-                           StarConfig star = {});
+/// Evaluates the Eq. 2–9 model for `algo` on `q` — a Partition, a
+/// BitPartition or a LineCounts. The partition's element counts drive
+/// computation time; its row/column occupancy drives communication.
+/// `machine.ratio` supplies processor speeds. The sums walk line groups
+/// (one per line of a grid, one per run of a LineCounts); PIO, which is
+/// evalPioBlocked at block size 1, adds once per pivot besides.
+template <typename Q>
+ModelResult evalModel(Algo algo, const Q& q, const Machine& machine,
+                      Topology topology = Topology::kFullyConnected,
+                      StarConfig star = {}) {
+  if (algo == Algo::kPIO)
+    return evalPioBlocked(q, machine, 1, topology, star);
+  requireThreeOwners(q);
+  PUSHPART_CHECK_MSG(machine.ratio.valid(),
+                     "invalid machine ratio " << machine.ratio.str());
+  const double tsend = machine.sendElementSeconds;
+  const detail::CommVolumes vol =
+      detail::routedVolumes(pairVolumes(q), topology, star);
+  double comm = 0.0;
+  if (algo == Algo::kSCB || algo == Algo::kSCO)
+    comm = tsend * static_cast<double>(vol.serialTotal);
+  else
+    for (auto d : vol.perProc)
+      comm = std::max(comm, tsend * static_cast<double>(d));
+  return bulkResult(algo, comm, computeLoads(q, machine));
+}
 
 }  // namespace pushpart

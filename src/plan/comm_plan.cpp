@@ -151,9 +151,9 @@ std::vector<PivotTransfers> buildElementPlan(const Partition& q) {
   return buildElementPlanRange(q, 0);
 }
 
-Volumes planVolumes(const std::vector<PivotTransfers>& plan) {
+Volumes planVolumes(std::span<const PivotTransfers> entries) {
   Volumes v{};
-  for (const PivotTransfers& step : plan) {
+  for (const PivotTransfers& step : entries) {
     for (const BlockTransfer& t : step.aColumn)
       v[procSlot(t.from)][procSlot(t.to)] += t.count;
     for (const BlockTransfer& t : step.bRow)

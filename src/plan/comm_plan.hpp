@@ -14,11 +14,16 @@
 // pivot of a rectangle-based shape lists a handful of blocks where it moves
 // Σ_i (c_i − 1) + Σ_j (c_j − 1) elements. Every count a caller reads
 // (size(), planVolumes) is still in elements.
+//
+// The simulator's PIO sends this schedule: the volumes of each block of
+// pivot entries, and after a processor death the failover epoch's entries
+// (plan/rebalance.hpp), so what it times is what the verifier proved.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "grid/metrics.hpp"
@@ -77,9 +82,10 @@ std::vector<PivotTransfers> buildElementPlan(const Partition& q);
 std::vector<PivotTransfers> buildElementPlanRange(const Partition& q,
                                                   int firstPivot);
 
-/// Aggregated directed volumes of a plan in elements, indexed [from][to].
+/// Aggregated directed volumes of a plan's entries in elements, indexed
+/// [from][to]: the whole plan, or the pivots of one PIO block.
 std::array<std::array<std::int64_t, kNumProcs>, kNumProcs> planVolumes(
-    const std::vector<PivotTransfers>& plan);
+    std::span<const PivotTransfers> entries);
 
 /// Soundness check: every remote operand of every (owned C element, pivot)
 /// pair is delivered exactly once, nothing superfluous is sent, and no

@@ -26,62 +26,49 @@ void condense(Partition& q, Proc dead) {
   }
 }
 
-/// Row-major list of the cells `dead` owns.
-std::vector<std::pair<int, int>> deadCells(const Partition& q, Proc dead) {
-  std::vector<std::pair<int, int>> cells;
-  cells.reserve(static_cast<std::size_t>(q.count(dead)));
-  const int n = q.n();
-  for (int i = 0; i < n; ++i) {
-    if (!q.rowHas(dead, i)) continue;
-    for (int j = 0; j < n; ++j)
-      if (q.at(i, j) == dead) cells.emplace_back(i, j);
-  }
-  return cells;
-}
-
-/// Banded candidate: the first `quota[s0]` dead cells (row-major) go to the
+/// Banded candidate: the first `quota0` dead cells (row-major) go to the
 /// faster survivor, the rest to the other — contiguous runs keep the
 /// survivors' shapes blocky before condensing.
-Partition bandedCandidate(const Partition& q,
-                          const std::vector<std::pair<int, int>>& cells,
-                          Proc s0, Proc s1, std::int64_t quota0) {
+Partition bandedCandidate(const Partition& q, Proc dead, Proc s0, Proc s1,
+                          std::int64_t quota0, std::int64_t quota1) {
   Partition out = q;
-  std::int64_t assigned = 0;
-  for (const auto& [i, j] : cells) {
-    out.set(i, j, assigned < quota0 ? s0 : s1);
-    ++assigned;
-  }
+  const Rect grid{0, q.n(), 0, q.n()};
+  out.claim(grid, dead, s0, quota0);
+  out.claim(grid, dead, s1, quota1);
   return out;
 }
 
-/// Greedy candidate: each dead cell goes to whichever quota-holding survivor
-/// yields the lower VoC right now; ties break toward the survivor with more
-/// quota left, then toward the faster survivor.
-Partition greedyCandidate(const Partition& q,
-                          const std::vector<std::pair<int, int>>& cells,
-                          Proc s0, Proc s1, std::int64_t quota0,
-                          std::int64_t quota1) {
+/// Greedy candidate: each dead cell, row-major, goes to whichever
+/// quota-holding survivor yields the lower VoC right now; ties break toward
+/// the survivor with more quota left, then toward the faster survivor.
+Partition greedyCandidate(const Partition& q, Proc dead, Proc s0, Proc s1,
+                          std::int64_t quota0, std::int64_t quota1) {
   Partition out = q;
   std::int64_t left0 = quota0;
   std::int64_t left1 = quota1;
-  for (const auto& [i, j] : cells) {
-    Proc pick = s0;
-    if (left0 == 0) {
-      pick = s1;
-    } else if (left1 == 0) {
-      pick = s0;
-    } else {
-      out.set(i, j, s0);
-      const std::int64_t voc0 = out.volumeOfCommunication();
-      out.set(i, j, s1);
-      const std::int64_t voc1 = out.volumeOfCommunication();
-      if (voc0 < voc1) pick = s0;
-      else if (voc1 < voc0) pick = s1;
-      else pick = left0 >= left1 ? s0 : s1;
+  const int n = q.n();
+  for (int i = 0; i < n; ++i) {
+    if (!q.rowHas(dead, i)) continue;
+    for (int j = 0; j < n; ++j) {
+      if (q.at(i, j) != dead) continue;
+      Proc pick = s0;
+      if (left0 == 0) {
+        pick = s1;
+      } else if (left1 == 0) {
+        pick = s0;
+      } else {
+        out.set(i, j, s0);
+        const std::int64_t voc0 = out.volumeOfCommunication();
+        out.set(i, j, s1);
+        const std::int64_t voc1 = out.volumeOfCommunication();
+        if (voc0 < voc1) pick = s0;
+        else if (voc1 < voc0) pick = s1;
+        else pick = left0 >= left1 ? s0 : s1;
+      }
+      out.set(i, j, pick);
+      if (pick == s0) --left0;
+      else --left1;
     }
-    out.set(i, j, pick);
-    if (pick == s0) --left0;
-    else --left1;
   }
   return out;
 }
@@ -96,23 +83,13 @@ RebalanceResult rebalanceOnDeath(const Partition& q, Proc dead,
                      "fromPivot " << fromPivot << " outside [0, " << q.n()
                                   << "]");
 
-  // The two survivors, faster first (q-encoding order breaks speed ties).
-  Proc s0 = Proc::P;
-  Proc s1 = Proc::P;
-  bool haveS0 = false;
-  for (Proc p : kAllProcs) {
-    if (p == dead) continue;
-    if (!haveS0) {
-      s0 = p;
-      haveS0 = true;
-    } else {
-      s1 = p;
-    }
-  }
-  if (ratio.speed(s1) > ratio.speed(s0)) std::swap(s0, s1);
-
   RebalanceResult result;
   result.dead = dead;
+  // The two survivors, faster first (q-encoding order breaks speed ties).
+  auto& [s0, s1] = result.survivors;
+  s0 = dead == Proc::R ? Proc::S : Proc::R;
+  s1 = dead == Proc::P ? Proc::S : Proc::P;
+  if (ratio.speed(s1) > ratio.speed(s0)) std::swap(s0, s1);
   result.fromPivot = fromPivot;
   result.vocBefore = q.volumeOfCommunication();
   result.reassigned = q.count(dead);
@@ -127,13 +104,9 @@ RebalanceResult rebalanceOnDeath(const Partition& q, Proc dead,
   result.gained[procSlot(s0)] = quota0;
   result.gained[procSlot(s1)] = quota1;
 
-  const std::vector<std::pair<int, int>> cells = deadCells(q, dead);
-  PUSHPART_CHECK(static_cast<std::int64_t>(cells.size()) ==
-                 result.reassigned);
-
-  Partition banded = bandedCandidate(q, cells, s0, s1, quota0);
+  Partition banded = bandedCandidate(q, dead, s0, s1, quota0, quota1);
   condense(banded, dead);
-  Partition greedy = greedyCandidate(q, cells, s0, s1, quota0, quota1);
+  Partition greedy = greedyCandidate(q, dead, s0, s1, quota0, quota1);
   condense(greedy, dead);
 
   result.after = greedy.volumeOfCommunication() <

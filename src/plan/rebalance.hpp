@@ -26,6 +26,10 @@ namespace pushpart {
 struct RebalanceResult {
   Partition after;  ///< Failover partition; `dead` owns nothing in it.
   Proc dead = Proc::P;
+  /// The two survivors, faster first; q-encoding order (R, S, P) breaks a
+  /// speed tie. The faster one absorbs the quota's rounding and serves the
+  /// operand refetch on failover (sim/mmm_sim.hpp).
+  std::array<Proc, 2> survivors{};
   int fromPivot = 0;  ///< First pivot of the failover epoch.
   /// Cells each survivor gained from the dead processor (0 for `dead`).
   std::array<std::int64_t, kNumProcs> gained{};

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,25 +35,6 @@ std::vector<SimMessage> chunkedMessages(const PairVolumes& volumes,
       }
     }
   }
-  return out;
-}
-
-/// Directed volumes of the pivot steps [begin, end): each step's pivot
-/// column of A and pivot row of B reach every other owner of the receiving
-/// row/column.
-PairVolumes pivotVolumes(const Partition& q, int begin, int end) {
-  PairVolumes out{};
-  const int n = q.n();
-  for (int k = begin; k < end; ++k)
-    for (Proc s : kAllProcs)
-      for (Proc r : kAllProcs) {
-        if (s == r) continue;
-        std::int64_t& volume = out[procSlot(s)][procSlot(r)];
-        for (int i = 0; i < n; ++i)
-          if (q.at(i, k) == s && q.rowHas(r, i)) ++volume;  // A(i,k) pivots
-        for (int j = 0; j < n; ++j)
-          if (q.at(k, j) == s && q.colHas(r, j)) ++volume;  // B(k,j) pivots
-      }
   return out;
 }
 
@@ -99,21 +81,6 @@ PhaseOutcome runParallelReliable(EventQueue& events, Network& net,
   return o;
 }
 
-/// The survivor with the higher relative speed (q-encoding order on ties) —
-/// the natural checkpoint server for operand refetch.
-Proc fastestSurvivor(Proc dead, const Ratio& ratio) {
-  Proc best = Proc::P;
-  bool have = false;
-  for (Proc p : kAllProcs) {
-    if (p == dead) continue;
-    if (!have || ratio.speed(p) > ratio.speed(best)) {
-      best = p;
-      have = true;
-    }
-  }
-  return best;
-}
-
 /// One run: reliable transfers (timeout/backoff retransmission) and, on
 /// processor death, degrade-to-survivors failover via plan/rebalance.hpp.
 /// Under an inert plan nothing is lost or delayed, every transfer lands on
@@ -130,10 +97,13 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
   const Machine& m = options.machine;
   const ComputeLoads loads = computeLoads(q, m);
   const int n = q.n();
+  const bool serialFamily = algo == Algo::kSCB || algo == Algo::kSCO;
 
   const bool hasDeath = options.faults.death.has_value();
   const Proc dead = hasDeath ? options.faults.death->proc : Proc::P;
   const double deathAt = hasDeath ? options.faults.death->at : 0.0;
+  // The failure detector fires this long after the death.
+  const double timedOut = deathAt + options.retry.timeoutSeconds;
 
   SimResult result;
   auto failAt = [&](double t) -> SimResult& {
@@ -143,43 +113,82 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
     return result;
   };
 
-  // Marks the failure detection and computes the failover partition for the
-  // epoch starting at pivot kStar. Returns nullopt when recovery is off.
-  auto startFailover = [&](double tDet, int kStar,
-                           const Partition& cur) -> std::optional<RebalanceResult> {
-    result.recovery.processorDied = true;
-    result.recovery.deadProc = dead;
-    result.recovery.deathDetectedAt = tDet;
-    if (!options.rebalanceOnDeath) return std::nullopt;
-    RebalanceResult reb = rebalanceOnDeath(cur, dead, m.ratio, kStar);
-    result.recovery.failoverPivot = kStar;
-    result.recovery.reassignedElements = reb.reassigned;
-    result.recovery.failoverPlanVerified = reb.deltaPlanVerified;
-    result.recovery.vocBefore = reb.vocBefore;
-    result.recovery.vocAfter = reb.vocAfter;
-    return reb;
+  // The one recovery body, for a death detected at tDet. Unless recovery is
+  // off, it repartitions the epoch from pivot kStar over the survivors and
+  // sends from sendAt the checkpoint refetch: the faster survivor re-serves
+  // the A and B panels of every cell the other one gained (its own share is
+  // local). A bulk algorithm pre-delivered under the old ownership, so it
+  // also re-syncs the epoch's delta plan in full. The survivors then catch
+  // the gained cells up over the kStar finished pivots; a bulk algorithm
+  // computes the whole epoch behind its barrier, while PIO's loop goes on
+  // to price its epoch pivot by pivot. Returns nullopt when the run aborts
+  // here: recovery is off, or a recovery transfer failed.
+  struct Failover {
+    RebalanceResult reb;
+    double sent = 0.0;     ///< The recovery traffic's last delivery.
+    double compute = 0.0;  ///< The slowest survivor's catch-up (and epoch).
   };
-
-  // Checkpoint refetch: the fastest survivor re-serves the A and B panels
-  // of every reassigned cell to the other gainer (its own share is local).
-  auto refetchMessages = [&](const RebalanceResult& reb) {
-    const Proc server = fastestSurvivor(dead, m.ratio);
-    std::vector<SimMessage> msgs;
-    for (Proc x : kAllProcs) {
-      if (x == dead || x == server) continue;
-      const std::int64_t panels = 2 * reb.gained[procSlot(x)];
-      if (panels > 0) {
-        msgs.push_back({server, x, panels});
-        result.recovery.refetchedElements += panels;
-      }
+  auto failover = [&](double tDet, double sendAt, int kStar)
+      -> std::optional<Failover> {
+    SimRecovery& rec = result.recovery;
+    rec.processorDied = true;
+    rec.deadProc = dead;
+    rec.deathDetectedAt = tDet;
+    if (!options.rebalanceOnDeath) {
+      failAt(tDet);
+      return std::nullopt;
     }
-    return msgs;
+    Failover f{rebalanceOnDeath(q, dead, m.ratio, kStar)};
+    const RebalanceResult& reb = f.reb;
+    rec.failoverPivot = kStar;
+    rec.reassignedElements = reb.reassigned;
+    rec.failoverPlanVerified = reb.deltaPlanVerified;
+    rec.vocBefore = reb.vocBefore;
+    rec.vocAfter = reb.vocAfter;
+
+    const auto [server, gainer] = reb.survivors;
+    std::vector<SimMessage> messages;
+    rec.refetchedElements = 2 * reb.gained[procSlot(gainer)];
+    if (rec.refetchedElements > 0)
+      messages.push_back({server, gainer, rec.refetchedElements});
+    if (algo != Algo::kPIO)
+      for (SimMessage msg : chunkedMessages(planVolumes(reb.deltaPlan),
+                                            options.chunksPerPair))
+        messages.push_back(msg);
+    const PhaseOutcome sent =
+        serialFamily
+            ? runSerialReliable(events, net, messages, options.retry, sendAt)
+            : runParallelReliable(events, net, messages, options.retry,
+                                  sendAt);
+    if (algo != Algo::kPIO) result.commSeconds = sent.done;
+    if (sent.abandoned || sent.peerDead) {
+      failAt(sent.done);
+      return std::nullopt;
+    }
+    f.sent = sent.done;
+
+    const std::int64_t epochPivots = algo == Algo::kPIO ? 0 : n - kStar;
+    double maxCatchup = 0.0;
+    for (Proc x : reb.survivors) {
+      const double catchup =
+          m.computeSeconds(x, reb.gained[procSlot(x)] * kStar);
+      const double rest =
+          m.computeSeconds(x, reb.after.count(x) * epochPivots);
+      maxCatchup = std::max(maxCatchup, catchup);
+      f.compute = std::max(f.compute, catchup + rest);
+    }
+    rec.recoverySeconds = (sent.done - tDet) + maxCatchup;
+    result.completed = reb.deltaPlanVerified;
+    return f;
   };
 
   if (algo == Algo::kPIO) {
     PUSHPART_CHECK(options.pioBlockSize >= 1);
-    Partition cur = q;
     ComputeLoads curLoads = loads;
+    // The verified comm plan's entries still to send: the whole plan, then
+    // the delta plan of the failover epoch.
+    std::vector<PivotTransfers> plan = buildElementPlan(q);
+    std::span<const PivotTransfers> unsent = plan;
     double t = 0.0;
     int prevBlockSteps = 0;
     bool failedOver = false;
@@ -188,26 +197,15 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
       if (hasDeath && !failedOver && t >= deathAt) {
         // Finish the owed previous-block computation, then fail over from
         // the current pivot: refetch the lost panels and let the remaining
-        // loop iterations replay pivots [k, n) under the new partition.
-        const double pending = t + curLoads.step * prevBlockSteps;
+        // loop iterations send the delta plan's pivots [k, n).
         const double tDet =
-            std::max(pending, deathAt + options.retry.timeoutSeconds);
-        auto reb = startFailover(tDet, k, cur);
-        if (!reb) return failAt(tDet);
-        const PhaseOutcome rec = runParallelReliable(
-            events, net, refetchMessages(*reb), options.retry, tDet);
-        if (rec.abandoned || rec.peerDead) return failAt(rec.done);
-        cur = std::move(reb->after);
-        curLoads = computeLoads(cur, m);
-        double maxCatchup = 0.0;
-        for (Proc x : kAllProcs) {
-          if (x == dead) continue;
-          maxCatchup = std::max(
-              maxCatchup, m.computeSeconds(x, reb->gained[procSlot(x)] * k));
-        }
-        result.recovery.recoverySeconds = (rec.done - tDet) + maxCatchup;
-        result.completed = reb->deltaPlanVerified;
-        t = rec.done + maxCatchup;
+            std::max(t + curLoads.step * prevBlockSteps, timedOut);
+        auto f = failover(tDet, tDet, k);
+        if (!f) return result;
+        curLoads = computeLoads(f->reb.after, m);
+        plan = std::move(f->reb.deltaPlan);
+        unsent = plan;
+        t = f->sent + f->compute;
         prevBlockSteps = 0;
         failedOver = true;
         continue;
@@ -216,9 +214,10 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
       // amortize α) is exchanged while block b−1 is computed; block b
       // begins once both finish — Eq. 9's serialization.
       const int blockEnd = std::min(n, k + options.pioBlockSize);
+      const auto pivots = unsent.first(static_cast<std::size_t>(blockEnd - k));
       const PhaseOutcome block = runParallelReliable(
-          events, net, chunkedMessages(pivotVolumes(cur, k, blockEnd), 1),
-          options.retry, t);
+          events, net, chunkedMessages(planVolumes(pivots), 1), options.retry,
+          t);
       if (block.abandoned) return failAt(block.done);
       if (block.peerDead) {
         // Death detected mid-block; re-enter the loop so the failover
@@ -229,29 +228,17 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
       }
       t = std::max(block.done, t + curLoads.step * prevBlockSteps);
       prevBlockSteps = blockEnd - k;
+      unsent = unsent.subspan(pivots.size());
       k = blockEnd;
     }
     t += curLoads.step * prevBlockSteps;
     if (hasDeath && !failedOver && deathAt < t) {
       // Death during the final drain: all pivot data was exchanged, but the
       // dead processor's C contributions are lost. Failover at pivot n:
-      // empty delta schedule, full catch-up for the reassigned cells.
-      const double tDet = deathAt + options.retry.timeoutSeconds;
-      auto reb = startFailover(tDet, n, q);
-      if (!reb) return failAt(tDet);
-      const PhaseOutcome rec = runParallelReliable(
-          events, net, refetchMessages(*reb), options.retry,
-          std::max(tDet, t));
-      if (rec.abandoned || rec.peerDead) return failAt(rec.done);
-      double maxCatchup = 0.0;
-      for (Proc x : kAllProcs) {
-        if (x == dead) continue;
-        maxCatchup = std::max(
-            maxCatchup, m.computeSeconds(x, reb->gained[procSlot(x)] * n));
-      }
-      result.recovery.recoverySeconds = (rec.done - tDet) + maxCatchup;
-      result.completed = reb->deltaPlanVerified;
-      t = rec.done + maxCatchup;
+      // empty delta plan, full catch-up for the reassigned cells.
+      auto f = failover(timedOut, std::max(timedOut, t), n);
+      if (!f) return result;
+      t = f->sent + f->compute;
     }
     double nicBusy = 0.0;
     for (double b : net.stats().nicBusySeconds) nicBusy += b;
@@ -263,7 +250,6 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
   }
 
   // --- Bulk algorithms (SCB/PCB/SCO/PCO) --------------------------------
-  const bool serialFamily = algo == Algo::kSCB || algo == Algo::kSCO;
   const auto messages = chunkedMessages(pairVolumes(q), options.chunksPerPair);
   const PhaseOutcome comm =
       serialFamily
@@ -286,48 +272,17 @@ SimResult simulate(Algo algo, const Partition& q, const SimOptions& options) {
   // Detection: during the communication phase the failed transfers already
   // pushed comm.done past the ack timeout; during computation the failure
   // detector fires timeoutSeconds after the death.
-  const double tDet =
-      std::max(comm.done, deathAt + options.retry.timeoutSeconds);
+  const double tDet = std::max(comm.done, timedOut);
   // Progress pivot under the barrier view of the compute phase.
   int kStar = n;
   if (loads.full > 0.0) {
     const double f = std::clamp((tDet - comm.done) / loads.full, 0.0, 1.0);
     kStar = std::min(n, static_cast<int>(static_cast<double>(n) * f));
   }
-  auto reb = startFailover(tDet, kStar, q);
-  if (!reb) return failAt(tDet);
-
-  // Recovery traffic: checkpoint refetch plus the failover epoch's delta
-  // schedule (bulk algorithms pre-delivered under the old ownership, so the
-  // epoch's volumes are re-synced in full among the survivors).
-  std::vector<SimMessage> recMessages = refetchMessages(*reb);
-  for (SimMessage msg :
-       chunkedMessages(planVolumes(reb->deltaPlan), options.chunksPerPair))
-    recMessages.push_back(msg);
-  const PhaseOutcome rec =
-      serialFamily
-          ? runSerialReliable(events, net, recMessages, options.retry, tDet)
-          : runParallelReliable(events, net, recMessages, options.retry, tDet);
-  result.commSeconds = rec.done;
-  if (rec.abandoned || rec.peerDead) return failAt(rec.done);
-
-  // Survivors catch the reassigned cells up over the finished pivots, then
-  // everyone computes the failover epoch.
-  double maxCatchup = 0.0;
-  double maxComp = 0.0;
-  for (Proc x : kAllProcs) {
-    if (x == dead) continue;
-    const double catchup =
-        m.computeSeconds(x, reb->gained[procSlot(x)] * kStar);
-    const double rest =
-        m.computeSeconds(x, reb->after.count(x) * (n - kStar));
-    maxCatchup = std::max(maxCatchup, catchup);
-    maxComp = std::max(maxComp, catchup + rest);
-  }
-  result.recovery.recoverySeconds = (rec.done - tDet) + maxCatchup;
-  result.compSeconds = maxComp;
-  result.execSeconds = rec.done + maxComp;
-  result.completed = reb->deltaPlanVerified;
+  const auto f = failover(tDet, tDet, kStar);
+  if (!f) return result;
+  result.compSeconds = f->compute;
+  result.execSeconds = f->sent + f->compute;
   result.network = net.stats();
   return result;
 }

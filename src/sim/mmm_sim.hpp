@@ -12,6 +12,14 @@
 // finishes at bulkResult of its simulated comm time. So with α = 0 and one
 // chunk per transfer the simulation collapses to the analytic model
 // (asserted in tests/sim/mmm_sim_test.cpp).
+//
+// The bulk algorithms send the directed pair volumes up front. PIO sends
+// the verified schedule of plan/comm_plan.hpp, one block of pivots at a
+// time, and after a failover the delta plan of plan/rebalance.hpp. A
+// processor death, whether caught during a bulk run, mid-PIO or in PIO's
+// final drain, goes through one recovery body: repartition to the
+// survivors, refetch the lost panels from the faster survivor, catch the
+// gained cells up (DESIGN.md §9, "Failover timing").
 #pragma once
 
 #include "grid/partition.hpp"

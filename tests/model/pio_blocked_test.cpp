@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "grid/builder.hpp"
+#include "grid/line_counts.hpp"
 #include "model/models.hpp"
+#include "shapes/candidates.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -65,6 +70,38 @@ TEST(PioBlockedTest, StarTopologyNeverCheaper) {
     const double star = evalPioBlocked(q, m, b, Topology::kStar).commSeconds;
     EXPECT_GE(star + 1e-15, full);
   }
+}
+
+TEST(PioBlockedTest, LineCountsPriceLikeThePaintedGrid) {
+  // Tier A prices PIO from a candidate's runs of equal lines, and a block of
+  // pivots may span several runs. Every feasible candidate at the paper's
+  // ratios must price exactly as its painted grid, at every block size, on
+  // a full network and on a star with each hub.
+  std::vector<std::pair<Topology, StarConfig>> topologies = {
+      {Topology::kFullyConnected, StarConfig{}}};
+  for (Proc hub : kAllProcs)
+    topologies.push_back({Topology::kStar, StarConfig{hub}});
+  int checked = 0;
+  for (int n : {5, 61, 130})
+    for (const Ratio& ratio : paperRatios()) {
+      const Machine m = machineFor(ratio);
+      for (CandidateShape shape : kAllCandidates) {
+        if (!candidateFeasible(shape, n, ratio)) continue;
+        const LineCounts lines = candidateLines(shape, n, ratio);
+        const Partition grid = makeCandidate(shape, n, ratio);
+        for (const auto& [topology, star] : topologies)
+          for (int b : {1, 2, 7, n}) {
+            EXPECT_TRUE(evalPioBlocked(lines, m, b, topology, star) ==
+                        evalPioBlocked(grid, m, b, topology, star))
+                << "n=" << n << " " << ratio.str() << " "
+                << candidateName(shape) << " "
+                << topologyName(topology) << " hub "
+                << procName(star.hub) << " block " << b;
+            ++checked;
+          }
+      }
+    }
+  EXPECT_EQ(checked, 3056);
 }
 
 TEST(PioBlockedTest, InvalidBlockSizeRejected) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <string>
 
 #include "grid/builder.hpp"
 #include "shapes/candidates.hpp"
@@ -103,6 +105,39 @@ TEST(RebalanceTest, TwoSurvivorShapeOnlyUsesTwoProcessors) {
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
       EXPECT_NE(result.after.at(i, j), Proc::R) << "(" << i << "," << j << ")";
+}
+
+TEST(RebalanceTest, SurvivorsComeFasterFirstAndTiesInQEncodingOrder) {
+  // The faster survivor absorbs the quota's rounding and serves the
+  // simulator's operand refetch. A speed tie goes to q-encoding order: R,
+  // then S, then P.
+  struct Case {
+    Ratio ratio;
+    Proc dead;
+    std::array<Proc, 2> survivors;
+  };
+  const Case cases[] = {
+      {{5, 2, 1}, Proc::R, {Proc::P, Proc::S}},
+      {{5, 2, 1}, Proc::S, {Proc::P, Proc::R}},
+      {{5, 2, 1}, Proc::P, {Proc::R, Proc::S}},
+      {{2, 1, 1}, Proc::R, {Proc::P, Proc::S}},
+      {{2, 1, 1}, Proc::S, {Proc::P, Proc::R}},
+      {{2, 1, 1}, Proc::P, {Proc::R, Proc::S}},  // R and S tie
+      {{2, 2, 1}, Proc::R, {Proc::P, Proc::S}},
+      {{2, 2, 1}, Proc::S, {Proc::R, Proc::P}},  // P and R tie
+      {{2, 2, 1}, Proc::P, {Proc::R, Proc::S}},
+  };
+  for (const Case& c : cases) {
+    Rng rng(10);
+    const auto q = randomPartition(12, c.ratio, rng);
+    const auto result = rebalanceOnDeath(q, c.dead, c.ratio, 6);
+    const std::string where = c.ratio.str() + " dead " + procName(c.dead);
+    EXPECT_EQ(result.survivors[0], c.survivors[0]) << where;
+    EXPECT_EQ(result.survivors[1], c.survivors[1]) << where;
+    EXPECT_GE(result.gained[procSlot(c.survivors[0])],
+              result.gained[procSlot(c.survivors[1])])
+        << where;
+  }
 }
 
 TEST(RebalanceTest, InvalidArgumentsRejected) {

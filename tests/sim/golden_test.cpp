@@ -1,13 +1,14 @@
 // Golden replay of simulateMMM.
 //
-// tests/corpus/sim_golden.txt records every SimResult field of 720 runs:
+// tests/corpus/sim_golden.txt records every SimResult field of 765 runs:
 // the five algorithms over fully connected and star networks (each hub),
 // chunked and PIO-blocked schedules and α ∈ {0, 2.5e-6}, on seeded random
 // partitions and candidate shapes, under the default fault plan and under
 // plans with drops, a latency spike, a NIC stall and a mid-run death with
-// and without rebalancing. Each line names its inputs in full (times as
-// %a hex floats), so the replay re-runs it and compares the formatted
-// result byte for byte.
+// and without rebalancing. The last 45 runs kill each processor in PIO's
+// final drain, after the last pivot block was sent. Each line names its
+// inputs in full (times as %a hex floats), so the replay re-runs it and
+// compares the formatted result byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -182,6 +183,7 @@ TEST(SimGoldenTest, ReplaysEveryRecordedRun) {
   std::map<std::string, GoldenPartition> partitions;
   std::string line;
   int lineNo = 0, runs = 0, died = 0, incomplete = 0, retried = 0;
+  int drained = 0;  // PIO runs that failed over at pivot n
   while (std::getline(in, line)) {
     ++lineNo;
     if (line.empty() || line[0] == '#') continue;
@@ -216,12 +218,17 @@ TEST(SimGoldenTest, ReplaysEveryRecordedRun) {
     died += got.recovery.processorDied ? 1 : 0;
     incomplete += got.completed ? 0 : 1;
     retried += got.network.retriesSent > 0 ? 1 : 0;
+    if (algo == "PIO" && got.recovery.processorDied &&
+        got.recovery.failoverPivot == it->second.q.n())
+      ++drained;
   }
   // The sweep reaches every outcome the simulator can report.
-  EXPECT_EQ(runs, 720);
+  EXPECT_EQ(runs, 765);
   EXPECT_GT(died, 100);
   EXPECT_GT(incomplete, 20);
   EXPECT_GT(retried, 100);
+  // A death in PIO's final drain fails over at pivot n, not mid-run.
+  EXPECT_GT(drained, 0);
 }
 
 }  // namespace
