@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   bool candidatesDominate = true;
   std::vector<std::string> bestLines;
   for (const NSpeeds& speeds : vectors) {
-    // Best structured candidate across every registered family (canonical,
+    // Best structured candidate across every candidate family (canonical,
     // layered, hierarchical — DESIGN.md §17). For 4-processor vectors this
     // is the weak Postulate 1 check — search outputs must never undercut
     // the candidate pool; for other k the best candidate is reported but
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     // the ones the taxonomy argument covers).
     std::int64_t bestCandidate = -1;
     std::string bestName = "n/a";
-    builtinFamilies().forEachN(
+    forEachFamilyCandidate(
         n, speeds, FamilySet::all(), [&](const FamilyCandidate& c) {
           const auto voc = c.partition.volumeOfCommunication();
           if (bestCandidate < 0 || voc < bestCandidate) {
@@ -140,8 +140,11 @@ int main(int argc, char** argv) {
       allRect += stats.allSlowRectangular ? 1 : 0;
       rectProcs += stats.rectangularProcs;
       overlaps += stats.overlappingPairs;
-      shrink += 1.0 - static_cast<double>(result.vocEnd) /
-                          static_cast<double>(result.vocStart);
+      // A start with no communication (a slow owner too small to get a
+      // cell) has nothing to shrink.
+      if (result.vocStart > 0)
+        shrink += 1.0 - static_cast<double>(result.vocEnd) /
+                            static_cast<double>(result.vocStart);
       if (result.vocEnd > result.vocStart) condensesEverywhere = false;
       if (assertDominance) {
         if (bestCandidate <= result.vocEnd) ++dominated;

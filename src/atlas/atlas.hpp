@@ -138,16 +138,12 @@ struct AtlasCell {
   friend bool operator==(const AtlasCell&, const AtlasCell&) = default;
 };
 
-/// Why a lookup could not produce a surface answer. kWinnerMismatch and
-/// kGapExceeded are certificate verdicts recorded by the serving layer
-/// (serve/oracle.cpp), not by PlanAtlas::lookup itself.
+/// Why a lookup could not produce a surface answer.
 enum class AtlasMissReason {
   kNone = 0,
-  kOutOfRange,      ///< Ratio outside the grid span.
-  kUnsolved,        ///< Assigned cell invalid, unsolved, or build-failed.
-  kBoundary,        ///< Assigned cell is on a winner-crossover front.
-  kWinnerMismatch,  ///< Certificate: surface winner too far from exact best.
-  kGapExceeded,     ///< Certificate: surface cost gap above the bound.
+  kOutOfRange,  ///< Ratio outside the grid span.
+  kUnsolved,    ///< Assigned cell invalid, unsolved, or build-failed.
+  kBoundary,    ///< Assigned cell is on a winner-crossover front.
 };
 
 constexpr const char* atlasMissReasonName(AtlasMissReason r) {
@@ -156,8 +152,6 @@ constexpr const char* atlasMissReasonName(AtlasMissReason r) {
     case AtlasMissReason::kOutOfRange: return "out-of-range";
     case AtlasMissReason::kUnsolved: return "unsolved";
     case AtlasMissReason::kBoundary: return "boundary";
-    case AtlasMissReason::kWinnerMismatch: return "winner-mismatch";
-    case AtlasMissReason::kGapExceeded: return "gap-exceeded";
   }
   return "?";
 }

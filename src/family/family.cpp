@@ -1,5 +1,6 @@
 #include "family/family.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -55,134 +56,85 @@ std::string FamilySet::str() const {
 
 namespace {
 
-/// Member (1): the paper's six §IX shapes, plus the two-owner prior-work
-/// shapes and the four-owner generalizations for enumerateN — so k-owner
-/// sweeps and three-owner serving draw from the same registry.
-class CanonicalFamily final : public CandidateFamily {
- public:
-  FamilyId id() const override { return FamilyId::kCanonical; }
-  const char* description() const override {
-    return "the paper's six 3-processor shapes (Sec. IX)";
-  }
+/// The canonical family: the paper's six shapes over a Ratio. Over NSpeeds,
+/// the two-owner prior-work shapes, the six shapes at three owners (without
+/// `shape`) and the four-owner generalizations. Infeasible members are
+/// skipped.
+void canonicalCandidates(int n, const Ratio& ratio, const FamilyEmit& emit) {
+  for (const CandidateShape shape : kAllCandidates)
+    if (candidateFeasible(shape, n, ratio))
+      emit({FamilyId::kCanonical, candidateName(shape), shape,
+            makeCandidate(shape, n, ratio)});
+}
 
-  void enumerate(
-      int n, const Ratio& ratio,
-      const std::function<void(FamilyCandidate&&)>& emit) const override {
-    for (const CandidateShape shape : kAllCandidates) {
-      if (!candidateFeasible(shape, n, ratio)) continue;
-      FamilyCandidate c;
-      c.family = FamilyId::kCanonical;
-      c.name = candidateName(shape);
-      c.shape = shape;
-      c.partition = makeCandidate(shape, n, ratio);
-      emit(std::move(c));
+void canonicalCandidates(int n, const NSpeeds& speeds,
+                         const FamilyEmit& emit) {
+  const auto emitNamed = [&](const char* name, Partition q) {
+    emit({FamilyId::kCanonical, name, std::nullopt, std::move(q)});
+  };
+  switch (speeds.owners()) {
+    case 2: {
+      const double p = speeds.speeds[0] / speeds.speeds[1];
+      if (!twoProcFeasible(n, p)) break;
+      for (const TwoProcShape shape :
+           {TwoProcShape::kStraightLine, TwoProcShape::kSquareCorner,
+            TwoProcShape::kRectangleCorner})
+        emitNamed(twoProcShapeName(shape), makeTwoProcCandidate(shape, n, p));
+      break;
     }
+    case 3: {
+      // Three owners are the paper's R, S and P: the six shapes as built,
+      // emitted like every k-owner member, without a shape.
+      const Ratio ratio{speeds.speeds[0], speeds.speeds[1], speeds.speeds[2]};
+      if (!ratio.valid()) break;
+      canonicalCandidates(n, ratio, [&](FamilyCandidate&& c) {
+        c.shape.reset();
+        emit(std::move(c));
+      });
+      break;
+    }
+    case 4:
+      for (const FourProcShape shape :
+           {FourProcShape::kCornerSquares, FourProcShape::kBlockColumns,
+            FourProcShape::kColumnStrips})
+        if (fourProcFeasible(shape, n, speeds))
+          emitNamed(fourProcShapeName(shape),
+                    makeFourProcCandidate(shape, n, speeds));
+      break;
+    default:
+      break;
   }
+}
 
-  void enumerateN(
-      int n, const NSpeeds& speeds,
-      const std::function<void(FamilyCandidate&&)>& emit) const override {
-    const auto emitNamed = [&](const char* name, Partition q) {
-      emit({FamilyId::kCanonical, name, std::nullopt, std::move(q)});
-    };
-    switch (speeds.owners()) {
-      case 2: {
-        const double p = speeds.speeds[0] / speeds.speeds[1];
-        for (const TwoProcShape shape :
-             {TwoProcShape::kStraightLine, TwoProcShape::kSquareCorner,
-              TwoProcShape::kRectangleCorner})
-          emitNamed(twoProcShapeName(shape), makeTwoProcCandidate(shape, n, p));
-        break;
-      }
-      case 3: {
-        // Three owners are the paper's R, S and P: the six shapes as built,
-        // emitted like every k-owner member, without a shape.
-        const Ratio ratio{speeds.speeds[0], speeds.speeds[1],
-                          speeds.speeds[2]};
-        if (!ratio.valid()) break;
-        enumerate(n, ratio, [&](FamilyCandidate&& c) {
-          c.shape.reset();
-          emit(std::move(c));
-        });
-        break;
-      }
-      case 4:
-        for (const FourProcShape shape :
-             {FourProcShape::kCornerSquares, FourProcShape::kBlockColumns,
-              FourProcShape::kColumnStrips})
-          if (fourProcFeasible(shape, n, speeds))
-            emitNamed(fourProcShapeName(shape),
-                      makeFourProcCandidate(shape, n, speeds));
-        break;
-      default:
-        break;
-    }
-  }
-};
+/// The one dedup loop behind both forEachFamilyCandidate overloads: each
+/// selected family's enumerator in id order, a partition hash emitted once.
+template <typename Speeds>
+void forEachSelected(int n, const Speeds& speeds, FamilySet selection,
+                     const std::function<void(const FamilyCandidate&)>& fn) {
+  using Enumerator = void (*)(int, const Speeds&, const FamilyEmit&);
+  constexpr std::array<Enumerator, kNumFamilies> kEnumerators = {
+      canonicalCandidates, layeredCandidates, hierarchicalCandidates};
+  std::unordered_set<std::uint64_t> seen;
+  const FamilyEmit emit = [&](FamilyCandidate&& c) {
+    if (seen.insert(c.partition.hash()).second) fn(c);
+  };
+  for (const FamilyId f : kAllFamilies)
+    if (selection.contains(f))
+      kEnumerators[static_cast<std::size_t>(f)](n, speeds, emit);
+}
 
 }  // namespace
 
-void FamilyRegistry::add(std::unique_ptr<CandidateFamily> family) {
-  families_.push_back(std::move(family));
-}
-
-const CandidateFamily* FamilyRegistry::find(FamilyId id) const {
-  for (const auto& f : families_)
-    if (f->id() == id) return f.get();
-  return nullptr;
-}
-
-void FamilyRegistry::forEach(
+void forEachFamilyCandidate(
     int n, const Ratio& ratio, FamilySet selection,
-    const std::function<void(const FamilyCandidate&)>& fn) const {
-  std::unordered_set<std::uint64_t> seen;
-  for (const auto& f : families_) {
-    if (!selection.contains(f->id())) continue;
-    f->enumerate(n, ratio, [&](FamilyCandidate&& c) {
-      if (!seen.insert(c.partition.hash()).second) return;
-      fn(c);
-    });
-  }
+    const std::function<void(const FamilyCandidate&)>& fn) {
+  forEachSelected(n, ratio, selection, fn);
 }
 
-void FamilyRegistry::forEachN(
+void forEachFamilyCandidate(
     int n, const NSpeeds& speeds, FamilySet selection,
-    const std::function<void(const FamilyCandidate&)>& fn) const {
-  std::unordered_set<std::uint64_t> seen;
-  for (const auto& f : families_) {
-    if (!selection.contains(f->id())) continue;
-    f->enumerateN(n, speeds, [&](FamilyCandidate&& c) {
-      if (!seen.insert(c.partition.hash()).second) return;
-      fn(c);
-    });
-  }
-}
-
-std::vector<FamilyCandidate> FamilyRegistry::enumerate(
-    int n, const Ratio& ratio, FamilySet selection) const {
-  std::vector<FamilyCandidate> out;
-  forEach(n, ratio, selection,
-          [&](const FamilyCandidate& c) { out.push_back(c); });
-  return out;
-}
-
-std::vector<FamilyCandidate> FamilyRegistry::enumerateN(
-    int n, const NSpeeds& speeds, FamilySet selection) const {
-  std::vector<FamilyCandidate> out;
-  forEachN(n, speeds, selection,
-           [&](const FamilyCandidate& c) { out.push_back(c); });
-  return out;
-}
-
-const FamilyRegistry& builtinFamilies() {
-  static const FamilyRegistry* registry = [] {
-    auto* r = new FamilyRegistry();
-    r->add(std::make_unique<CanonicalFamily>());
-    r->add(std::make_unique<LayeredFamily>());
-    r->add(std::make_unique<HierarchicalFamily>());
-    return r;
-  }();
-  return *registry;
+    const std::function<void(const FamilyCandidate&)>& fn) {
+  forEachSelected(n, speeds, selection, fn);
 }
 
 }  // namespace pushpart

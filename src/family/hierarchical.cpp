@@ -200,39 +200,26 @@ std::optional<Partition> makeHierPartition(int n, const NSpeeds& speeds,
   return out;
 }
 
-void HierarchicalFamily::enumerate(
-    int n, const Ratio& ratio,
-    const std::function<void(FamilyCandidate&&)>& emit) const {
-  for (const HierSpec& spec : allHierSpecs()) {
-    std::optional<Partition> q = makeHierPartition(n, ratio, spec);
-    if (!q) continue;
-    FamilyCandidate c;
-    c.family = FamilyId::kHierarchical;
-    c.name = hierSpecName(spec);
-    c.partition = *std::move(q);
-    emit(std::move(c));
-  }
+void hierarchicalCandidates(int n, const Ratio& ratio,
+                            const FamilyEmit& emit) {
+  for (const HierSpec& spec : allHierSpecs())
+    if (std::optional<Partition> q = makeHierPartition(n, ratio, spec))
+      emit({FamilyId::kHierarchical, hierSpecName(spec), std::nullopt,
+            *std::move(q)});
 }
 
-void HierarchicalFamily::enumerateN(
-    int n, const NSpeeds& speeds,
-    const std::function<void(FamilyCandidate&&)>& emit) const {
+void hierarchicalCandidates(int n, const NSpeeds& speeds,
+                            const FamilyEmit& emit) {
   const int procs = speeds.owners();
   if (procs < 4) return;  // q=3 is the canonical solver itself.
-  for (int a = 1; a + 1 < procs; ++a) {
-    for (int b = a + 1; b < procs; ++b) {
+  for (int a = 1; a + 1 < procs; ++a)
+    for (int b = a + 1; b < procs; ++b)
       for (const CandidateShape top : kAllCandidates) {
-        NHierSpec spec{a, b, top};
-        std::optional<Partition> q = makeHierPartition(n, speeds, spec);
-        if (!q) continue;
-        FamilyCandidate c;
-        c.family = FamilyId::kHierarchical;
-        c.name = hierSpecName(spec);
-        c.partition = *std::move(q);
-        emit(std::move(c));
+        const NHierSpec spec{a, b, top};
+        if (std::optional<Partition> q = makeHierPartition(n, speeds, spec))
+          emit({FamilyId::kHierarchical, hierSpecName(spec), std::nullopt,
+                *std::move(q)});
       }
-    }
-  }
 }
 
 }  // namespace pushpart

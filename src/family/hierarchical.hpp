@@ -79,19 +79,11 @@ std::string hierSpecName(const NHierSpec& spec);
 std::optional<Partition> makeHierPartition(int n, const NSpeeds& speeds,
                                             const NHierSpec& spec);
 
-class HierarchicalFamily final : public CandidateFamily {
- public:
-  FamilyId id() const override { return FamilyId::kHierarchical; }
-  const char* description() const override {
-    return "two-level grouped partitions composing the 3-proc solver "
-           "(arXiv 1306.4161)";
-  }
-  void enumerate(
-      int n, const Ratio& ratio,
-      const std::function<void(FamilyCandidate&&)>& emit) const override;
-  void enumerateN(
-      int n, const NSpeeds& speeds,
-      const std::function<void(FamilyCandidate&&)>& emit) const override;
-};
+/// The hierarchical family: every HierSpec over a Ratio; over NSpeeds, every
+/// contiguous three-group split and top-level shape for q >= 4 (q = 3 is the
+/// canonical solver itself). Infeasible specs are skipped.
+void hierarchicalCandidates(int n, const Ratio& ratio, const FamilyEmit& emit);
+void hierarchicalCandidates(int n, const NSpeeds& speeds,
+                            const FamilyEmit& emit);
 
 }  // namespace pushpart

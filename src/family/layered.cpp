@@ -116,34 +116,20 @@ std::vector<NLayeredSpec> allNLayeredSpecs(int procs) {
   return out;
 }
 
-void LayeredFamily::enumerate(
-    int n, const Ratio& ratio,
-    const std::function<void(FamilyCandidate&&)>& emit) const {
-  for (const LayeredSpec& spec : allLayeredSpecs()) {
-    std::optional<Partition> q = makeLayeredPartition(n, ratio, spec);
-    if (!q) continue;
-    FamilyCandidate c;
-    c.family = FamilyId::kLayered;
-    c.name = layeredSpecName(spec);
-    c.partition = *std::move(q);
-    emit(std::move(c));
-  }
+void layeredCandidates(int n, const Ratio& ratio, const FamilyEmit& emit) {
+  for (const LayeredSpec& spec : allLayeredSpecs())
+    if (std::optional<Partition> q = makeLayeredPartition(n, ratio, spec))
+      emit({FamilyId::kLayered, layeredSpecName(spec), std::nullopt,
+            *std::move(q)});
 }
 
-void LayeredFamily::enumerateN(
-    int n, const NSpeeds& speeds,
-    const std::function<void(FamilyCandidate&&)>& emit) const {
+void layeredCandidates(int n, const NSpeeds& speeds, const FamilyEmit& emit) {
   const int procs = speeds.owners();
   if (procs < 3) return;  // q=2 strips belong to the canonical family.
-  for (const NLayeredSpec& spec : allNLayeredSpecs(procs)) {
-    std::optional<Partition> q = makeLayeredPartition(n, speeds, spec);
-    if (!q) continue;
-    FamilyCandidate c;
-    c.family = FamilyId::kLayered;
-    c.name = layeredSpecName(spec);
-    c.partition = *std::move(q);
-    emit(std::move(c));
-  }
+  for (const NLayeredSpec& spec : allNLayeredSpecs(procs))
+    if (std::optional<Partition> q = makeLayeredPartition(n, speeds, spec))
+      emit({FamilyId::kLayered, layeredSpecName(spec), std::nullopt,
+            *std::move(q)});
 }
 
 }  // namespace pushpart

@@ -37,8 +37,8 @@ std::optional<Partition> makeLayeredPartition(int n, const Ratio& ratio,
                                               const LayeredSpec& spec);
 
 /// Every ordered layering of {P, R, S} into 2 or 3 bands, both orientations
-/// (deterministic order; duplicates across specs are left to the registry's
-/// hash dedup).
+/// (deterministic order; duplicates across specs are left to
+/// forEachFamilyCandidate's hash dedup).
 const std::vector<LayeredSpec>& allLayeredSpecs();
 
 /// One q-processor layering of the speed-sorted processors, by fastest-first
@@ -58,19 +58,10 @@ std::optional<Partition> makeLayeredPartition(int n, const NSpeeds& speeds,
 /// All contiguous compositions of [0, procs) into layers, both orientations.
 std::vector<NLayeredSpec> allNLayeredSpecs(int procs);
 
-/// Registry member wrapping the constructions above.
-class LayeredFamily final : public CandidateFamily {
- public:
-  FamilyId id() const override { return FamilyId::kLayered; }
-  const char* description() const override {
-    return "layer-based bands for q >= 3 processors (arXiv 1812.06329)";
-  }
-  void enumerate(
-      int n, const Ratio& ratio,
-      const std::function<void(FamilyCandidate&&)>& emit) const override;
-  void enumerateN(
-      int n, const NSpeeds& speeds,
-      const std::function<void(FamilyCandidate&&)>& emit) const override;
-};
+/// The layered family: every LayeredSpec over a Ratio; over NSpeeds, every
+/// q-owner layering for q >= 3 (q = 2 strips belong to the canonical
+/// family). Unbuildable specs are skipped.
+void layeredCandidates(int n, const Ratio& ratio, const FamilyEmit& emit);
+void layeredCandidates(int n, const NSpeeds& speeds, const FamilyEmit& emit);
 
 }  // namespace pushpart

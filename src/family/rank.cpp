@@ -13,7 +13,7 @@ std::vector<FamilyRanked> rankFamilyCandidates(Algo algo, int n,
                                                StarConfig star) {
   const std::int64_t bound = vocLowerBound(n, machine.ratio);
   std::vector<FamilyRanked> out;
-  builtinFamilies().forEach(
+  forEachFamilyCandidate(
       n, machine.ratio, selection, [&](const FamilyCandidate& c) {
         FamilyRanked r;
         r.family = c.family;

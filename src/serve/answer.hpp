@@ -69,7 +69,7 @@ struct PlanAnswer {
   // in percent (0 when the bound is met). Computed for every answer.
   double optimalityGapPct = 0.0;
   // Family evidence (src/family): which candidate family the served
-  // partition came from and its registry token ("Square-Corner",
+  // partition came from and its candidate token ("Square-Corner",
   // "layers:P/R-S:r", ...). Canonical unless the oracle ranked extended
   // families and one strictly beat every canonical shape — then model/voc
   // above are the family winner's while shape stays the canonical best.

@@ -20,6 +20,13 @@ namespace {
 constexpr ClaimOrder kColumnsFromRight = {
     .columns = true, .reverseLines = true, .reverseCells = true};
 
+/// The slow owner's floored share of the n×n grid at speed ratio p : 1.
+std::int64_t twoProcSlowCount(int n, double p) {
+  const auto n2 = static_cast<std::int64_t>(n) * n;
+  return static_cast<std::int64_t>(
+      std::floor(static_cast<double>(n2) / (p + 1.0)));
+}
+
 /// The slow owners of a four-owner partition in speed order.
 constexpr std::array<Proc, 3> kFourSlow = {
     ownerOfRank(1, 4), ownerOfRank(2, 4), ownerOfRank(3, 4)};
@@ -31,10 +38,7 @@ Partition makeTwoProcCandidate(TwoProcShape shape, int n, double p,
   PUSHPART_CHECK_MSG(p >= 1.0, "fast processor must be at least as fast");
   PUSHPART_CHECK(aspect > 0);
   Partition q(n, 2);
-  const double t = p + 1.0;
-  const auto n2 = static_cast<std::int64_t>(n) * n;
-  const auto slow = static_cast<std::int64_t>(
-      std::floor(static_cast<double>(n2) / t));
+  const std::int64_t slow = twoProcSlowCount(n, p);
   PUSHPART_CHECK_MSG(slow > 0, "grid too small for the slow processor");
 
   // Both corner shapes fill a bottom-right box row by row, bottom-up.
@@ -71,6 +75,10 @@ Partition makeTwoProcCandidate(TwoProcShape shape, int n, double p,
       q.claim(box, q.fastest(), ownerOfRank(1, 2), slow, order) == slow,
       "two-proc box too small");
   return q;
+}
+
+bool twoProcFeasible(int n, double p) {
+  return n > 0 && p >= 1.0 && twoProcSlowCount(n, p) > 0;
 }
 
 bool fourProcFeasible(FourProcShape shape, int n, const NSpeeds& speeds) {

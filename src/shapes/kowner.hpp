@@ -46,6 +46,11 @@ constexpr const char* twoProcShapeName(TwoProcShape s) {
 Partition makeTwoProcCandidate(TwoProcShape shape, int n, double p,
                                double aspect = 2.0);
 
+/// Whether makeTwoProcCandidate builds every shape at this n and p: the
+/// fast processor is at least as fast and the slow one's floored share of
+/// the grid is at least one cell.
+bool twoProcFeasible(int n, double p);
+
 /// Normalized closed-form VoC (VoC / N²) of the canonical two-processor
 /// shapes; the Rectangle-Corner takes the same `aspect` parameter.
 double twoProcClosedFormVoC(TwoProcShape shape, double p, double aspect = 2.0);

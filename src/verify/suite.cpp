@@ -100,10 +100,10 @@ PropertyRun bitsGridEquivalenceProperty(const FailingCase& c) {
   return {CheckReport{}, std::nullopt};
 }
 
-/// Family-registry soundness (DESIGN.md §17): every candidate the registry
+/// Candidate-family soundness (DESIGN.md §17): every candidate any family
 /// emits sits on or above the memory-independent communication lower bound
 /// (gap >= 0), the union over all families never loses to the canonical
-/// best (the six shapes are registry members, so at worst it ties), and on
+/// best (the six shapes are canonical members, so at worst it ties), and on
 /// grids small enough for the exhaustive oracle the true optimum floors
 /// both — candidates from any family are upper bounds, the bound is a
 /// lower bound, and the optimum sits between them.
@@ -116,7 +116,7 @@ PropertyRun familyBeatsOrTiesCanonicalProperty(
   std::int64_t familyBest = kNoCandidate;
   std::optional<Partition> bestPartition;
   CheckReport r;
-  builtinFamilies().forEach(
+  forEachFamilyCandidate(
       c.n, c.ratio, FamilySet::all(), [&](const FamilyCandidate& cand) {
         const std::int64_t voc = cand.partition.volumeOfCommunication();
         if (voc < bound)

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "family/hierarchical.hpp"
@@ -38,13 +43,61 @@ TEST(FamilyNames, RoundTrip) {
   EXPECT_THROW(familyFromName("nope"), std::invalid_argument);
 }
 
-TEST(FamilyRegistry, BuiltinsRegisteredInOrder) {
-  const auto& reg = builtinFamilies();
-  ASSERT_EQ(reg.families().size(), kNumFamilies);
-  EXPECT_EQ(reg.families()[0]->id(), FamilyId::kCanonical);
-  EXPECT_EQ(reg.families()[1]->id(), FamilyId::kLayered);
-  EXPECT_EQ(reg.families()[2]->id(), FamilyId::kHierarchical);
-  EXPECT_NE(reg.find(FamilyId::kLayered), nullptr);
+// Extended-family serving enumerates from every Oracle::plan thread at once,
+// and the layered and hierarchical spec tables are built on first use (this
+// is the file's first enumeration, so a whole-binary run builds them under
+// contention too). Four threads released together must each see what one
+// thread sees alone.
+TEST(FamilyEnumerate, ConcurrentCallersSeeTheSerialSequence) {
+  using Seen = std::vector<std::pair<std::string, std::uint64_t>>;
+  const auto enumerate = [] {
+    Seen out;
+    const auto record = [&](const FamilyCandidate& c) {
+      out.emplace_back(c.name, c.partition.hash());
+    };
+    forEachFamilyCandidate(24, Ratio{5, 2, 1}, FamilySet::all(), record);
+    forEachFamilyCandidate(24, NSpeeds::parse("8:4:2:1"), FamilySet::all(),
+                           record);
+    return out;
+  };
+  constexpr int kThreads = 4;
+  std::array<Seen, kThreads> seen;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (Seen& s : seen)
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      s = enumerate();
+    });
+  for (std::thread& t : threads) t.join();
+  const Seen serial = enumerate();
+  ASSERT_FALSE(serial.empty());
+  for (const Seen& s : seen) EXPECT_EQ(s, serial);
+}
+
+/// Every candidate forEachFamilyCandidate emits, in emission order.
+template <typename Speeds>
+std::vector<FamilyCandidate> collect(int n, const Speeds& speeds,
+                                     FamilySet selection) {
+  std::vector<FamilyCandidate> out;
+  forEachFamilyCandidate(n, speeds, selection,
+                         [&](const FamilyCandidate& c) { out.push_back(c); });
+  return out;
+}
+
+// The families run in id order — canonical, layered, hierarchical — so the
+// first emitter of a duplicate partition is the lowest id.
+TEST(FamilyEnumerate, FamiliesInIdOrder) {
+  const auto inOrder = [](const std::vector<FamilyCandidate>& all) {
+    std::vector<FamilyId> ids;
+    for (const FamilyCandidate& c : all)
+      if (ids.empty() || ids.back() != c.family) ids.push_back(c.family);
+    return ids;
+  };
+  const std::vector<FamilyId> expect(kAllFamilies.begin(), kAllFamilies.end());
+  EXPECT_EQ(inOrder(collect(20, Ratio{5, 2, 1}, FamilySet::all())), expect);
+  EXPECT_EQ(inOrder(collect(16, NSpeeds::parse("8:4:2:1"), FamilySet::all())),
+            expect);
 }
 
 // Every emitted candidate must carry the ratio's exact element counts and a
@@ -54,7 +107,7 @@ TEST(FamilyEnumerate, ExactCountsAndValidCounters) {
     for (const int n : {12, 25}) {
       const auto counts = ratio.elementCounts(n);
       int emitted = 0;
-      builtinFamilies().forEach(
+      forEachFamilyCandidate(
           n, ratio, FamilySet::all(), [&](const FamilyCandidate& c) {
             ++emitted;
             EXPECT_FALSE(c.name.empty());
@@ -78,10 +131,10 @@ TEST(FamilyEnumerate, ExactCountsAndValidCounters) {
 TEST(FamilyEnumerate, DeduplicatesByPartition) {
   for (const Ratio& ratio : kRatios) {
     std::vector<std::uint64_t> hashes;
-    builtinFamilies().forEach(20, ratio, FamilySet::all(),
-                              [&](const FamilyCandidate& c) {
-                                hashes.push_back(c.partition.hash());
-                              });
+    forEachFamilyCandidate(20, ratio, FamilySet::all(),
+                           [&](const FamilyCandidate& c) {
+                             hashes.push_back(c.partition.hash());
+                           });
     const std::set<std::uint64_t> unique(hashes.begin(), hashes.end());
     EXPECT_EQ(unique.size(), hashes.size()) << "ratio=" << ratio.str();
   }
@@ -90,10 +143,10 @@ TEST(FamilyEnumerate, DeduplicatesByPartition) {
 TEST(FamilyEnumerate, Deterministic) {
   const Ratio ratio{5, 2, 1};
   std::vector<std::string> a, b;
-  builtinFamilies().forEach(18, ratio, FamilySet::all(),
-                            [&](const FamilyCandidate& c) { a.push_back(c.name); });
-  builtinFamilies().forEach(18, ratio, FamilySet::all(),
-                            [&](const FamilyCandidate& c) { b.push_back(c.name); });
+  forEachFamilyCandidate(18, ratio, FamilySet::all(),
+                         [&](const FamilyCandidate& c) { a.push_back(c.name); });
+  forEachFamilyCandidate(18, ratio, FamilySet::all(),
+                         [&](const FamilyCandidate& c) { b.push_back(c.name); });
   EXPECT_EQ(a, b);
 }
 
@@ -101,7 +154,7 @@ TEST(FamilyEnumerate, CanonicalMembersMatchMakeCandidate) {
   const Ratio ratio{5, 2, 1};
   const int n = 30;
   int canonical = 0;
-  builtinFamilies().forEach(
+  forEachFamilyCandidate(
       n, ratio, FamilySet::canonicalOnly(), [&](const FamilyCandidate& c) {
         ++canonical;
         ASSERT_TRUE(c.shape.has_value());
@@ -197,7 +250,7 @@ TEST(FamilyVsExhaustiveOracle, SmallNFloor) {
     for (const int n : {4, 5}) {
       const SmallNOracleResult exact = smallNOptimalVoc(n, ratio);
       if (exact.tier != SmallNOracleTier::kExhaustive) continue;
-      builtinFamilies().forEach(
+      forEachFamilyCandidate(
           n, ratio, FamilySet::all(), [&](const FamilyCandidate& c) {
             EXPECT_GE(c.partition.volumeOfCommunication(), exact.minVoc)
                 << c.name << " n=" << n << " ratio=" << ratio.str();
@@ -213,7 +266,7 @@ TEST(FamilyEnumerateN, ExactCountsForFourProcs) {
   const auto counts = speeds.elementCounts(n);
   int emitted = 0;
   std::set<FamilyId> seen;
-  builtinFamilies().forEachN(
+  forEachFamilyCandidate(
       n, speeds, FamilySet::all(), [&](const FamilyCandidate& c) {
         ++emitted;
         seen.insert(c.family);
@@ -238,7 +291,7 @@ TEST(FamilyEnumerateN, FourOwnersAtASmallGrid) {
   const int n = 5;
   const auto counts = speeds.elementCounts(n);
   bool blockColumns = false;
-  ASSERT_NO_THROW(builtinFamilies().forEachN(
+  ASSERT_NO_THROW(forEachFamilyCandidate(
       n, speeds, FamilySet::all(), [&](const FamilyCandidate& c) {
         blockColumns = blockColumns || c.name == "Block-Columns";
         EXPECT_NO_THROW(c.partition.validateCounters()) << c.name;
@@ -254,29 +307,41 @@ TEST(FamilyEnumerateN, TwoProcsServedByCanonicalOnly) {
   NSpeeds speeds;
   speeds.speeds = {3.0, 1.0};
   int emitted = 0;
-  builtinFamilies().forEachN(12, speeds, FamilySet::all(),
-                             [&](const FamilyCandidate& c) {
-                               EXPECT_EQ(c.family, FamilyId::kCanonical);
-                               EXPECT_EQ(c.partition.owners(), 2);
-                               ++emitted;
-                             });
+  forEachFamilyCandidate(12, speeds, FamilySet::all(),
+                         [&](const FamilyCandidate& c) {
+                           EXPECT_EQ(c.family, FamilyId::kCanonical);
+                           EXPECT_EQ(c.partition.owners(), 2);
+                           ++emitted;
+                         });
   EXPECT_GT(emitted, 0);
 }
 
+TEST(FamilyEnumerateN, TwoOwnersTooSkewedForTheGridEmitNothing) {
+  // The slow owner's floored share is 0 cells (25/31 at n = 5, 1/4 at
+  // n = 1), so no two-owner shape exists; the family skips them as it skips
+  // every infeasible member rather than aborting the caller's sweep.
+  for (const auto& [n, spec] : {std::pair{5, "30:1"}, std::pair{1, "3:1"}}) {
+    int emitted = 0;
+    EXPECT_NO_THROW(forEachFamilyCandidate(
+        n, NSpeeds::parse(spec), FamilySet::all(),
+        [&](const FamilyCandidate&) { ++emitted; }))
+        << spec << " n=" << n;
+    EXPECT_EQ(emitted, 0) << spec << " n=" << n;
+  }
+}
+
 TEST(FamilyEnumerateN, ThreeOwnersAreTheRatioCandidates) {
-  // Three owners are the paper's R, S and P, so every registered family
-  // emits for 5:2:1 speeds what it emits for the 5:2:1 ratio, plus the
-  // layered family's speed-rank layerings (which dedup may fold away).
+  // Three owners are the paper's R, S and P, so every family emits for
+  // 5:2:1 speeds what it emits for the 5:2:1 ratio, plus the layered
+  // family's speed-rank layerings (which dedup may fold away).
   NSpeeds speeds;
   speeds.speeds = {5.0, 2.0, 1.0};
   const int n = 20;
   std::set<std::uint64_t> fromRatio;
-  for (const FamilyCandidate& c :
-       builtinFamilies().enumerate(n, Ratio{5, 2, 1}, FamilySet::all()))
+  for (const FamilyCandidate& c : collect(n, Ratio{5, 2, 1}, FamilySet::all()))
     fromRatio.insert(c.partition.hash());
   int canonical = 0;
-  for (const FamilyCandidate& c :
-       builtinFamilies().enumerateN(n, speeds, FamilySet::all())) {
+  for (const FamilyCandidate& c : collect(n, speeds, FamilySet::all())) {
     EXPECT_EQ(c.partition.owners(), 3) << c.name;
     EXPECT_FALSE(c.shape.has_value()) << c.name;
     if (c.family != FamilyId::kCanonical) continue;

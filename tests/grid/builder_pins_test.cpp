@@ -72,24 +72,60 @@ TEST(BuilderPinsTest, Candidates) {
   EXPECT_EQ(fold.value(), 0x5d0329cb7ae12793ull);
 }
 
-TEST(BuilderPinsTest, FamilyMembers) {
+std::uint64_t foldFamilyMembers(FamilySet selection) {
   Fold fold;
   for (const int n : kSizes)
     for (const Ratio& ratio : paperRatios())
-      builtinFamilies().forEach(
-          n, ratio, FamilySet::all(),
-          [&](const FamilyCandidate& c) { fold.add(c); });
-  EXPECT_EQ(fold.value(), 0xf6d64ba90769eb79ull);
+      forEachFamilyCandidate(n, ratio, selection,
+                             [&](const FamilyCandidate& c) { fold.add(c); });
+  return fold.value();
 }
 
-TEST(BuilderPinsTest, FamilyMembersOverSpeeds) {
+std::uint64_t foldFamilyMembersOverSpeeds(FamilySet selection) {
   Fold fold;
   for (const int n : {8, 12, 61})
     for (const NSpeeds& speeds : speedLists())
-      builtinFamilies().forEachN(
-          n, speeds, FamilySet::all(),
-          [&](const FamilyCandidate& c) { fold.add(c); });
-  EXPECT_EQ(fold.value(), 0xedd0a3b369bb86e1ull);
+      forEachFamilyCandidate(n, speeds, selection,
+                             [&](const FamilyCandidate& c) { fold.add(c); });
+  return fold.value();
+}
+
+TEST(BuilderPinsTest, FamilyMembers) {
+  EXPECT_EQ(foldFamilyMembers(FamilySet::all()), 0xf6d64ba90769eb79ull);
+}
+
+TEST(BuilderPinsTest, FamilyMembersOverSpeeds) {
+  EXPECT_EQ(foldFamilyMembersOverSpeeds(FamilySet::all()),
+            0xedd0a3b369bb86e1ull);
+}
+
+// The cross-family dedup depends on which families run: without canonical,
+// a layered member that reproduces a canonical shape is emitted, so each
+// selection short of all() is pinned on its own.
+struct SubsetPin {
+  const char* selection;
+  std::uint64_t members;
+  std::uint64_t overSpeeds;
+};
+
+constexpr std::array<SubsetPin, 4> kSubsetPins = {{
+    {"canonical", 0xc891ebff7aad5be8ull, 0x243b264578a797bcull},
+    {"layered", 0xd7d5716450359d74ull, 0x422176c93758827dull},
+    {"hierarchical", 0x734860c9aac79ee7ull, 0x6e5ecc66c89815cbull},
+    {"layered,hierarchical", 0x792f2298d1e7720eull, 0xbe2fef88caaa1a4bull},
+}};
+
+TEST(BuilderPinsTest, FamilySubsets) {
+  for (const SubsetPin& pin : kSubsetPins)
+    EXPECT_EQ(foldFamilyMembers(FamilySet::parse(pin.selection)), pin.members)
+        << pin.selection;
+}
+
+TEST(BuilderPinsTest, FamilySubsetsOverSpeeds) {
+  for (const SubsetPin& pin : kSubsetPins)
+    EXPECT_EQ(foldFamilyMembersOverSpeeds(FamilySet::parse(pin.selection)),
+              pin.overSpeeds)
+        << pin.selection;
 }
 
 TEST(BuilderPinsTest, RandomStarts) {

@@ -9,10 +9,13 @@
 #   sh tests/outputs/gate.sh build > head.out
 #   diff -u base.out head.out
 #
-# The build needs the pushpart_cli, fault_sweep, latency_ablation and
-# topology_star targets.
+# The build needs the pushpart_cli, fault_sweep, latency_ablation,
+# topology_star, fig13_surface, fig14_commtime, candidates_matrix and
+# nproc_explore targets. `pushpart plan` and `pushpart drift` print
+# latencies, so they stay out of this list.
 set -u
 build=$(cd "$1" && pwd)
+repo=$(cd "$(dirname "$0")/../.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work" || exit 1
@@ -43,3 +46,14 @@ for algo in SCB PIO; do
     done
   done
 done
+
+# The paper's figures, the candidate families over the Fig. 13 grid and
+# over k-owner speed lists, the recommendation across every family, and the
+# verifier's corpus replay.
+run bench/fig13_surface
+run bench/fig14_commtime
+run bench/candidates_matrix --n=90
+run bench/nproc_explore
+run bench/nproc_explore --n=5 --speeds=8:4:2:1 --runs=2
+run tools/pushpart recommend --n=90 --ratio=7:3:1 --families=all
+run tools/pushpart verify --corpus="$repo/tests/corpus"

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -137,6 +138,30 @@ TEST(TwoProcShapeTest, InvalidArgumentsRejected) {
   EXPECT_THROW(
       makeTwoProcCandidate(TwoProcShape::kRectangleCorner, 40, 3.0, -1.0),
       CheckError);
+}
+
+TEST(TwoProcShapeTest, FeasibleIffTheSlowOwnerGetsACell) {
+  // Every shape builds exactly when the slow owner's floored share of the
+  // grid is at least one cell; the family skips the rest.
+  int built = 0;
+  for (int n = 1; n <= 12; ++n)
+    for (const double p : {1.0, 3.0, 8.0, 30.0, 200.0}) {
+      const auto slow = static_cast<std::int64_t>(n) * n /
+                        static_cast<std::int64_t>(p + 1.0);
+      EXPECT_EQ(twoProcFeasible(n, p), slow > 0) << "n=" << n << " p=" << p;
+      if (!twoProcFeasible(n, p)) continue;
+      for (const TwoProcShape shape :
+           {TwoProcShape::kStraightLine, TwoProcShape::kSquareCorner,
+            TwoProcShape::kRectangleCorner}) {
+        const Partition q = makeTwoProcCandidate(shape, n, p);
+        EXPECT_EQ(q.count(kSlow), slow)
+            << twoProcShapeName(shape) << " n=" << n << " p=" << p;
+        ++built;
+      }
+    }
+  EXPECT_GT(built, 100);
+  EXPECT_FALSE(twoProcFeasible(40, 0.5));
+  EXPECT_FALSE(twoProcFeasible(0, 3.0));
 }
 
 const NSpeeds kSpeeds = NSpeeds::parse("8:4:2:1");

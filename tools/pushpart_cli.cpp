@@ -252,14 +252,14 @@ int cmdRecommend(const Flags& flags) {
   std::cout << "\nrecommended: " << ranked.front().name << "\n";
   const std::string out = flags.str("out", "");
   if (!out.empty()) {
-    // Rebuild the winner's partition from the registry (ranking keeps only
+    // Rebuild the winner's partition from its family (ranking keeps only
     // metadata) and save it like the shape-only path always did.
     std::optional<Partition> winner;
-    builtinFamilies().forEach(n, machine.ratio, families,
-                              [&](const FamilyCandidate& c) {
-                                if (!winner && c.name == ranked.front().name)
-                                  winner = c.partition;
-                              });
+    forEachFamilyCandidate(n, machine.ratio, families,
+                           [&](const FamilyCandidate& c) {
+                             if (!winner && c.name == ranked.front().name)
+                               winner = c.partition;
+                           });
     if (!winner) {
       std::cerr << "could not rebuild winner partition\n";
       return 1;
