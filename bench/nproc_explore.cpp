@@ -60,6 +60,24 @@ int main(int argc, char** argv) {
   const int runs = static_cast<int>(flags.i64("runs", 30));
   const auto seed = static_cast<std::uint64_t>(flags.i64("seed", 9));
 
+  std::vector<NSpeeds> vectors;
+  if (flags.has("speeds")) {
+    std::istringstream in(flags.str("speeds", ""));
+    std::string token;
+    while (std::getline(in, token, ',')) {
+      vectors.push_back(NSpeeds::parse(token));
+      if (!vectors.back().valid()) {
+        std::cerr << "error: --speeds must list the fastest owner first (got "
+                  << token << ")\n";
+        return 2;
+      }
+    }
+  } else {
+    for (const char* spec :
+         {"8:4:2:1", "4:2:2:1:1", "10:3:2:1", "6:5:4:3:2:1"})
+      vectors.push_back(NSpeeds::parse(spec));
+  }
+
   std::cout << "E9 (paper Sec. XI direction): the Push engine over k "
                "owners\n\n";
 
@@ -90,17 +108,6 @@ int main(int argc, char** argv) {
               kTwoProcCrossover);
 
   // --- Part 2: k >= 4 exploration ----------------------------------------
-  std::vector<NSpeeds> vectors;
-  if (flags.has("speeds")) {
-    std::istringstream in(flags.str("speeds", ""));
-    std::string token;
-    while (std::getline(in, token, ',')) vectors.push_back(NSpeeds::parse(token));
-  } else {
-    for (const char* spec :
-         {"8:4:2:1", "4:2:2:1:1", "10:3:2:1", "6:5:4:3:2:1"})
-      vectors.push_back(NSpeeds::parse(spec));
-  }
-
   std::cout << "k-processor condensation (" << runs << " runs each, n=" << n
             << "):\n";
   Table table({"speeds", "k", "allRect runs", "avg rect procs", "avg overlaps",

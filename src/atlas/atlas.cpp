@@ -98,7 +98,7 @@ AtlasLookup PlanAtlas::lookup(const Ratio& ratio) const {
   // ratio are all solved, off-boundary and agree on the winner, blend their
   // surface values; a crossover anywhere in the quad falls back to the
   // nearest cell's own value (the winner is unambiguous either way — the
-  // certificate in serve/oracle.cpp re-costs it at the exact ratio).
+  // certificate re-costs it at the exact ratio).
   const Ratio q = ratio.normalized();
   const double fx = (q.p - spec_.prMin) / spec_.prStep();
   const double fy = (q.r - spec_.rrMin) / spec_.rrStep();
@@ -175,10 +175,33 @@ void PlanAtlas::deriveBoundaryLocked(int i, int j) {
   cell.boundary = boundary;
 }
 
-void PlanAtlas::markBoundaries() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  for (int i = 0; i < spec_.prSteps; ++i)
-    for (int j = 0; j < spec_.rrSteps; ++j) deriveBoundaryLocked(i, j);
+AtlasCertificate certifyAtlasHit(const AtlasLookup& hit,
+                                 const RankedCandidate& best, Algo algo,
+                                 int n, const Machine& machine,
+                                 Topology topology, StarConfig star) {
+  // (a) The cell's winner must model within the bound of the exact best
+  // (zero when the shapes agree, the common interior-cell case). (b) The
+  // surface value must agree with the served shape's exact normalized VoC,
+  // bounding how far the request sits from the solved grid.
+  AtlasCertificate cert{best};
+  if (hit.shape != best.shape) {
+    if (const std::optional<RankedCandidate> rc =
+            rankOne(hit.shape, algo, n, machine, topology, star)) {
+      cert.served = *rc;
+      cert.winnerGapPct = (rc->model.execSeconds - best.model.execSeconds) /
+                          best.model.execSeconds * 100.0;
+    } else {
+      cert.winnerGapPct = AtlasCell::kMaxGapPct;
+    }
+  }
+  const double exactNorm =
+      static_cast<double>(cert.served.voc) /
+      (static_cast<double>(n) * static_cast<double>(n));
+  cert.surfaceGapPct =
+      exactNorm > 0.0
+          ? std::fabs(hit.interpNormVoc - exactNorm) / exactNorm * 100.0
+          : (hit.interpNormVoc > 0.0 ? AtlasCell::kMaxGapPct : 0.0);
+  return cert;
 }
 
 std::size_t PlanAtlas::solvedCells() const {

@@ -24,16 +24,18 @@
 // so cell assignment at cell edges is stable) and interpolates the cost
 // surface bilinearly from the four surrounding grid points when they agree
 // on the winner; otherwise it falls back to the nearest cell's value. The
-// *certificate* — accepting the atlas answer only when re-costing at the
-// exact requested ratio agrees with the surface to within a configured gap —
-// lives with the consumer in serve/oracle.cpp; the atlas itself only reports
-// what it knows and why a lookup missed.
+// *certificate* (certifyAtlasHit) re-costs a hit's winner at the exact
+// canonical request and measures how far the surface sits from it; the
+// serving oracle and `pushpart atlas query` accept the hit only when both
+// gaps stay within their bound.
 //
-// Thread safety: lookups take a shared lock; inserts (the speculative
-// prefetcher, prefetch.hpp) take an exclusive lock and re-derive the
-// affected boundary flags. Counts are lock-free Counters.
+// Thread safety: lookups take a shared lock; inserts (the builder, the
+// loader and the speculative prefetcher, prefetch.hpp) take an exclusive
+// lock and re-derive every boundary flag the new winner can change, so the
+// flags are exact after each insert. Counts are lock-free Counters.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <shared_mutex>
@@ -43,6 +45,7 @@
 #include "grid/ratio.hpp"
 #include "model/algo.hpp"
 #include "model/machine.hpp"
+#include "model/optimal.hpp"
 #include "model/topology.hpp"
 #include "shapes/candidates.hpp"
 #include "support/counter.hpp"
@@ -172,6 +175,32 @@ struct AtlasLookup {
   CellOrigin origin = CellOrigin::kBuilt;
 };
 
+/// Whether a surface hit answers a request: the cell's winner re-costed at
+/// the exact request, and how far the surface sits from that re-cost.
+struct AtlasCertificate {
+  /// The cell's winner at the request; the request's best when the shapes
+  /// agree or the winner is infeasible there.
+  RankedCandidate served;
+  /// How much slower `served` models than the request's best, percent;
+  /// AtlasCell::kMaxGapPct when the cell's winner is infeasible there.
+  double winnerGapPct = 0.0;
+  /// |surface VoC/n² − served VoC/n²| relative to the latter, percent.
+  double surfaceGapPct = 0.0;
+
+  bool certifies(double boundPct) const {
+    return winnerGapPct <= boundPct && surfaceGapPct <= boundPct;
+  }
+  double gapPct() const { return std::max(winnerGapPct, surfaceGapPct); }
+};
+
+/// The atlas certificate for a hit, at the canonical request (n, ratio in
+/// machine.ratio, algo, network) whose tier-A winner is `best`. The serving
+/// oracle and `pushpart atlas query` both decide through it.
+AtlasCertificate certifyAtlasHit(const AtlasLookup& hit,
+                                 const RankedCandidate& best, Algo algo,
+                                 int n, const Machine& machine,
+                                 Topology topology, StarConfig star);
+
 /// The atlas proper: grid spec + build provenance + cells, behind a
 /// shared_mutex so concurrent serving lookups and background prefetch
 /// inserts coexist.
@@ -201,13 +230,12 @@ class PlanAtlas {
   std::optional<AtlasCell> cell(int i, int j) const;
 
   /// Installs (or replaces) a solved cell and re-derives the boundary flags
-  /// of the cell and its 4-neighborhood. Throws std::invalid_argument when
-  /// (i, j) is not a valid cell. Thread-safe (exclusive lock).
+  /// of the cell and its 4-neighborhood, the only flags its winner enters.
+  /// Cells never become unsolved, so after any sequence of inserts every
+  /// flag equals the boundary rule applied to the whole grid. Throws
+  /// std::invalid_argument when (i, j) is not a valid cell. Thread-safe
+  /// (exclusive lock).
   void insert(int i, int j, AtlasCell cell);
-
-  /// Recomputes every boundary flag from the current winners (the builder
-  /// and the loader call this once after bulk insertion).
-  void markBoundaries();
 
   std::size_t solvedCells() const;
 

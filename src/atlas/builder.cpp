@@ -14,6 +14,29 @@
 
 namespace pushpart {
 
+SearchEvidence searchEvidence(const BatchOptions& batch, Algo algo,
+                              const Machine& machine, Topology topology,
+                              StarConfig star,
+                              const std::function<void(int)>& onRun) {
+  SearchEvidence out;
+  int delivered = 0;
+  out.summary = runBatch(batch, [&](const BatchRun& run) {
+    ++delivered;
+    if (onRun) onRun(delivered);
+    // A cancelled walk's partition is intact (pushes are transactional) but
+    // it never reached an accept state.
+    if (run.result.stop == DfaStop::kCancelled) return;
+    const ModelResult m =
+        evalModel(algo, run.result.final, machine, topology, star);
+    if (out.completed == 0 || m.execSeconds < out.bestExecSeconds) {
+      out.bestExecSeconds = m.execSeconds;
+      out.bestVoc = run.result.final.volumeOfCommunication();
+    }
+    ++out.completed;
+  });
+  return out;
+}
+
 std::optional<AtlasCell> solveAtlasCell(const AtlasGridSpec& spec,
                                         const AtlasBuildInfo& info, int i,
                                         int j) {
@@ -72,18 +95,9 @@ std::optional<AtlasCell> solveAtlasCell(const AtlasGridSpec& spec,
     batch.seed = info.seed + static_cast<std::uint64_t>(i) *
                                  static_cast<std::uint64_t>(spec.rrSteps) +
                  static_cast<std::uint64_t>(j);
-    double bestSearched = 0.0;
-    bool any = false;
-    runBatch(batch, [&](const BatchRun& run) {
-      if (run.result.stop == DfaStop::kCancelled) return;
-      const ModelResult m = evalModel(info.algo, run.result.final, machine,
-                                      info.topology);
-      if (!any || m.execSeconds < bestSearched) {
-        any = true;
-        bestSearched = m.execSeconds;
-      }
-    });
-    cell.searchConfirmed = any && bestSearched >= winner->model.execSeconds;
+    cell.searchConfirmed =
+        searchEvidence(batch, info.algo, machine, info.topology, {})
+            .confirms(winner->model.execSeconds);
   }
   return cell;
 }
@@ -142,10 +156,6 @@ std::shared_ptr<PlanAtlas> buildAtlas(const AtlasBuildOptions& options,
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-
-  // Per-insert derivation already maintained flags incrementally, but a full
-  // pass from the complete winner map is the authoritative statement.
-  atlas->markBoundaries();
 
   local.solved = solved.load();
   local.failed = local.attempted - local.solved;

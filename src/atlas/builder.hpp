@@ -6,17 +6,46 @@
 // at the build granularity with the cell's ratio, optionally cross-check the
 // ranking with a budgeted tier-B DFA batch (seeded per cell, so a rebuild is
 // bit-reproducible regardless of thread interleaving), and record the
-// snapped winner plus its measured normalized VoC. Boundary flags are
-// derived afterwards from the complete winner map.
+// snapped winner plus its measured normalized VoC. Each insert keeps the
+// boundary flags exact, so the finished atlas needs no further pass. The
+// cross-check is searchEvidence, the serving oracle's tier B too.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 
 #include "atlas/atlas.hpp"
+#include "dfa/batch.hpp"
 
 namespace pushpart {
+
+/// What a tier-B batch says about a candidate ranking (the paper's §VII
+/// cross-check): the fastest condensed final the walks reached.
+struct SearchEvidence {
+  int completed = 0;             ///< Walks that reached an accept state.
+  double bestExecSeconds = 0.0;  ///< Fastest modeled final (0 when none).
+  std::int64_t bestVoc = 0;      ///< That final's VoC.
+  BatchSummary summary;
+
+  /// True when some walk completed and none modeled faster than the
+  /// candidate: the search confirms the ranking. An empty batch confirms
+  /// nothing.
+  bool confirms(double candidateExecSeconds) const {
+    return completed > 0 && bestExecSeconds >= candidateExecSeconds;
+  }
+};
+
+/// Runs `batch` and models every final under (algo, machine, topology,
+/// star), keeping the fastest (the first delivered on a tie). A cancelled
+/// walk never reached an accept state, so it is not evidence. `onRun`, when
+/// set, sees the count of runs delivered so far after each delivery,
+/// cancelled ones included.
+SearchEvidence searchEvidence(const BatchOptions& batch, Algo algo,
+                              const Machine& machine, Topology topology,
+                              StarConfig star,
+                              const std::function<void(int)>& onRun = {});
 
 struct AtlasBuildOptions {
   AtlasGridSpec spec;
@@ -46,8 +75,8 @@ std::optional<AtlasCell> solveAtlasCell(const AtlasGridSpec& spec,
                                         const AtlasBuildInfo& info, int i,
                                         int j);
 
-/// Builds a complete atlas: every valid cell solved (in parallel), then
-/// boundaries marked. Throws std::invalid_argument on a bad spec/info.
+/// Builds a complete atlas: every valid cell solved (in parallel) and
+/// inserted. Throws std::invalid_argument on a bad spec/info.
 std::shared_ptr<PlanAtlas> buildAtlas(const AtlasBuildOptions& options,
                                       AtlasBuildReport* report = nullptr);
 

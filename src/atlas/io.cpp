@@ -117,14 +117,13 @@ AtlasLoadReport tryLoadAtlas(std::istream& is) {
         int i = -1, j = -1;
         AtlasCell cell;
         if (!parseCell(payload, atlas->spec(), i, j, cell)) return false;
+        // The saved boundary flag is re-derived from the winners that
+        // load, so a skipped cell leaves no neighbor claiming a boundary (or
+        // its absence) that the surviving data cannot support.
         atlas->insert(i, j, cell);
         return true;
       });
   if (!read.ok()) return {read, nullptr};
-  // Flags are re-derived from the winners that actually loaded: a skipped
-  // cell must not leave its neighbors claiming a boundary (or its absence)
-  // that the surviving data cannot support.
-  atlas->markBoundaries();
   return {read, std::move(atlas)};
 }
 

@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "atlas/builder.hpp"
 #include "bounds/bounds.hpp"
-#include "dfa/batch.hpp"
 #include "family/rank.hpp"
 #include "model/optimal.hpp"
 #include "support/stopwatch.hpp"
@@ -48,16 +48,22 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
       selectOptimal(req.algo, req.n, machine, req.topology, req.star);
 
   PlanAnswer answer;
-  answer.shape = best.shape;
-  answer.model = best.model;
-  answer.voc = best.voc;
   answer.tier = req.tier;
   answer.servedTier = PlanTier::kFast;
   // Lower-bound evidence rides every answer: the bound depends only on
   // (n, ratio), so one computation covers whichever candidate is served.
   const std::int64_t vocBound = vocLowerBound(req.n, req.ratio);
-  answer.optimalityGapPct = pushpart::optimalityGapPct(best.voc, vocBound);
-  answer.familyCandidate = candidateName(best.shape);
+  // The one place a chosen partition enters the answer. A family winner
+  // passes the canonical best's shape, which the answer keeps either way.
+  const auto choose = [&](CandidateShape shape, std::string name,
+                          const ModelResult& model, std::int64_t voc) {
+    answer.shape = shape;
+    answer.familyCandidate = std::move(name);
+    answer.model = model;
+    answer.voc = voc;
+    answer.optimalityGapPct = pushpart::optimalityGapPct(voc, vocBound);
+  };
+  choose(best.shape, candidateName(best.shape), best.model, best.voc);
 
   // Extended families: rank layered/hierarchical members alongside the six
   // shapes and adopt a family winner only when it *strictly* beats the
@@ -69,10 +75,7 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
                                 req.topology, req.star)) {
       if (fam->model.execSeconds < answer.model.execSeconds) {
         answer.family = fam->family;
-        answer.familyCandidate = fam->name;
-        answer.model = fam->model;
-        answer.voc = fam->voc;
-        answer.optimalityGapPct = pushpart::optimalityGapPct(fam->voc, vocBound);
+        choose(best.shape, fam->name, fam->model, fam->voc);
       }
     }
   }
@@ -92,50 +95,20 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
       if (lk.miss == AtlasMissReason::kUnsolved && prefetcher_)
         prefetcher_->enqueueNeighborhood(lk.i, lk.j);
     } else {
-      // Certificate: (a) the cell's winner, re-costed at the *exact*
-      // requested (n, ratio), must model within the bound of the exact best
-      // (zero when the shapes agree — the common interior-cell case);
-      // (b) the interpolated surface value must agree with the winner's
-      // exact normalized VoC, bounding how far the request sits from the
-      // solved grid. Either failing means this ratio is not where the
-      // surface says it is — fall back to the live search.
-      bool certified = false;
-      RankedCandidate served = best;
-      double winnerGapPct = 0.0;
-      if (lk.shape != best.shape) {
-        if (std::optional<RankedCandidate> rc = rankOne(
-                lk.shape, req.algo, req.n, machine, req.topology, req.star)) {
-          served = *rc;
-          winnerGapPct = (rc->model.execSeconds - best.model.execSeconds) /
-                         best.model.execSeconds * 100.0;
-        } else {
-          winnerGapPct = AtlasCell::kMaxGapPct;  // Infeasible here: reject.
-        }
-      }
-      if (winnerGapPct <= options_.atlasGapPct) {
-        const double exactNorm =
-            static_cast<double>(served.voc) /
-            (static_cast<double>(req.n) * static_cast<double>(req.n));
-        const double surfaceGapPct =
-            exactNorm > 0.0
-                ? std::fabs(lk.interpNormVoc - exactNorm) / exactNorm * 100.0
-                : (lk.interpNormVoc > 0.0 ? AtlasCell::kMaxGapPct : 0.0);
-        if (surfaceGapPct <= options_.atlasGapPct) {
-          certified = true;
-          answer.shape = served.shape;
-          answer.model = served.model;
-          answer.voc = served.voc;
-          answer.familyCandidate = candidateName(served.shape);
-          answer.optimalityGapPct =
-              pushpart::optimalityGapPct(served.voc, vocBound);
-          answer.atlasServed = true;
-          answer.atlasCertGapPct = std::max(winnerGapPct, surfaceGapPct);
-          answer.atlasI = lk.i;
-          answer.atlasJ = lk.j;
-          answer.searchConfirmedCandidate = lk.searchConfirmed;
-        }
-      }
-      if (certified) {
+      // The certificate: re-cost the cell's winner at the exact request; a
+      // gap past the bound means this ratio is not where the surface says
+      // it is, so fall back to the live search.
+      const AtlasCertificate cert = certifyAtlasHit(
+          lk, best, req.algo, req.n, machine, req.topology, req.star);
+      if (cert.certifies(options_.atlasGapPct)) {
+        const RankedCandidate& served = cert.served;
+        choose(served.shape, candidateName(served.shape), served.model,
+               served.voc);
+        answer.atlasServed = true;
+        answer.atlasCertGapPct = cert.gapPct();
+        answer.atlasI = lk.i;
+        answer.atlasJ = lk.j;
+        answer.searchConfirmedCandidate = lk.searchConfirmed;
         stats_.atlasServed.add();
         answer.solveSeconds = timer.seconds();
         return answer;
@@ -168,42 +141,26 @@ PlanAnswer Oracle::solveCanonical(const CanonicalKey& key,
       batch.engine = options_.searchEngine;
       batch.dfa.cancelCheckEvery = options_.cancelCheckEvery;
 
-      double bestExec = 0.0;
-      std::int64_t bestVoc = 0;
-      bool any = false;
-      int delivered = 0;
-      const BatchSummary summary = runBatch(batch, [&](const BatchRun& run) {
-        ++delivered;
-        if (options_.onSearchRun) options_.onSearchRun(key, delivered);
-        // A cancelled walk's partition is intact (pushes are transactional)
-        // but it never reached an accept state; it is not search evidence.
-        if (run.result.stop == DfaStop::kCancelled) return;
-        const ModelResult m = evalModel(req.algo, run.result.final, machine,
-                                        req.topology, req.star);
-        if (!any || m.execSeconds < bestExec) {
-          any = true;
-          bestExec = m.execSeconds;
-          bestVoc = run.result.final.volumeOfCommunication();
-        }
-        ++answer.searchCompleted;
-      });
+      const SearchEvidence evidence = searchEvidence(
+          batch, req.algo, machine, req.topology, req.star,
+          [&](int delivered) {
+            if (options_.onSearchRun) options_.onSearchRun(key, delivered);
+          });
       answer.servedTier = PlanTier::kSearch;
       answer.searchRuns = req.searchRuns;
-      answer.searchBestVoc = bestVoc;
-      answer.searchBestExecSeconds = bestExec;
-      // The search "confirms" the closed-form ranking when no condensed walk
-      // modeled faster than the recommended candidate (the paper's §VII
-      // outcome). An empty batch confirms nothing.
+      answer.searchCompleted = evidence.completed;
+      answer.searchBestVoc = evidence.bestVoc;
+      answer.searchBestExecSeconds = evidence.bestExecSeconds;
       answer.searchConfirmedCandidate =
-          any && bestExec >= answer.model.execSeconds;
-      if (summary.truncated()) {
+          evidence.confirms(answer.model.execSeconds);
+      if (evidence.summary.truncated()) {
         // Ladder rung 2: the deadline cancelled the batch mid-flight;
         // completed walks remain best-so-far evidence.
         answer.truncated = true;
         answer.degrade = DegradeReason::kTruncatedSearch;
       }
       if (consultBreaker) {
-        if (summary.truncated() || cancel.cancelled())
+        if (evidence.summary.truncated() || cancel.cancelled())
           breaker_.recordFailure();
         else
           breaker_.recordSuccess();

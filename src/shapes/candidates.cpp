@@ -267,4 +267,15 @@ LineCounts candidateLines(CandidateShape shape, int n, const Ratio& ratio) {
   return lines;
 }
 
+std::optional<CandidateVoc> minVocCandidate(int n, const Ratio& ratio) {
+  std::optional<CandidateVoc> best;
+  for (CandidateShape shape : kAllCandidates) {
+    if (!candidateFeasible(shape, n, ratio)) continue;
+    const std::int64_t voc =
+        candidateLines(shape, n, ratio).volumeOfCommunication();
+    if (!best || voc < best->voc) best = CandidateVoc{shape, voc};
+  }
+  return best;
+}
+
 }  // namespace pushpart

@@ -39,6 +39,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "grid/line_counts.hpp"
@@ -95,6 +97,17 @@ Partition makeCandidate(CandidateShape shape, int n, const Ratio& ratio);
 /// rectangles leave at most nine runs per axis, so time and memory do not
 /// grow with N. Throws std::invalid_argument when infeasible.
 LineCounts candidateLines(CandidateShape shape, int n, const Ratio& ratio);
+
+/// A feasible candidate and its Volume of Communication.
+struct CandidateVoc {
+  CandidateShape shape = CandidateShape::kSquareCorner;
+  std::int64_t voc = 0;
+};
+
+/// The feasible candidate with the least VoC, the first in kAllCandidates
+/// order on a tie, priced from candidateLines without painting a grid.
+/// nullopt when no candidate is feasible at (n, ratio).
+std::optional<CandidateVoc> minVocCandidate(int n, const Ratio& ratio);
 
 /// The optimal corner split for the Rectangle-Corner shape: R's share of the
 /// combined corner width, x = √R_r/(√R_r + √S_r), minimizing Eq. 13 along

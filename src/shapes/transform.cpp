@@ -83,21 +83,11 @@ std::optional<ReduceResult> reduceToArchetypeA(Partition& q,
   const auto vocBefore = q.volumeOfCommunication();
   const Archetype before = classifyArchetype(q).archetype;
 
-  std::optional<CandidateShape> best;
-  std::int64_t bestVoc = 0;
-  for (CandidateShape shape : kAllCandidates) {
-    if (!candidateFeasible(shape, q.n(), ratio)) continue;
-    const Partition candidate = makeCandidate(shape, q.n(), ratio);
-    const auto voc = candidate.volumeOfCommunication();
-    if (!best || voc < bestVoc) {
-      best = shape;
-      bestVoc = voc;
-    }
-  }
-  if (!best || bestVoc > vocBefore) return std::nullopt;
+  const std::optional<CandidateVoc> best = minVocCandidate(q.n(), ratio);
+  if (!best || best->voc > vocBefore) return std::nullopt;
 
-  q = makeCandidate(*best, q.n(), ratio);
-  return ReduceResult{*best, vocBefore, bestVoc, before};
+  q = makeCandidate(best->shape, q.n(), ratio);
+  return ReduceResult{best->shape, vocBefore, best->voc, before};
 }
 
 }  // namespace pushpart

@@ -11,9 +11,10 @@
 //   Thm 8.2/8.3 — L-shapes and interlocks unfold/push into Archetype A.
 //             Thm 8.3's content is the beautify pass (push/beautify.hpp);
 //             Thm 8.2's is realised constructively by reduceToArchetypeA,
-//             which selects the best canonical Archetype A candidate of the
-//             same element counts and verifies it communicates no more than
-//             the input — the theorem's guarantee, enforced per instance.
+//             which selects the least-VoC canonical Archetype A candidate of
+//             the same element counts (minVocCandidate) and verifies it
+//             communicates no more than the input — the theorem's
+//             guarantee, enforced per instance.
 #pragma once
 
 #include <optional>

@@ -175,27 +175,6 @@ std::vector<FamilyPlacement> familyPlacements(int n, std::int64_t count) {
   return out;
 }
 
-/// Best feasible canonical candidate by grid-measured VoC, as the exhaustive
-/// tier's incumbent. Null when no candidate is feasible at this n.
-struct Incumbent {
-  std::int64_t voc = std::numeric_limits<std::int64_t>::max();
-  bool found = false;
-};
-Incumbent candidateIncumbent(int n, const Ratio& ratio, Partition* best) {
-  Incumbent inc;
-  for (CandidateShape shape : kAllCandidates) {
-    if (!candidateFeasible(shape, n, ratio)) continue;
-    Partition q = makeCandidate(shape, n, ratio);
-    const std::int64_t voc = q.volumeOfCommunication();
-    if (voc < inc.voc) {
-      inc.voc = voc;
-      inc.found = true;
-      if (best) *best = std::move(q);
-    }
-  }
-  return inc;
-}
-
 }  // namespace
 
 std::int64_t arrangementCountCapped(int n, const Ratio& ratio,
@@ -225,12 +204,13 @@ SmallNOracleResult smallNOptimalVoc(int n, const Ratio& ratio,
   result.stateSpace =
       arrangementCountCapped(n, ratio, options.maxExhaustiveStates);
 
-  Partition incumbentBest(n);
-  const Incumbent incumbent = candidateIncumbent(n, ratio, &incumbentBest);
+  // The least-VoC candidate seeds both tiers; it is painted only if it wins.
+  const std::optional<CandidateVoc> incumbent = minVocCandidate(n, ratio);
+  constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
 
   if (result.stateSpace < options.maxExhaustiveStates) {
     result.tier = SmallNOracleTier::kExhaustive;
-    Enumerator search(n, counts, incumbent.voc);
+    Enumerator search(n, counts, incumbent ? incumbent->voc : kNone);
     search.run();
     result.statesVisited = search.leaves();
     if (search.improved()) {
@@ -244,11 +224,11 @@ SmallNOracleResult smallNOptimalVoc(int n, const Ratio& ratio,
                                  static_cast<std::size_t>(j)]);
     } else {
       // No arrangement beat the incumbent — the best candidate IS optimal.
-      PUSHPART_CHECK_MSG(incumbent.found,
+      PUSHPART_CHECK_MSG(incumbent,
                          "exhaustive enumeration found no arrangement for n="
                              << n << " ratio=" << ratio.str());
-      result.minVoc = incumbent.voc;
-      result.best = std::move(incumbentBest);
+      result.minVoc = incumbent->voc;
+      result.best = makeCandidate(incumbent->shape, n, ratio);
     }
     return result;
   }
@@ -257,11 +237,7 @@ SmallNOracleResult smallNOptimalVoc(int n, const Ratio& ratio,
   // of R and S, seeded with the canonical candidates (whose ragged edges can
   // differ slightly from the row-major fill).
   result.tier = SmallNOracleTier::kFamily;
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  if (incumbent.found) {
-    best = incumbent.voc;
-    result.best = incumbentBest;
-  }
+  std::int64_t best = incumbent ? incumbent->voc : kNone;
 
   const auto rPlacements = familyPlacements(n, counts[procIndex(Proc::R)]);
   const auto sPlacements = familyPlacements(n, counts[procIndex(Proc::S)]);
@@ -288,7 +264,7 @@ SmallNOracleResult smallNOptimalVoc(int n, const Ratio& ratio,
       }
     }
   }
-  PUSHPART_CHECK_MSG(best < std::numeric_limits<std::int64_t>::max(),
+  PUSHPART_CHECK_MSG(best < kNone,
                      "family enumeration found no placement for n="
                          << n << " ratio=" << ratio.str());
   if (bestR != nullptr) {
@@ -299,6 +275,8 @@ SmallNOracleResult smallNOptimalVoc(int n, const Ratio& ratio,
                        "family VoC mismatch: table " << best << " vs grid "
                            << q.volumeOfCommunication());
     result.best = std::move(q);
+  } else {
+    result.best = makeCandidate(incumbent->shape, n, ratio);
   }
   result.minVoc = best;
   return result;

@@ -33,13 +33,8 @@ std::int64_t dfaBestVoc(int n, const Ratio& ratio, int runs,
 }
 
 std::int64_t candidateBestVoc(int n, const Ratio& ratio) {
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  for (CandidateShape shape : kAllCandidates) {
-    if (!candidateFeasible(shape, n, ratio)) continue;
-    best = std::min(best,
-                    makeCandidate(shape, n, ratio).volumeOfCommunication());
-  }
-  return best;
+  const std::optional<CandidateVoc> best = minVocCandidate(n, ratio);
+  return best ? best->voc : std::numeric_limits<std::int64_t>::max();
 }
 
 PropertyRun pushInvariantProperty(const FailingCase& c) {

@@ -5,10 +5,13 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "../support/mutants.hpp"
 #include "atlas/builder.hpp"
 #include "support/fnv.hpp"
+#include "support/rng.hpp"
 
 namespace pushpart {
 namespace {
@@ -24,6 +27,39 @@ std::shared_ptr<PlanAtlas> builtAtlas() {
   options.info.n = 48;
   options.threads = 1;
   return buildAtlas(options);
+}
+
+/// The smoke CLI's grid, P_r 1–10 × R_r 1–4 at n = 48: a Square-Corner
+/// corner at P_r 9–10, R_r 1 meets Block-Rectangle along five boundary cells.
+std::shared_ptr<PlanAtlas> frontAtlas() {
+  AtlasBuildOptions options;
+  options.spec.prMax = 10.0;
+  options.spec.prSteps = 10;
+  options.spec.rrMax = 4.0;
+  options.spec.rrSteps = 4;
+  options.info.n = 48;
+  options.threads = 1;
+  return buildAtlas(options);
+}
+
+/// The boundary rule applied to the whole grid from scratch: a solved cell
+/// is boundary iff some valid, solved 4-neighbor has a different winner; an
+/// unsolved cell carries no flag. Every flag of `atlas` must equal it.
+void expectFlagsDerived(const PlanAtlas& atlas) {
+  const AtlasGridSpec& spec = atlas.spec();
+  for (int i = 0; i < spec.prSteps; ++i)
+    for (int j = 0; j < spec.rrSteps; ++j) {
+      const AtlasCell cell = *atlas.cell(i, j);
+      bool boundary = false;
+      for (const auto& [di, dj] :
+           {std::pair{-1, 0}, std::pair{1, 0}, std::pair{0, -1},
+            std::pair{0, 1}}) {
+        if (!cell.solved || !spec.validCell(i + di, j + dj)) continue;
+        const AtlasCell nb = *atlas.cell(i + di, j + dj);
+        boundary = boundary || (nb.solved && nb.shape != cell.shape);
+      }
+      EXPECT_EQ(cell.boundary, boundary) << "cell (" << i << "," << j << ")";
+    }
 }
 
 std::string savedText(const PlanAtlas& atlas) {
@@ -182,29 +218,76 @@ TEST(AtlasIoTest, LostLinesAreCountedAsSkipped) {
   EXPECT_EQ(cut, text.size());  // every cut short of the whole file ran
 }
 
+/// `atlas`'s saved text with one digit of cell (i, j)'s record checksum
+/// flipped; empty when the text holds no record of that cell.
+std::string withCorruptCell(const PlanAtlas& atlas, int i, int j) {
+  std::string text = savedText(atlas);
+  // A record line is "c <16 hex digits> i j ...".
+  std::ostringstream os;
+  os << ' ' << i << ' ' << j << ' ';
+  const std::string cell = os.str();
+  for (std::size_t pos = text.find("\nc "); pos != std::string::npos;
+       pos = text.find("\nc ", pos + 1))
+    if (text.compare(pos + 19, cell.size(), cell) == 0) {
+      char& digit = text[pos + 3];  // first hex digit of the fnv1a field
+      digit = (digit == '0') ? '1' : '0';
+      return text;
+    }
+  return "";
+}
+
 TEST(AtlasIoTest, CorruptCellIsSkippedAndBoundariesRederived) {
-  const auto atlas = builtAtlas();
-  std::string text = savedText(*atlas);
+  // Losing the front atlas's Square-Corner cell (8,0) dissolves the front
+  // at its Block-Rectangle neighbors (7,0) and (8,1); (9,0) still meets
+  // (9,1). The fixture atlas has no front to lose.
+  const auto front = frontAtlas();
+  ASSERT_EQ(front->boundaryCells(),
+            (std::vector<std::pair<int, int>>{
+                {7, 0}, {8, 0}, {8, 1}, {9, 0}, {9, 1}}));
+  struct Case {
+    std::shared_ptr<PlanAtlas> atlas;
+    int i, j;
+    std::vector<std::pair<int, int>> boundaryAfter;
+  };
+  for (const Case& c : {Case{builtAtlas(), 0, 0, {}},
+                        Case{front, 8, 0, {{9, 0}, {9, 1}}}}) {
+    const std::string text = withCorruptCell(*c.atlas, c.i, c.j);
+    ASSERT_FALSE(text.empty());
+    std::istringstream is(text);
+    const AtlasLoadReport report = tryLoadAtlas(is);
+    ASSERT_TRUE(report.ok()) << report.error;
+    EXPECT_FALSE(report.clean());
+    EXPECT_EQ(report.skipped, 1u);
+    EXPECT_EQ(report.loaded, c.atlas->solvedCells() - 1);
+    EXPECT_EQ(report.atlas->solvedCells(), c.atlas->solvedCells() - 1);
+    // The flags were re-derived from the cells that survived, with no pass
+    // over the loaded grid: each equals the rule applied from scratch.
+    expectFlagsDerived(*report.atlas);
+    EXPECT_EQ(report.atlas->boundaryCells(), c.boundaryAfter);
+  }
+}
 
-  // Flip one digit of the first cell record's checksum.
-  const auto pos = text.find("\nc ");
-  ASSERT_NE(pos, std::string::npos);
-  char& digit = text[pos + 3];  // first hex digit of the fnv1a field
-  digit = (digit == '0') ? '1' : '0';
-
-  std::istringstream is(text);
-  const AtlasLoadReport report = tryLoadAtlas(is);
-  ASSERT_TRUE(report.ok()) << report.error;
-  EXPECT_FALSE(report.clean());
-  EXPECT_EQ(report.skipped, 1u);
-  EXPECT_EQ(report.loaded, atlas->solvedCells() - 1);
-  EXPECT_EQ(report.atlas->solvedCells(), atlas->solvedCells() - 1);
-
-  // Boundary flags were re-derived from the cells that survived: marking
-  // again must be a no-op.
-  const auto derived = report.atlas->boundaryCells();
-  report.atlas->markBoundaries();
-  EXPECT_EQ(report.atlas->boundaryCells(), derived);
+TEST(AtlasIoTest, InsertsInAnyOrderLeaveEveryFlagDerived) {
+  // Each insert re-derives the flags its winner enters, so no order of
+  // inserts needs a full pass: after every one, each flag equals the rule
+  // applied from scratch, and the last leaves the built atlas's flags.
+  const auto atlas = frontAtlas();
+  const AtlasGridSpec& spec = atlas->spec();
+  ASSERT_FALSE(atlas->boundaryCells().empty());
+  expectFlagsDerived(*atlas);
+  std::vector<std::pair<int, int>> cells;
+  for (int i = 0; i < spec.prSteps; ++i)
+    for (int j = 0; j < spec.rrSteps; ++j)
+      if (atlas->cell(i, j)->solved) cells.emplace_back(i, j);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng(seed).shuffle(cells);
+    PlanAtlas fresh(spec, atlas->info());
+    for (const auto& [i, j] : cells) {
+      fresh.insert(i, j, *atlas->cell(i, j));
+      expectFlagsDerived(fresh);
+    }
+    EXPECT_EQ(savedText(fresh), savedText(*atlas)) << "seed " << seed;
+  }
 }
 
 TEST(AtlasIoTest, SavedBytesArePinned) {

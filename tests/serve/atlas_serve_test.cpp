@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "atlas/builder.hpp"
+#include "model/optimal.hpp"
 #include "serve/oracle.hpp"
 
 namespace pushpart {
@@ -196,6 +198,72 @@ TEST(AtlasServeTest, SourceBreakdownSumsToEveryCall) {
   EXPECT_EQ(s.sourceTierA, 1u);
   EXPECT_EQ(s.sourceTierB, 2u);
   EXPECT_EQ(s.shed, 0u);
+}
+
+TEST(AtlasServeTest, CertificateDecidesLikeTheOracle) {
+  // `pushpart atlas query` prints certifyAtlasHit's verdict on the
+  // canonical request. Over R < S, scaled and off-grid ratios, cells on and
+  // beside the crossover front, three sizes and a tight bound, that verdict
+  // must be what Oracle::plan serves, down to the served shape's bits.
+  const auto atlas = servingAtlas();
+  const AtlasGridSpec& spec = atlas->spec();
+  std::vector<Ratio> ratios = {{6, 2, 1},   {6, 1, 2},   {12, 4, 2},
+                               {9, 1, 1},   {3, 2.9, 1}, {5.3, 1.7, 1},
+                               {7, 1.3, 2}, {11, 3.5, 1}, {50, 1, 1}};
+  for (const auto& [i, j] : atlas->boundaryCells()) {
+    ratios.push_back(spec.ratioAt(i, j));
+    if (spec.validCell(i - 1, j)) {
+      const Ratio below = spec.ratioAt(i - 1, j);
+      ratios.push_back(below);
+      ratios.push_back({below.p + 0.5 * spec.prStep(), below.r, 1});
+    }
+  }
+  int served = 0, uncertified = 0, missed = 0;
+  for (const double gapPct : {5.0, 0.25}) {
+    OracleOptions options = atlasOptions(atlas);
+    options.atlasGapPct = gapPct;
+    Oracle oracle(options);
+    for (const Ratio& ratio : ratios)
+      for (const int n : {kBuildN, 97, 160}) {
+        PlanRequest req = searchRequest(ratio);
+        req.n = n;
+        req.searchRuns = 1;
+        const PlanResponse r = oracle.plan(req);
+        const PlanRequest canon = canonicalize(req).request;
+        const std::string where = canon.ratio.str() + " n=" +
+                                  std::to_string(n) + " bound " +
+                                  std::to_string(gapPct);
+        ASSERT_FALSE(r.shed) << where;
+        const AtlasLookup lk = atlas->lookup(canon.ratio);
+        if (!lk.hit) {
+          EXPECT_FALSE(r.answer.atlasServed) << where;
+          ++missed;
+          continue;
+        }
+        Machine machine = options.machine;
+        machine.ratio = canon.ratio;
+        const RankedCandidate best = selectOptimal(
+            canon.algo, canon.n, machine, canon.topology, canon.star);
+        const AtlasCertificate cert =
+            certifyAtlasHit(lk, best, canon.algo, canon.n, machine,
+                            canon.topology, canon.star);
+        ASSERT_EQ(r.answer.atlasServed, cert.certifies(gapPct)) << where;
+        if (!r.answer.atlasServed) {
+          ++uncertified;
+          continue;
+        }
+        ++served;
+        EXPECT_EQ(r.answer.atlasCertGapPct, cert.gapPct()) << where;
+        EXPECT_EQ(r.answer.shape, cert.served.shape) << where;
+        EXPECT_EQ(r.answer.voc, cert.served.voc) << where;
+        EXPECT_EQ(r.answer.model, cert.served.model) << where;
+        EXPECT_EQ(r.answer.atlasI, lk.i) << where;
+        EXPECT_EQ(r.answer.atlasJ, lk.j) << where;
+      }
+  }
+  EXPECT_GT(served, 0);
+  EXPECT_GT(uncertified, 0);
+  EXPECT_GT(missed, 0);
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "grid/builder.hpp"
 #include "shapes/archetype.hpp"
 #include "shapes/corners.hpp"
 #include "support/fnv.hpp"
+#include "support/rng.hpp"
 #include "../support/line_runs.hpp"
 
 namespace pushpart {
@@ -202,6 +205,52 @@ TEST(CandidateTest, GridsArePinned) {
       }
   EXPECT_EQ(grids, 3706);
   EXPECT_EQ(h, 0x770f7c4c2cc0f8fdull);
+}
+
+TEST(CandidateTest, MinVocCandidateIsTheFirstPaintedMinimum) {
+  // The reference paints every feasible shape and takes the first strict
+  // minimum of makeCandidate(...).volumeOfCommunication() in kAllCandidates
+  // order. The paper's eleven ratios and eight seeded random ones, n 3–16.
+  std::vector<Ratio> ratios(paperRatios().begin(), paperRatios().end());
+  Rng rng(35);
+  for (int k = 0; k < 8; ++k) {
+    const double p = 1.0 + 19.0 * rng.real();
+    ratios.push_back(Ratio{p, 1.0 + (p - 1.0) * rng.real(), 1.0});
+  }
+  int picked = 0, tied = 0, none = 0;
+  for (int n = 3; n <= 16; ++n)
+    for (const Ratio& ratio : ratios) {
+      std::optional<CandidateShape> shape;
+      std::int64_t voc = 0;
+      int atMin = 0;
+      for (CandidateShape s : kAllCandidates) {
+        if (!candidateFeasible(s, n, ratio)) continue;
+        const std::int64_t v =
+            makeCandidate(s, n, ratio).volumeOfCommunication();
+        if (!shape || v < voc) {
+          shape = s;
+          voc = v;
+          atMin = 0;
+        }
+        atMin += v == voc ? 1 : 0;
+      }
+      const std::optional<CandidateVoc> got = minVocCandidate(n, ratio);
+      ASSERT_EQ(got.has_value(), shape.has_value())
+          << "n=" << n << " ratio " << ratio.str();
+      if (!got) {
+        ++none;
+        continue;
+      }
+      EXPECT_EQ(got->shape, *shape) << "n=" << n << " ratio " << ratio.str();
+      EXPECT_EQ(got->voc, voc) << "n=" << n << " ratio " << ratio.str();
+      ++picked;
+      tied += atMin > 1 ? 1 : 0;
+    }
+  // Both rules the reference carries are exercised: ties broken by order,
+  // and grids too small for any shape.
+  EXPECT_GT(tied, 0);
+  EXPECT_GT(none, 0);
+  EXPECT_EQ(picked + none, 14 * 19);
 }
 
 TEST(CandidateTest, SquareCornerBeatsBlockRectangleAtHighHeterogeneity) {

@@ -72,7 +72,6 @@
 // --log-level=debug|info|warn|error.
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -691,13 +690,23 @@ int cmdAtlasQuery(const Flags& flags) {
   // check what a given ratio would get without standing up an oracle.
   const AtlasLoadReport report = loadAtlasOrThrow(flags);
   const PlanAtlas& atlas = *report.atlas;
-  const Ratio ratio = Ratio::parse(flags.str("ratio", "7:2:1"));
-  const int n = static_cast<int>(flags.i64("n", 1000));
   const double gapPct = flags.f64("gap-pct", 5.0);
 
-  const AtlasLookup lk = atlas.lookup(ratio);
-  std::printf("query: ratio=%s n=%d gap bound=%g%%\n", ratio.str().c_str(),
-              n, gapPct);
+  // The request Oracle::plan would solve: the atlas's algorithm and
+  // network at the search tier, canonicalized (R and S ordered, S = 1).
+  PlanRequest asked;
+  asked.n = static_cast<int>(flags.i64("n", 1000));
+  asked.ratio = Ratio::parse(flags.str("ratio", "7:2:1"));
+  asked.algo = atlas.info().algo;
+  asked.topology = atlas.info().topology;
+  asked.tier = PlanTier::kSearch;
+  const PlanRequest req = canonicalize(asked).request;
+  std::string shown = asked.ratio.str();
+  if (req.ratio.str() != shown) shown += " (canonical " + req.ratio.str() + ")";
+  std::printf("query: ratio=%s n=%d gap bound=%g%%\n", shown.c_str(), req.n,
+              gapPct);
+
+  const AtlasLookup lk = atlas.lookup(req.ratio);
   if (!lk.hit) {
     std::string where;
     if (lk.i >= 0)
@@ -710,27 +719,11 @@ int cmdAtlasQuery(const Flags& flags) {
   }
 
   Machine machine = atlas.info().machine;
-  machine.ratio = ratio.normalized();
+  machine.ratio = req.ratio;
   const RankedCandidate best =
-      selectOptimal(atlas.info().algo, n, machine, atlas.info().topology);
-  RankedCandidate served = best;
-  double winnerGapPct = 0.0;
-  if (lk.shape != best.shape) {
-    if (const std::optional<RankedCandidate> rc = rankOne(
-            lk.shape, atlas.info().algo, n, machine, atlas.info().topology)) {
-      served = *rc;
-      winnerGapPct = (rc->model.execSeconds - best.model.execSeconds) /
-                     best.model.execSeconds * 100.0;
-    } else {
-      winnerGapPct = AtlasCell::kMaxGapPct;
-    }
-  }
-  const double exactNorm = static_cast<double>(served.voc) /
-                           (static_cast<double>(n) * static_cast<double>(n));
-  const double surfaceGapPct =
-      exactNorm > 0.0
-          ? std::fabs(lk.interpNormVoc - exactNorm) / exactNorm * 100.0
-          : (lk.interpNormVoc > 0.0 ? AtlasCell::kMaxGapPct : 0.0);
+      selectOptimal(req.algo, req.n, machine, req.topology, req.star);
+  const AtlasCertificate cert = certifyAtlasHit(
+      lk, best, req.algo, req.n, machine, req.topology, req.star);
 
   std::printf("cell (%d,%d): winner=%s surface VoC/n^2=%.6g (%s)%s\n", lk.i,
               lk.j, candidateName(lk.shape), lk.interpNormVoc,
@@ -738,18 +731,18 @@ int cmdAtlasQuery(const Flags& flags) {
               lk.searchConfirmed ? ", search-confirmed" : "");
   std::printf("exact at request: best=%s, served-shape gap %.3g%%, "
               "surface gap %.3g%%\n",
-              candidateName(best.shape), std::min(winnerGapPct, 999.0),
-              std::min(surfaceGapPct, 999.0));
-  if (winnerGapPct <= gapPct && surfaceGapPct <= gapPct) {
+              candidateName(best.shape), std::min(cert.winnerGapPct, 999.0),
+              std::min(cert.surfaceGapPct, 999.0));
+  if (cert.certifies(gapPct)) {
     std::printf("CERTIFIED: shape=%s exec=%gs voc=%lld cert gap=%.3g%%\n",
-                candidateName(served.shape), served.model.execSeconds,
-                static_cast<long long>(served.voc),
-                std::max(winnerGapPct, surfaceGapPct));
+                candidateName(cert.served.shape),
+                cert.served.model.execSeconds,
+                static_cast<long long>(cert.served.voc), cert.gapPct());
     return 0;
   }
   std::printf("UNCERTIFIED (%s) — a serving oracle would fall back to live "
               "search\n",
-              winnerGapPct > gapPct ? "winner-mismatch" : "gap-exceeded");
+              cert.winnerGapPct > gapPct ? "winner-mismatch" : "gap-exceeded");
   return 1;
 }
 
